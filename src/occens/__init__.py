@@ -38,10 +38,10 @@ from .entropy import (
     approximation_error,
     entropy_exact,
     entropy_model_for,
+    level_log_weights,
     limit_entropy,
     limit_entropy_grad,
     limit_entropy_hessian_diag,
-    log_factorial,
     scaling_factor,
     stirling_log_gamma,
 )

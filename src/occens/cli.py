@@ -129,7 +129,10 @@ def _chain_config(config: dict, seed_flag: int | None) -> ChainConfig:
 
 
 def _sampled_fractions(spec, n: int, cfg: ChainConfig) -> np.ndarray:
-    return metropolis_chain(spec, n, cfg) / n
+    try:
+        return metropolis_chain(spec, n, cfg) / n
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_solve(args) -> int:
@@ -209,8 +212,9 @@ def cmd_fluct_check(args) -> int:
 
     fallback = bool(config.get("sampler_fallback", False))
 
-    def sampled_cov(n, scale, project=None):
+    def sampled_cov(n, project=None):
         frac = _sampled_fractions(spec, n, _chain_config(config, args.seed))
+        scale = math.sqrt(scaling_factor(spec, n))
         y = scale * (frac[:, : m - 1] - sol.x_star[: m - 1])
         if project is not None:
             y = y @ project
@@ -229,7 +233,7 @@ def cmd_fluct_check(args) -> int:
             except EnumerationBudgetError:
                 if not fallback:
                     raise
-                _, cov = sampled_cov(n, math.sqrt(scaling_factor(spec, n)))
+                _, cov = sampled_cov(n)
             emp = [float(cov[i, j]) for i, j in pairs]
             prd = [float(pred.covariance[i, j]) for i, j in pairs]
             return [n, *emp, *prd, time.perf_counter() - start]
@@ -255,7 +259,7 @@ def cmd_fluct_check(args) -> int:
             except EnumerationBudgetError:
                 if not fallback:
                     raise
-                frac, cov = sampled_cov(n, math.sqrt(n), project=in_plane)
+                frac, cov = sampled_cov(n, project=in_plane)
                 e = np.array(spec.energy_units, dtype=np.int64)
                 slack = (spec.energy_cap_units(n)
                          - np.round(frac * n).astype(np.int64) @ e)
@@ -273,7 +277,7 @@ def cmd_fluct_check(args) -> int:
                   + [f"pred_inplane_cov_{i}_{j}" for i, j in pairs]
                   + ["wall_time_s"])
         comments = ["boundary: adjacent layer-mass ratios vs "
-                    "exp(layer_log_ratio); in-plane sqrt(N)-scaled covariance"]
+                    "exp(layer_log_ratio); in-plane sqrt(h(N))-scaled covariance"]
     if fallback:
         comments.append("sampler fallback enabled for N beyond the budget")
     rows = _map_ordered(one, ns, args.jobs)

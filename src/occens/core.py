@@ -48,13 +48,6 @@ class SolverError(RuntimeError):
     """A numeric solver failed to converge within its iteration cap."""
 
 
-def _as_fraction(value) -> Fraction:
-    # Strings ("3/2", "1.4") are parsed exactly; floats keep their binary value.
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class DegeneracySchedule:
     """Named rule mapping N to the total degeneracy G(N).
@@ -149,14 +142,15 @@ def make_spec(energies, weights, energy_cap, regime, c=None, p=None,
               schedule=None) -> EnsembleSpec:
     """Build and validate an EnsembleSpec from loosely-typed inputs."""
     regime = Regime(regime)
-    energies = tuple(_as_fraction(e) for e in energies)
+    # Strings ("3/2", "1.4") are parsed exactly; floats keep their binary value.
+    energies = tuple(Fraction(e) for e in energies)
     weights = tuple(float(w) for w in weights)
     if schedule is None:
         schedule = default_schedule(regime, c=c, p=p)
     spec = EnsembleSpec(
         energies=energies,
         weights=weights,
-        energy_cap=_as_fraction(energy_cap),
+        energy_cap=Fraction(energy_cap),
         regime=regime,
         schedule=schedule,
         c=float(c) if c is not None else None,

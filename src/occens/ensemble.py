@@ -105,8 +105,12 @@ def build_distribution(spec: EnsembleSpec, n: int,
     deg = degeneracies_for(spec, n)
     log_weights = np.asarray(log_multiplicity(counts, deg.as_array), dtype=float)
     shift = float(log_weights.max())
-    log_z = shift + math.log(float(np.exp(log_weights - shift).sum()))
-    pmf = np.exp(log_weights - log_z)
+    # One exp pass: dividing by the sum normalizes to rounding, where
+    # exp(lw - log_z) would inherit half an ulp of a large log Z.
+    weights = np.exp(log_weights - shift)
+    total_weight = float(weights.sum())
+    log_z = shift + math.log(total_weight)
+    pmf = weights / total_weight
     total = float(pmf.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise ArithmeticError(f"pmf sums to {total!r}; log-sum-exp unstable")
@@ -121,13 +125,16 @@ def exact_mean(dist: ExactDistribution) -> np.ndarray:
     return (dist.pmf @ dist.counts) / dist.n
 
 
+def weighted_covariance(y: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Covariance of the rows of y under pmf, symmetrized."""
+    centered = y - pmf @ y
+    cov = (centered * pmf[:, None]).T @ centered
+    return 0.5 * (cov + cov.T)
+
+
 def exact_covariance(dist: ExactDistribution) -> np.ndarray:
     """Covariance matrix of X_N; symmetric positive semidefinite."""
-    x = dist.fractions()
-    mu = dist.pmf @ x
-    centered = x - mu
-    cov = (centered * dist.pmf[:, None]).T @ centered
-    return 0.5 * (cov + cov.T)
+    return weighted_covariance(dist.fractions(), dist.pmf)
 
 
 def mgf(dist: ExactDistribution, xi) -> float:
@@ -163,8 +170,10 @@ def layer_decomposition(dist: ExactDistribution) -> LayerDecomposition:
     e = np.array(dist.spec.energy_units, dtype=np.int64)
     cap = dist.spec.energy_cap_units(dist.n)
     slack = cap - dist.counts @ e
-    values, inverse = np.unique(slack, return_inverse=True)
-    members = tuple(np.nonzero(inverse == k)[0] for k in range(values.size))
+    # a stable sort keeps each layer's state indices ascending
+    order = np.argsort(slack, kind="stable")
+    values, starts = np.unique(slack[order], return_index=True)
+    members = tuple(np.split(order, starts[1:]))
     masses = np.array([float(dist.pmf[idx].sum()) for idx in members])
     masses.setflags(write=False)
     return LayerDecomposition(slacks=tuple(int(v) for v in values),

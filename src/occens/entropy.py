@@ -5,16 +5,16 @@ arrangements over degenerate sub-boxes,
 
     S(counts, degs) = sum_i ln[ (N_i + G_i - 1)! / (N_i! (G_i - 1)!) ],
 
-computed from a memoized table of cumulative ln k sums.  The three limit
-entropies (one per degeneracy regime) and their derivatives back the
-multiplier solver and the fluctuation predictions; a truncated Stirling
-series exists to validate the asymptotic approximation the limits rely on.
+read from one per-level table of ln C(k + G_i - 1, k), k = 0..N, built as a
+running sum of log1p((G_i - 1)/j).  The three limit entropies (one per
+degeneracy regime) and their derivatives back the multiplier solver and the
+fluctuation predictions; a truncated Stirling series exists to validate the
+asymptotic approximation the limits rely on.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,45 +31,23 @@ from .core import (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-class _LogFactorialTable:
-    """Cumulative sums of ln k, grown geometrically and then read-only."""
+def level_log_weights(degs, n: int) -> np.ndarray:
+    """Per-level log-weights ln C(k + G_i - 1, k) for k = 0..n; shape (m, n+1).
 
-    def __init__(self):
-        self._values = np.zeros(2)  # ln 0! = ln 1! = 0
-        self._lock = threading.Lock()
-
-    def ensure(self, n: int) -> np.ndarray:
-        if n < self._values.size:
-            return self._values
-        with self._lock:
-            if n >= self._values.size:
-                new_top = max(n + 1, 2 * self._values.size)
-                ks = np.arange(self._values.size, new_top, dtype=np.float64)
-                tail = self._values[-1] + np.cumsum(np.log(ks))
-                self._values = np.concatenate([self._values, tail])
-        return self._values
-
-    def take(self, ns) -> np.ndarray:
-        ns = np.asarray(ns, dtype=np.int64)
-        if np.any(ns < 0):
-            raise ValueError("log factorial requires nonnegative arguments")
-        table = self.ensure(int(ns.max(initial=0)))
-        return table[ns]
-
-
-_TABLE = _LogFactorialTable()
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!) from the cumulative table; exact up to double rounding."""
+    Entry [i, k] is the running sum of log1p((G_i - 1)/j) over j = 1..k, so
+    each factor (j + G_i - 1)/j of the binomial costs one rounding and no
+    large log-factorials cancel; column 0 is zero, and a level with G_i = 1
+    is zero throughout.
+    """
+    degs = np.asarray(degs, dtype=np.int64)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return float(_TABLE.ensure(n)[n])
-
-
-def log_factorial_array(ns) -> np.ndarray:
-    """Vectorized ln(n!) lookup."""
-    return _TABLE.take(ns)
+    if np.any(degs < 1):
+        raise ValueError(f"degeneracies must be >= 1, got {degs}")
+    j = np.arange(1, n + 1, dtype=np.float64)
+    table = np.zeros((degs.size, n + 1))
+    np.cumsum(np.log1p((degs[:, None] - 1) / j), axis=1, out=table[:, 1:])
+    return table
 
 
 def stirling_log_gamma(lam: float, order: int) -> float:
@@ -94,14 +72,17 @@ def stirling_log_gamma(lam: float, order: int) -> float:
 def log_multiplicity(counts, degs) -> np.ndarray | float:
     """Exact entropy of count vectors; vectorized over leading axes.
 
-    counts may be (..., m) and degs (m,); all arguments are integers so the
-    result comes from exact log-factorial differences.
+    counts may be (..., m) and degs (m,).  Each level's term is read from
+    level_log_weights; the m terms are summed in ascending order so the
+    result does not depend on the order of the levels.
     """
     counts = np.asarray(counts, dtype=np.int64)
     degs = np.asarray(degs, dtype=np.int64)
-    top = log_factorial_array(counts + degs - 1)
-    bottom = log_factorial_array(counts) + log_factorial_array(degs - 1)
-    return (top - bottom).sum(axis=-1)
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    table = level_log_weights(degs, int(counts.max(initial=0)))
+    terms = table[np.arange(degs.size), counts]
+    return np.sort(terms, axis=-1, kind="stable").sum(axis=-1)
 
 
 def entropy_exact(occ: Occupancy, deg: DegeneracyAssignment) -> float:

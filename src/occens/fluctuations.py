@@ -16,8 +16,9 @@ from functools import reduce
 
 import numpy as np
 
-from .core import EnsembleSpec, Regime
-from .ensemble import ExactDistribution, layer_decomposition
+from .core import EnsembleSpec
+from .ensemble import (ExactDistribution, layer_decomposition,
+                       weighted_covariance)
 from .entropy import entropy_model_for, limit_entropy_hessian_diag, scaling_factor
 from .maxent import MaximumKind, MaxEntSolution, classify_maximum, solve
 
@@ -159,7 +160,7 @@ class FluctuationSummary:
 
     Interior: covariance and third standardized moments of
     sqrt(h(N))*(X - x*) in reduced coordinates.  Boundary: layer masses by
-    ascending slack plus the covariance of the sqrt(N)-scaled in-plane
+    ascending slack plus the covariance of the sqrt(h(N))-scaled in-plane
     rotated coordinates.
     """
 
@@ -170,22 +171,16 @@ class FluctuationSummary:
     layer_masses: np.ndarray | None = None
 
 
-def _weighted_covariance(y: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    mean = pmf @ y
-    centered = y - mean
-    cov = (centered * pmf[:, None]).T @ centered
-    return 0.5 * (cov + cov.T)
-
-
 def empirical_fluctuations(dist: ExactDistribution, sol: MaxEntSolution,
                            spec: EnsembleSpec) -> FluctuationSummary:
     """Scaled empirical moments matching the prediction conventions."""
     m = spec.m
     x_red = dist.fractions()[:, : m - 1]
     center = sol.x_star[: m - 1]
+    scale = math.sqrt(scaling_factor(spec, dist.n))
     if sol.kind is MaximumKind.INTERIOR:
-        y = math.sqrt(scaling_factor(spec, dist.n)) * (x_red - center)
-        cov = _weighted_covariance(y, dist.pmf)
+        y = scale * (x_red - center)
+        cov = weighted_covariance(y, dist.pmf)
         mean = dist.pmf @ y
         centered = y - mean
         variances = np.diag(cov)
@@ -198,8 +193,8 @@ def empirical_fluctuations(dist: ExactDistribution, sol: MaxEntSolution,
     layers = layer_decomposition(dist)
     if m > 2:
         in_plane = rotation_basis(spec)[:, 1:]
-        y_hat = math.sqrt(dist.n) * (x_red - center) @ in_plane
-        cov = _weighted_covariance(y_hat, dist.pmf)
+        y_hat = scale * (x_red - center) @ in_plane
+        cov = weighted_covariance(y_hat, dist.pmf)
     else:
         cov = np.zeros((0, 0))
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import EnsembleSpec, SolverError, threshold_energy
+from .core import EnsembleSpec, Regime, SolverError, threshold_energy
 from .ensemble import enumerate_states
 from .entropy import (
     EntropyModel,
@@ -28,7 +28,6 @@ from .entropy import (
     limit_entropy,
     limit_entropy_grad,
 )
-from .core import Regime
 
 RESIDUAL_TOL = 1e-10
 _BISECT_MAX_ITER = 300

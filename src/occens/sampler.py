@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import EnsembleSpec, degeneracies_for
 from .ensemble import ExactDistribution
-from .entropy import log_factorial_array
+from .entropy import level_log_weights
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     The chain starts from the always-feasible state with every particle on
     the lowest level; each step proposes moving one ball between a uniformly
     chosen ordered level pair and accepts with min(1, exp(dS)), where dS
-    uses log-factorial differences of the two touched levels only.
+    reads the per-level log-weight table at the two touched levels only.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
@@ -69,15 +69,7 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     cap = spec.energy_cap_units(n)
     if n * e[0] > cap:
         raise ValueError(f"no feasible initial state at N={n}")
-    degs = degeneracies_for(spec, n).as_array
-
-    # per-level log-weight ln[(k+G_i-1)! / (k! (G_i-1)!)] for k = 0..N
-    ks = np.arange(n + 1, dtype=np.int64)
-    level_logw = np.stack([
-        log_factorial_array(ks + g - 1) - log_factorial_array(ks)
-        - float(log_factorial_array(np.array([g - 1]))[0])
-        for g in degs
-    ])
+    level_logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
 
     state = np.zeros(m, dtype=np.int64)
     state[0] = n
@@ -110,22 +102,3 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
         if step >= burn_in and (step - burn_in) % thinning == 0:
             kept.append(state.copy())
     return np.array(kept, dtype=np.int64)
-
-
-def incremental_entropy_delta(spec: EnsembleSpec, n: int, counts,
-                              src: int, dst: int) -> float:
-    """dS for moving one ball src -> dst; two-level log-factorial diffs."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts[src] < 1:
-        raise ValueError(f"level {src} is empty in {counts}")
-    degs = degeneracies_for(spec, n).as_array
-    lf = log_factorial_array
-
-    def level_logw(level, k):
-        g = int(degs[level])
-        return float(lf(np.array([k + g - 1]))[0] - lf(np.array([k]))[0]
-                     - lf(np.array([g - 1]))[0])
-
-    ns, nd = int(counts[src]), int(counts[dst])
-    return (level_logw(src, ns - 1) - level_logw(src, ns)
-            + level_logw(dst, nd + 1) - level_logw(dst, nd))

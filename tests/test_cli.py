@@ -13,6 +13,12 @@ BOUNDARY_CONFIG = {
     "regime": "high_degeneracy",
 }
 
+M3_CONFIG = {
+    "energies": ["1", "2", "3"],
+    "weights": [0.3, 0.4, 0.3],
+    "energy_cap": "8/5",
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -158,6 +164,27 @@ class TestLlnSweep:
         assert all(0 < e < 0.5 for e in errs)
 
 
+    def test_large_log_z_normalizes(self, tmp_path, capsys):
+        # log Z exceeds 8192 at N=2000; exp(lw - log_z) used to lose half an
+        # ulp of log Z and fail the 1e-12 pmf-sum check.
+        config = write_config(tmp_path, {
+            **M3_CONFIG, "regime": "high_degeneracy", "budget": 10**8,
+            "N_list": [2000]})
+        assert main(["lln-sweep", "--config", config]) == 0, \
+            capsys.readouterr().err
+
+    def test_fallback_chain_error_is_config_error(self, tmp_path, capsys):
+        # the default burn-in 10*N*m exceeds the default 200000 steps here
+        config = write_config(tmp_path, {
+            **M3_CONFIG, "regime": "proportional", "c": 1.0,
+            "sampler_fallback": True, "budget": 1000,
+            "N_list": [7000]})
+        assert main(["lln-sweep", "--config", config]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "burn_in" in err["detail"]
+
+
 class TestFluctCheck:
     def test_interior_columns(self, tmp_path):
         config = write_config(tmp_path, {
@@ -180,6 +207,19 @@ class TestFluctCheck:
         assert pred == pytest.approx([2 / 3] * 3, abs=1e-10)
         gaps = [abs(float(r[header.index("ratio_1_0")]) - 2 / 3) for r in rows]
         assert gaps[0] > gaps[-1]
+
+    def test_boundary_in_plane_scaled_by_h(self, tmp_path):
+        # low_degeneracy has h(N) = G(N) << N; the in-plane covariance must
+        # use the same sqrt(h(N)) scale as its prediction.
+        config = write_config(tmp_path, {
+            **M3_CONFIG, "regime": "low_degeneracy", "N_list": [500, 1000]})
+        out = tmp_path / "fl.csv"
+        assert main(["fluct-check", "--config", config, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        for row in rows:
+            emp = float(row[header.index("emp_inplane_cov_0_0")])
+            pred = float(row[header.index("pred_inplane_cov_0_0")])
+            assert emp == pytest.approx(pred, rel=0.10)
 
     def test_boundary_sampler_fallback(self, tmp_path):
         config = write_config(tmp_path, {

@@ -10,36 +10,59 @@ from occens import (
     degeneracies_for,
     entropy_exact,
     entropy_model_for,
+    level_log_weights,
     limit_entropy,
     limit_entropy_grad,
     limit_entropy_hessian_diag,
-    log_factorial,
     make_spec,
     scaling_factor,
     stirling_log_gamma,
 )
-from occens.entropy import EntropyModel, log_factorial_array, log_multiplicity
+from occens.entropy import EntropyModel, log_multiplicity
 from occens.core import Regime
 
 from helpers import central_diff, random_spec, two_level_spec
 
 
-class TestLogFactorial:
-    def test_small_values(self):
-        assert log_factorial(0) == 0.0
-        assert log_factorial(1) == 0.0
-        assert log_factorial(4) == pytest.approx(math.log(24), abs=1e-12)
-        assert log_factorial(10) == pytest.approx(math.log(3_628_800), abs=1e-12)
+class TestLevelLogWeights:
+    def test_exact_against_comb(self):
+        degs = np.arange(1, 51)
+        table = level_log_weights(degs, 50)
+        assert table.shape == (50, 51)
+        for i, g in enumerate(degs.tolist()):
+            for k in range(51):
+                exact = math.log(math.comb(k + g - 1, k))
+                assert table[i, k] == pytest.approx(exact, rel=1e-14, abs=1e-14)
 
-    def test_vectorized_matches_scalar(self):
-        ns = np.array([0, 3, 17, 250, 4096])
-        got = log_factorial_array(ns)
-        assert np.allclose(got, [log_factorial(int(n)) for n in ns],
-                           rtol=0, atol=1e-12)
+    def test_against_mpmath_loggamma(self):
+        mpmath = pytest.importorskip("mpmath")
+        gs = [1, 30_000, 2_500_000, 25_000_000, 100_000_000]
+        ks = [1, 2, 10, 1000, 5000]
+        table = level_log_weights(gs, max(ks))
+        with mpmath.workdps(40):
+            for i, g in enumerate(gs):
+                for k in ks:
+                    exact = (mpmath.loggamma(k + g) - mpmath.loggamma(k + 1)
+                             - mpmath.loggamma(g))
+                    # G = 1 makes exact zero, so the table must be 0 too
+                    assert abs(table[i, k] - exact) <= 1e-13 * abs(exact), (g, k)
 
-    def test_rejects_negative(self):
+    def test_single_box_level_is_zero(self):
+        table = level_log_weights([1, 1], 1000)
+        assert not table.any()
+
+    def test_zero_column_and_shape(self):
+        table = level_log_weights([3, 7, 2], 0)
+        assert table.shape == (3, 1)
+        assert not table.any()
+
+    def test_rejects_invalid_arguments(self):
         with pytest.raises(ValueError):
-            log_factorial(-1)
+            level_log_weights([2, 3], -1)
+        with pytest.raises(ValueError):
+            level_log_weights([0, 3], 5)
+        with pytest.raises(ValueError):
+            log_multiplicity([-1, 2], [3, 3])
 
 
 class TestStirling:
@@ -67,13 +90,13 @@ class TestStirling:
             stirling_log_gamma(5.0, 3)
 
     def test_agreement_with_table_over_log_sample(self):
-        # order-2 series vs exact table, n log-sampled over [10, 1e6]; the
-        # truncation residue ~0.00268/(n+1)^3 dominates below n ~ 20, so the
-        # smallest point sits near 1.3e-7 relative and the rest are < 1e-8.
+        # order-2 series vs ln n! = lgamma(n+1), n log-sampled over [10, 1e6];
+        # the truncation residue ~0.00268/(n+1)^3 dominates below n ~ 20, so
+        # the smallest point sits near 1.3e-7 relative and the rest are < 1e-8.
         ns = np.unique(np.round(np.logspace(1, 6, 11)).astype(int))
         rel = np.array([
-            abs(stirling_log_gamma(float(n + 1), 2) - log_factorial(int(n)))
-            / log_factorial(int(n))
+            abs(stirling_log_gamma(float(n + 1), 2) - math.lgamma(n + 1))
+            / math.lgamma(n + 1)
             for n in ns
         ])
         assert np.all(rel[ns >= 32] < 1e-8)

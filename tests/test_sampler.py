@@ -1,14 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from occens import (
     ChainConfig,
     build_distribution,
+    degeneracies_for,
     exact_sample,
+    level_log_weights,
     make_spec,
     metropolis_chain,
 )
-from occens.sampler import incremental_entropy_delta
 from occens.core import Occupancy, assert_feasible
 from occens.entropy import entropy_exact
 
@@ -80,9 +83,13 @@ class TestMetropolis:
         n = 6
         dist = build_distribution(spec, n)
         deg = dist.degeneracy
+        logw = level_log_weights(deg.as_array, n)
         for counts in dist.counts.tolist():
             for i, j, new in single_ball_moves(tuple(counts), 2):
-                inc = incremental_entropy_delta(spec, n, counts, i, j)
+                # the chain's four table reads for a move i -> j
+                ni, nj = counts[i], counts[j]
+                inc = (logw[i, ni - 1] - logw[i, ni]
+                       + logw[j, nj + 1] - logw[j, nj])
                 full = (entropy_exact(Occupancy(n, new), deg)
                         - entropy_exact(Occupancy(n, tuple(counts)), deg))
                 assert inc == pytest.approx(full, abs=1e-10)
@@ -131,6 +138,18 @@ class TestMetropolis:
         chain = metropolis_chain(spec, 4, ChainConfig(steps=100, seed=0))
         assert np.all(chain == 4)
 
-    def test_empty_source_level_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            incremental_entropy_delta(sampler_spec(), 6, (0, 6), 0, 1)
+    def test_memory_is_linear_in_n(self):
+        # G(N) = N^2 = 2.5e7 here; chain memory must grow with m*(N+1),
+        # not with G(N).
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                         "high_degeneracy")
+        n = 5000
+        assert degeneracies_for(spec, n).total >= 25_000_000
+        cfg = ChainConfig(steps=1000, seed=1, burn_in=0, thinning=100)
+        tracemalloc.start()
+        try:
+            metropolis_chain(spec, n, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
