@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -111,10 +112,34 @@ def _write_csv(out: str | None, comments: list[str], header: list[str],
 
 
 def _map_ordered(fn, items, jobs: int):
-    if jobs <= 1:
+    """[fn(item) for item in items], over up to `jobs` forked processes.
+
+    Rows are closures over the parsed spec, solution and config, which cannot
+    be pickled; forked workers inherit `fn` instead (see _run_row), and skip
+    the re-import a spawned worker would pay, which is as long as a short
+    row.  A row's exception is raised here, the first in item order.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_set_row, initargs=(fn,)) as pool:
+        return list(pool.map(_run_row, items))
+
+
+# Set only inside forked workers: the initializer's arguments reach a forked
+# child by inheritance, not by pickling, so the parent's globals never change.
+_row = None
+
+
+def _set_row(fn) -> None:
+    global _row
+    _row = fn
+
+
+def _run_row(item):
+    return _row(item)
 
 
 def _chain_config(config: dict, seed_flag: int | None) -> ChainConfig:
@@ -123,14 +148,15 @@ def _chain_config(config: dict, seed_flag: int | None) -> ChainConfig:
         raise ConfigError("chain must be a JSON object")
     seed = chain.get("seed", seed_flag if seed_flag is not None
                      else config.get("seed", 0))
-    return ChainConfig(steps=int(chain.get("steps", 200_000)), seed=int(seed),
-                       burn_in=chain.get("burn_in"),
+    steps = chain.get("steps")
+    return ChainConfig(steps=None if steps is None else int(steps),
+                       seed=int(seed), burn_in=chain.get("burn_in"),
                        thinning=chain.get("thinning"))
 
 
-def _sampled_fractions(spec, n: int, cfg: ChainConfig) -> np.ndarray:
+def _run_chain(spec, n: int, cfg: ChainConfig) -> np.ndarray:
     try:
-        return metropolis_chain(spec, n, cfg) / n
+        return metropolis_chain(spec, n, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -163,6 +189,7 @@ def cmd_lln_sweep(args) -> int:
     sol = solve(spec)
     budget = args.budget or config.get("budget", DEFAULT_STATE_BUDGET)
     fallback = bool(config.get("sampler_fallback", False))
+    chain_cfg = _chain_config(config, args.seed) if fallback else None
 
     def one(n):
         start = time.perf_counter()
@@ -173,7 +200,7 @@ def cmd_lln_sweep(args) -> int:
         except EnumerationBudgetError:
             if not fallback:
                 raise
-            frac = _sampled_fractions(spec, n, _chain_config(config, args.seed))
+            frac = _run_chain(spec, n, chain_cfg) / n
             mean = frac.mean(axis=0)
             mgfs = [float(np.exp(frac @ xi).mean()) for xi in probes]
         mean_err = float(np.max(np.abs(mean - sol.x_star)))
@@ -211,9 +238,10 @@ def cmd_fluct_check(args) -> int:
                 f"q={spec.q}; offending N: {bad}")
 
     fallback = bool(config.get("sampler_fallback", False))
+    chain_cfg = _chain_config(config, args.seed) if fallback else None
 
     def sampled_cov(n, project=None):
-        frac = _sampled_fractions(spec, n, _chain_config(config, args.seed))
+        frac = _run_chain(spec, n, chain_cfg) / n
         scale = math.sqrt(scaling_factor(spec, n))
         y = scale * (frac[:, : m - 1] - sol.x_star[: m - 1])
         if project is not None:
@@ -330,14 +358,8 @@ def cmd_sample(args) -> int:
         chain = config.get("chain")
         if not isinstance(chain, dict) or "steps" not in chain:
             raise ConfigError("metropolis sampling needs chain:{steps,...}")
-        cfg = ChainConfig(steps=int(chain["steps"]),
-                          seed=int(chain.get("seed", seed)),
-                          burn_in=chain.get("burn_in"),
-                          thinning=chain.get("thinning"))
-        try:
-            draws = metropolis_chain(spec, n, cfg)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = _chain_config(config, args.seed)
+        draws = _run_chain(spec, n, cfg)
         comments = [f"method=metropolis steps={cfg.steps} seed={cfg.seed}"]
     else:
         raise ConfigError(f"unknown sampling method {method!r}")
@@ -367,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to JSON config")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
         cmd.add_argument("--jobs", type=int, default=1,
-                         help="concurrent per-N work items")
+                         help="per-N rows run in this many forked worker "
+                              "processes")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config seed")
         cmd.add_argument("--budget", type=int, default=None,
@@ -380,7 +403,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ConfigError, SpecValidationError) as exc:
         json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2

@@ -39,6 +39,11 @@ class SpecValidationError(ValueError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):
+        # Rebuild from the list, not the joined message, when the error is
+        # pickled back from a worker process.
+        return type(self), (self.violations,)
+
 
 class EnumerationBudgetError(RuntimeError):
     """State space too large to enumerate; use the sampler module."""

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     DegeneracyAssignment,
@@ -176,7 +175,11 @@ def scaling_factor(spec: EnsembleSpec, n: int) -> float:
 
 def _entropy_gammaln(spec: EnsembleSpec, n: int, x: np.ndarray) -> float:
     # Continuous extension of the exact entropy; needed because the
-    # reference point g*N is generally not an integer vector.
+    # reference point g*N is generally not an integer vector.  SciPy is
+    # imported here, the one place it is used, to keep it off every other
+    # command's start-up.
+    from scipy.special import gammaln
+
     degs = degeneracies_for(spec, n).as_array.astype(float)
     counts = x * n
     return float(np.sum(gammaln(counts + degs) - gammaln(counts + 1.0)

@@ -5,6 +5,12 @@ N a Metropolis chain targets pmf proportional to exp(S) using single-ball
 moves between levels.  The proposal picks an ordered level pair uniformly
 over all m*(m-1) pairs and rejects moves from empty levels, which keeps the
 base kernel symmetric so min(1, exp(dS)) acceptance is exact for the target.
+
+The chain's step loop is plain Python over Python scalars: the state is a
+list, the log-weight table is one list per level, and the NumPy draws are
+turned into Python numbers a block at a time.  Its draws and decisions are
+those of the same loop written over NumPy scalars with np.exp acceptance
+(kept in the tests as the reference), so a seed gives the same bytes.
 """
 
 from __future__ import annotations
@@ -17,27 +23,39 @@ from .core import EnsembleSpec, degeneracies_for
 from .ensemble import ExactDistribution
 from .entropy import level_log_weights
 
+# Draws are turned into Python scalars this many steps at a time, so those
+# scalars take memory for one block; the draw arrays take 16 bytes a step.
+_BLOCK = 1 << 16
+# The chain accepts when u < np.exp(dS).  It tests log(u) < dS instead,
+# which rounds differently only within a few ulps of log(u) (|log u| <= 37
+# for u >= 2**-53, so some 1e-14); inside this much wider band it falls back
+# to the np.exp test, so every decision is the np.exp one.  exp(dS) > 0
+# always, as dS >= -ln(G_i + N), so a draw of 0.0 (log -inf) accepts in both.
+_LOG_TIE = 1e-9
+
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Metropolis run parameters; burn_in/thinning default from (N, m)."""
+    """Metropolis run parameters; None fields default from (N, m)."""
 
-    steps: int
+    steps: int | None
     seed: int
     burn_in: int | None = None
     thinning: int | None = None
 
     def resolve(self, n: int, m: int) -> tuple[int, int, int]:
-        # Moves displace one ball, so decorrelation scales with N.
+        # Moves displace one ball, so decorrelation scales with N; the
+        # default run is at least twice the default burn-in.
+        steps = max(200_000, 20 * n * m) if self.steps is None else self.steps
         burn_in = 10 * n * m if self.burn_in is None else self.burn_in
         thinning = n if self.thinning is None else self.thinning
-        if not 0 <= burn_in < self.steps:
+        if not 0 <= burn_in < steps:
             raise ValueError(
-                f"need steps > burn_in >= 0, got steps={self.steps}, "
+                f"need steps > burn_in >= 0, got steps={steps}, "
                 f"burn_in={burn_in}")
         if thinning < 1:
             raise ValueError(f"thinning must be >= 1, got {thinning}")
-        return self.steps, burn_in, thinning
+        return steps, burn_in, thinning
 
 
 def exact_sample(dist: ExactDistribution, count: int, seed: int) -> np.ndarray:
@@ -62,43 +80,58 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     the lowest level; each step proposes moving one ball between a uniformly
     chosen ordered level pair and accepts with min(1, exp(dS)), where dS
     reads the per-level log-weight table at the two touched levels only.
+    Returns a (kept, m) int64 array; a fixed seed gives the same bytes.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
-    e = np.array(spec.energy_units, dtype=np.int64)
+    e = spec.energy_units
     cap = spec.energy_cap_units(n)
     if n * e[0] > cap:
         raise ValueError(f"no feasible initial state at N={n}")
-    level_logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
-
-    state = np.zeros(m, dtype=np.int64)
-    state[0] = n
-    energy = int(n * e[0])
-    rng = np.random.default_rng(cfg.seed)
-
     if m == 1:
         kept = range(burn_in, steps, thinning)
         return np.full((len(kept), 1), n, dtype=np.int64)
-
-    pair_draws = rng.integers(0, m * (m - 1), size=steps)
-    accept_draws = rng.random(steps)
-    kept = []
-    for step in range(steps):
-        pair = int(pair_draws[step])
-        i = pair // (m - 1)
-        j = pair % (m - 1)
+    logw = level_log_weights(degeneracies_for(spec, n).as_array, n).tolist()
+    # moves[pair] decodes a pair draw into the ordered levels (i, j), j != i.
+    moves = []
+    for pair in range(m * (m - 1)):
+        i, j = divmod(pair, m - 1)
         if j >= i:
             j += 1
-        if state[i] > 0:
-            new_energy = energy + int(e[j] - e[i])
-            if new_energy <= cap:
-                ni, nj = int(state[i]), int(state[j])
-                delta = (level_logw[i, ni - 1] - level_logw[i, ni]
-                         + level_logw[j, nj + 1] - level_logw[j, nj])
-                if delta >= 0.0 or accept_draws[step] < np.exp(delta):
-                    state[i] -= 1
-                    state[j] += 1
-                    energy = new_energy
-        if step >= burn_in and (step - burn_in) % thinning == 0:
-            kept.append(state.copy())
-    return np.array(kept, dtype=np.int64)
+        moves.append((logw[i], logw[j], i, j, e[j] - e[i]))
+
+    rng = np.random.default_rng(cfg.seed)
+    pair_draws = rng.integers(0, m * (m - 1), size=steps)
+    accept_draws = rng.random(steps)
+    state = [n] + [0] * (m - 1)
+    energy = n * e[0]
+    kept = []
+    next_keep = burn_in
+    tie = _LOG_TIE
+    for start in range(0, steps, _BLOCK):
+        stop = min(start + _BLOCK, steps)
+        with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
+            log_u = np.log(accept_draws[start:stop])
+        block = zip(range(start, stop), pair_draws[start:stop].tolist(),
+                    log_u.tolist())
+        for step, pair, lu in block:
+            wi, wj, i, j, de = moves[pair]
+            ni = state[i]
+            if ni > 0 and energy + de <= cap:
+                nj = state[j]
+                delta = wi[ni - 1] - wi[ni] + wj[nj + 1] - wj[nj]
+                if lu < delta - tie:
+                    accept = True
+                elif lu > delta + tie:
+                    accept = False
+                else:  # too close to call in log space
+                    accept = (delta >= 0.0
+                              or accept_draws[step] < np.exp(delta))
+                if accept:
+                    state[i] = ni - 1
+                    state[j] = nj + 1
+                    energy += de
+            if step == next_keep:
+                kept.extend(state)
+                next_keep += thinning
+    return np.array(kept, dtype=np.int64).reshape(-1, m)

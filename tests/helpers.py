@@ -11,7 +11,9 @@ from occens import (
     ChainConfig,
     Occupancy,
     build_distribution,
+    degeneracies_for,
     entropy_exact,
+    level_log_weights,
     make_spec,
     threshold_energy,
 )
@@ -106,3 +108,50 @@ def chain_marginal(chain, states):
 
 def default_chain(steps, seed, burn_in=None, thinning=None):
     return ChainConfig(steps=steps, seed=seed, burn_in=burn_in, thinning=thinning)
+
+
+def reference_metropolis_chain(spec, n, cfg):
+    """The single-ball chain as a NumPy-scalar loop, kept as the oracle.
+
+    Same draws, table reads and np.exp acceptance as the original
+    implementation; `metropolis_chain` must return the same array.
+    """
+    steps, burn_in, thinning = cfg.resolve(n, spec.m)
+    m = spec.m
+    e = np.array(spec.energy_units, dtype=np.int64)
+    cap = spec.energy_cap_units(n)
+    if n * e[0] > cap:
+        raise ValueError(f"no feasible initial state at N={n}")
+    level_logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
+
+    state = np.zeros(m, dtype=np.int64)
+    state[0] = n
+    energy = int(n * e[0])
+    rng = np.random.default_rng(cfg.seed)
+
+    if m == 1:
+        kept = range(burn_in, steps, thinning)
+        return np.full((len(kept), 1), n, dtype=np.int64)
+
+    pair_draws = rng.integers(0, m * (m - 1), size=steps)
+    accept_draws = rng.random(steps)
+    kept = []
+    for step in range(steps):
+        pair = int(pair_draws[step])
+        i = pair // (m - 1)
+        j = pair % (m - 1)
+        if j >= i:
+            j += 1
+        if state[i] > 0:
+            new_energy = energy + int(e[j] - e[i])
+            if new_energy <= cap:
+                ni, nj = int(state[i]), int(state[j])
+                delta = (level_logw[i, ni - 1] - level_logw[i, ni]
+                         + level_logw[j, nj + 1] - level_logw[j, nj])
+                if delta >= 0.0 or accept_draws[step] < np.exp(delta):
+                    state[i] -= 1
+                    state[j] += 1
+                    energy = new_energy
+        if step >= burn_in and (step - burn_in) % thinning == 0:
+            kept.append(state.copy())
+    return np.array(kept, dtype=np.int64)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occens
 from occens.cli import main
 
 BOUNDARY_CONFIG = {
@@ -174,15 +179,62 @@ class TestLlnSweep:
             capsys.readouterr().err
 
     def test_fallback_chain_error_is_config_error(self, tmp_path, capsys):
-        # the default burn-in 10*N*m exceeds the default 200000 steps here
         config = write_config(tmp_path, {
             **M3_CONFIG, "regime": "proportional", "c": 1.0,
             "sampler_fallback": True, "budget": 1000,
-            "N_list": [7000]})
+            "chain": {"steps": 1000, "burn_in": 1000}, "N_list": [7000]})
         assert main(["lln-sweep", "--config", config]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert "burn_in" in err["detail"]
+
+    def test_bad_chain_block_rejected_before_rows(self, tmp_path, capsys):
+        # every row fits the budget, so no row would read the chain block
+        config = self.config(tmp_path, sampler_fallback=True, chain=5)
+        assert main(["lln-sweep", "--config", config]) == 2
+        assert "chain" in json.loads(capsys.readouterr().err)["detail"]
+
+    def test_default_chain_runs_at_large_n(self, tmp_path, capsys):
+        # the default burn-in 10*N*m exceeds 200000 steps here; the default
+        # steps grow with it
+        config = write_config(tmp_path, {
+            **M3_CONFIG, "regime": "proportional", "c": 1.0,
+            "sampler_fallback": True, "budget": 1000, "N_list": [7000]})
+        out = tmp_path / "sweep.csv"
+        assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        _, header, rows = read_csv(out)
+        assert 0 < float(rows[0][header.index("mean_abs_err")]) < 0.05
+
+    def test_jobs_preserve_sampled_rows(self, tmp_path):
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        config = self.config(tmp_path, N_list=[16, 32, 48],
+                             sampler_fallback=True,
+                             chain={"steps": 20_000, "seed": 5})
+        for out, jobs in ((out1, "1"), (out2, "2")):
+            assert main(["lln-sweep", "--config", config, "--out", str(out),
+                         "--budget", "20", "--jobs", jobs]) == 0
+        _, _, rows1 = read_csv(out1)
+        _, _, rows2 = read_csv(out2)
+        assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
+
+    @pytest.mark.parametrize("extra, code", [
+        ({}, 1),
+        ({"sampler_fallback": True,
+          "chain": {"steps": 100, "burn_in": 100}}, 2),
+        # G(N) = ceil(sqrt(N)) < m=2 at N=1: the spec is invalid at that N
+        ({"regime": "low_degeneracy", "N_list": [1, 16, 32]}, 2),
+    ])
+    def test_worker_failure_reported_as_in_serial(self, tmp_path, capsys,
+                                                  extra, code):
+        config = self.config(tmp_path, **{"N_list": [16, 32, 48], **extra})
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["lln-sweep", "--config", config, "--budget", "20",
+                         "--jobs", jobs]) == code
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        json.loads(errs[0])
 
 
 class TestFluctCheck:
@@ -309,3 +361,12 @@ class TestSample:
         config = write_config(tmp_path, {
             **BOUNDARY_CONFIG, "N": 6, "method": "bogus"})
         assert main(["sample", "--config", config]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # SciPy is imported only by the entropy-probe path that uses it.
+    env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
+    code = "import sys, occens.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from occens import (
     ChainConfig,
@@ -12,10 +14,18 @@ from occens import (
     make_spec,
     metropolis_chain,
 )
-from occens.core import Occupancy, assert_feasible
+from occens import sampler
+from occens.core import Occupancy, SpecValidationError, assert_feasible
 from occens.entropy import entropy_exact
 
-from helpers import chain_marginal, enumerated_kernel, single_ball_moves, two_level_spec
+from helpers import (
+    chain_marginal,
+    enumerated_kernel,
+    random_spec,
+    reference_metropolis_chain,
+    single_ball_moves,
+    two_level_spec,
+)
 
 
 def sampler_spec(energy_cap="3/2"):
@@ -26,6 +36,11 @@ class TestChainConfig:
     def test_defaults_resolve_from_instance(self):
         steps, burn_in, thinning = ChainConfig(steps=1000, seed=1).resolve(6, 2)
         assert (steps, burn_in, thinning) == (1000, 120, 6)
+
+    def test_default_steps_cover_default_burn_in(self):
+        assert ChainConfig(steps=None, seed=1).resolve(6, 2) == (200_000, 120, 6)
+        assert ChainConfig(steps=None, seed=1).resolve(7000, 3) == (
+            420_000, 210_000, 7000)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="steps > burn_in"):
@@ -133,6 +148,17 @@ class TestMetropolis:
         tv = 0.5 * np.abs(emp - dist.pmf).sum()
         assert tv < 0.05
 
+    @pytest.mark.parametrize("band", [0.5, np.inf])
+    def test_np_exp_band_matches_reference(self, monkeypatch, band):
+        # Widen the band where log(u) vs dS is too close to call, so that
+        # some (0.5) or all (inf) decisions take the np.exp comparison.
+        monkeypatch.setattr(sampler, "_LOG_TIE", band)
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                         "proportional", c=1.0)
+        cfg = ChainConfig(steps=20_000, seed=3, burn_in=0, thinning=7)
+        assert np.array_equal(metropolis_chain(spec, 40, cfg),
+                              reference_metropolis_chain(spec, 40, cfg))
+
     def test_single_level_chain(self):
         spec = make_spec(["1"], [1.0], 2, "proportional", c=1.0)
         chain = metropolis_chain(spec, 4, ChainConfig(steps=100, seed=0))
@@ -153,3 +179,29 @@ class TestMetropolis:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+@st.composite
+def chain_runs(draw):
+    regime = draw(st.sampled_from(
+        ["high_degeneracy", "proportional", "low_degeneracy"]))
+    spec = random_spec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       regime, draw(st.integers(2, 4)), draw(st.booleans()))
+    steps = draw(st.integers(1, 3000))
+    cfg = ChainConfig(steps=steps, seed=draw(st.integers(0, 2**63 - 1)),
+                      burn_in=draw(st.integers(0, steps - 1)),
+                      thinning=draw(st.integers(1, steps)))
+    n = draw(st.integers(1, 300))
+    try:
+        degeneracies_for(spec, n)
+    except SpecValidationError:
+        assume(False)  # G(N) too small to give every level a sub-box
+    return spec, n, cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(chain_runs())
+def test_chain_matches_reference_loop(run):
+    spec, n, cfg = run
+    assert np.array_equal(metropolis_chain(spec, n, cfg),
+                          reference_metropolis_chain(spec, n, cfg))
