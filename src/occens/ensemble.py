@@ -26,54 +26,54 @@ def enumerate_states(spec: EnsembleSpec, n: int,
     """All compositions of N over m levels obeying the integer energy cap.
 
     Returns an (S, m) int64 array in lexicographic row order.  Levels are
-    filled left to right; since energies increase with the level index, a
-    prefix is viable iff routing every remaining particle to the cheapest
-    remaining level stays under the cap, which yields a closed-form lower
-    bound for each coordinate instead of a scan.
+    filled left to right for all viable prefixes at once; since energies
+    increase with the level index, a prefix is viable iff routing every
+    remaining particle to the cheapest remaining level stays under the cap,
+    a closed-form lower bound on the next coordinate.  Every viable prefix
+    has a completion, so the budget is checked against the prefix count at
+    each level and against the exact S before the (S, m) allocation.
     """
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
     m = spec.m
-    if m * (n + 1) ** (m - 1) > budget:
-        raise EnumerationBudgetError(
-            f"state space bound m*(N+1)^(m-1) = {m * (n + 1) ** (m - 1)} "
-            f"exceeds budget {budget}; use the sampler module")
-    cap = spec.energy_cap_units(n)
-    e = spec.energy_units
     if m == 1:
         return np.array([[n]], dtype=np.int64)
-
-    blocks: list[np.ndarray] = []
-    prefix = np.zeros(m, dtype=np.int64)
-
-    def emit(level: int, remaining: int, used: int) -> None:
-        if level == m - 2:
-            # counts[m-2] = k, counts[m-1] = remaining - k; feasibility gives
-            # k >= (used + e[m-1]*remaining - cap) / (e[m-1] - e[m-2]).
-            num = used + e[m - 1] * remaining - cap
-            den = e[m - 1] - e[m - 2]
-            k_min = max(0, -((-num) // den))
-            if k_min > remaining:
-                return
-            ks = np.arange(k_min, remaining + 1, dtype=np.int64)
-            block = np.empty((ks.size, m), dtype=np.int64)
-            block[:, : m - 2] = prefix[: m - 2]
-            block[:, m - 2] = ks
-            block[:, m - 1] = remaining - ks
-            blocks.append(block)
-            return
+    cap = spec.energy_cap_units(n)
+    e = spec.energy_units
+    if e[-1] * n >= 2**63:
+        raise OverflowError(f"N*q*eps_m = {e[-1] * n} overflows int64")
+    prefix: list[np.ndarray] = []  # one column per filled level
+    remaining = np.array([n], dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    for level in range(m - 1):
+        # counts[level] = k stays viable iff the rest fits at level + 1:
+        # k >= (used + e[level+1]*remaining - cap) / (e[level+1] - e[level])
         num = used + e[level + 1] * remaining - cap
-        den = e[level + 1] - e[level]
-        k_min = max(0, -((-num) // den))
-        for k in range(k_min, remaining + 1):
-            prefix[level] = k
-            emit(level + 1, remaining - k, used + e[level] * k)
-        prefix[level] = 0
-
-    emit(0, n, 0)
-    if not blocks:
-        return np.empty((0, m), dtype=np.int64)
-    return np.concatenate(blocks, axis=0)
+        k_min = np.maximum(-((-num) // (e[level + 1] - e[level])), 0)
+        width = np.maximum(remaining - k_min + 1, 0)
+        total = int(width.sum())
+        if total > budget:
+            found = (f"exact state count {total}" if level == m - 2 else
+                     f"state count (at least {total} viable prefixes "
+                     f"of {level + 1} levels)")
+            raise EnumerationBudgetError(
+                f"{found} exceeds budget {budget}; use the sampler module")
+        # within each prefix, the particles left after this level run from
+        # remaining - k_min down to 0
+        rest = np.repeat(np.cumsum(width) - 1, width)
+        rest -= np.arange(total, dtype=np.int64)
+        if level < m - 2:
+            k = np.repeat(remaining, width) - rest
+            prefix = [np.repeat(col, width) for col in prefix] + [k]
+            used = np.repeat(used, width) + e[level] * k
+            remaining = rest
+    # the last two levels in closed form: k at level m-2, the rest at m-1
+    out = np.empty((total, m), dtype=np.int64)
+    for j, col in enumerate(prefix):
+        out[:, j] = np.repeat(col, width)
+    np.subtract(np.repeat(remaining, width), rest, out=out[:, m - 2])
+    out[:, m - 1] = rest
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,17 @@ def exact_mean(dist: ExactDistribution) -> np.ndarray:
     return (dist.pmf @ dist.counts) / dist.n
 
 
-def weighted_covariance(y: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """Covariance of the rows of y under pmf, symmetrized."""
+def weighted_covariance(y: np.ndarray,
+                        pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of y centred under pmf, and their symmetrized covariance."""
     centered = y - pmf @ y
     cov = (centered * pmf[:, None]).T @ centered
-    return 0.5 * (cov + cov.T)
+    return centered, 0.5 * (cov + cov.T)
 
 
 def exact_covariance(dist: ExactDistribution) -> np.ndarray:
     """Covariance matrix of X_N; symmetric positive semidefinite."""
-    return weighted_covariance(dist.fractions(), dist.pmf)
+    return weighted_covariance(dist.fractions(), dist.pmf)[1]
 
 
 def mgf(dist: ExactDistribution, xi) -> float:

@@ -72,16 +72,24 @@ def log_multiplicity(counts, degs) -> np.ndarray | float:
     """Exact entropy of count vectors; vectorized over leading axes.
 
     counts may be (..., m) and degs (m,).  Each level's term is read from
-    level_log_weights; the m terms are summed in ascending order so the
-    result does not depend on the order of the levels.
+    level_log_weights; an odd-even transposition network of elementwise
+    min/max puts the m terms in ascending order and they are added left to
+    right, so the result does not depend on the order of the levels.  For
+    m <= 7 this equals np.sort(terms).sum(axis=-1) bit for bit; from m = 8
+    on NumPy's pairwise sum regroups the additions, so the two differ by
+    rounding.
     """
     counts = np.asarray(counts, dtype=np.int64)
     degs = np.asarray(degs, dtype=np.int64)
-    if np.any(counts < 0):
-        raise ValueError("counts must be nonnegative")
+    if counts.shape[-1:] != degs.shape or counts.min(initial=0) < 0:
+        raise ValueError(f"counts must be nonnegative with {degs.size} levels")
     table = level_log_weights(degs, int(counts.max(initial=0)))
-    terms = table[np.arange(degs.size), counts]
-    return np.sort(terms, axis=-1, kind="stable").sum(axis=-1)
+    terms = [table[i, counts[..., i]] for i in range(degs.size)]
+    for r in range(len(terms)):
+        for i in range(r % 2, len(terms) - 1, 2):
+            terms[i], terms[i + 1] = (np.minimum(terms[i], terms[i + 1]),
+                                      np.maximum(terms[i], terms[i + 1]))
+    return sum(terms[1:], terms[0])
 
 
 def entropy_exact(occ: Occupancy, deg: DegeneracyAssignment) -> float:
@@ -173,17 +181,12 @@ def scaling_factor(spec: EnsembleSpec, n: int) -> float:
     return float(n)
 
 
-def _entropy_gammaln(spec: EnsembleSpec, n: int, x: np.ndarray) -> float:
+def _entropy_lgamma(spec: EnsembleSpec, n: int, x: np.ndarray) -> float:
     # Continuous extension of the exact entropy; needed because the
-    # reference point g*N is generally not an integer vector.  SciPy is
-    # imported here, the one place it is used, to keep it off every other
-    # command's start-up.
-    from scipy.special import gammaln
-
-    degs = degeneracies_for(spec, n).as_array.astype(float)
-    counts = x * n
-    return float(np.sum(gammaln(counts + degs) - gammaln(counts + 1.0)
-                        - gammaln(degs)))
+    # reference point g*N is generally not an integer vector.
+    degs = degeneracies_for(spec, n).per_level
+    return sum(math.lgamma(c + g) - math.lgamma(c + 1.0) - math.lgamma(g)
+               for c, g in zip((x * n).tolist(), degs))
 
 
 def approximation_error(spec: EnsembleSpec, n: int, x) -> float:
@@ -202,7 +205,7 @@ def approximation_error(spec: EnsembleSpec, n: int, x) -> float:
     x_ref = spec.weights_array
 
     def scaled_gap(point):
-        return (_entropy_gammaln(spec, n, point) / h
+        return (_entropy_lgamma(spec, n, point) / h
                 - float(limit_entropy(model, point)))
 
     return abs(scaled_gap(x) - scaled_gap(x_ref))

@@ -180,21 +180,19 @@ def empirical_fluctuations(dist: ExactDistribution, sol: MaxEntSolution,
     scale = math.sqrt(scaling_factor(spec, dist.n))
     if sol.kind is MaximumKind.INTERIOR:
         y = scale * (x_red - center)
-        cov = weighted_covariance(y, dist.pmf)
-        mean = dist.pmf @ y
-        centered = y - mean
+        centered, cov = weighted_covariance(y, dist.pmf)
         variances = np.diag(cov)
         third = np.zeros(m - 1)
         nonzero = variances > 0
-        third[nonzero] = ((dist.pmf @ centered[:, nonzero] ** 3)
-                          / variances[nonzero] ** 1.5)
+        c = centered[:, nonzero]
+        third[nonzero] = (dist.pmf @ (c * c * c)) / variances[nonzero] ** 1.5
         return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
                                   third_std_moments=third)
     layers = layer_decomposition(dist)
     if m > 2:
         in_plane = rotation_basis(spec)[:, 1:]
         y_hat = scale * (x_red - center) @ in_plane
-        cov = weighted_covariance(y_hat, dist.pmf)
+        _, cov = weighted_covariance(y_hat, dist.pmf)
     else:
         cov = np.zeros((0, 0))
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,

@@ -349,9 +349,7 @@ def oracle_grid_maximize(spec: EnsembleSpec, resolution: int = 1000) -> np.ndarr
     model = entropy_model_for(spec)
     if spec.m == 1:
         return np.array([1.0])
-    states = enumerate_states(spec, resolution,
-                              budget=max(10_000_000,
-                                         spec.m * (resolution + 1) ** (spec.m - 1) + 1))
+    states = enumerate_states(spec, resolution, budget=50_000_000)
     states = states[(states >= 1).all(axis=1)]
     if states.shape[0] == 0:
         raise SolverError("no strictly positive feasible grid point; "

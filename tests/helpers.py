@@ -9,6 +9,7 @@ import numpy as np
 
 from occens import (
     ChainConfig,
+    EnumerationBudgetError,
     Occupancy,
     build_distribution,
     degeneracies_for,
@@ -32,16 +33,15 @@ def two_level_spec(regime, energy_cap="7/5", c=1.0, weights=None):
 def random_spec(rng, regime, m, boundary):
     """Seeded random instance with small rational energies.
 
-    Weights are floored at 0.05 so solutions stay away from the simplex
-    boundary; the cap is placed strictly between eps_1 and the interior
-    threshold (boundary=True) or at/above the threshold (boundary=False).
+    Weights are 0.05 plus a Dirichlet share of the rest, so every weight is
+    at least 0.05 and solutions stay away from the simplex boundary; the cap
+    is placed strictly between eps_1 and the interior threshold
+    (boundary=True) or at/above the threshold (boundary=False).
     """
     q = int(rng.choice([1, 2, 3, 4]))
     numerators = np.sort(rng.choice(np.arange(1, 13), size=m, replace=False))
     energies = [Fraction(int(v), q) for v in numerators]
-    weights = rng.dirichlet(np.ones(m))
-    weights = np.clip(weights, 0.05, None)
-    weights = weights / weights.sum()
+    weights = 0.05 + (1.0 - 0.05 * m) * rng.dirichlet(np.ones(m))
     kwargs = {"c": float(rng.uniform(0.5, 3.0))} if regime == "proportional" else {}
     spec_probe = make_spec(energies, weights, float(energies[-1]) + 1.0,
                            regime, **kwargs)
@@ -155,3 +155,77 @@ def reference_metropolis_chain(spec, n, cfg):
         if step >= burn_in and (step - burn_in) % thinning == 0:
             kept.append(state.copy())
     return np.array(kept, dtype=np.int64)
+
+
+def reference_enumerate_states(spec, n, budget=10_000_000):
+    """The recursive enumerator with the m*(N+1)^(m-1) budget bound, kept as
+    the oracle; `enumerate_states` must return the same array."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    m = spec.m
+    if m * (n + 1) ** (m - 1) > budget:
+        raise EnumerationBudgetError(
+            f"state space bound m*(N+1)^(m-1) = {m * (n + 1) ** (m - 1)} "
+            f"exceeds budget {budget}; use the sampler module")
+    cap = spec.energy_cap_units(n)
+    e = spec.energy_units
+    if m == 1:
+        return np.array([[n]], dtype=np.int64)
+
+    blocks: list[np.ndarray] = []
+    prefix = np.zeros(m, dtype=np.int64)
+
+    def emit(level: int, remaining: int, used: int) -> None:
+        if level == m - 2:
+            # counts[m-2] = k, counts[m-1] = remaining - k; feasibility gives
+            # k >= (used + e[m-1]*remaining - cap) / (e[m-1] - e[m-2]).
+            num = used + e[m - 1] * remaining - cap
+            den = e[m - 1] - e[m - 2]
+            k_min = max(0, -((-num) // den))
+            if k_min > remaining:
+                return
+            ks = np.arange(k_min, remaining + 1, dtype=np.int64)
+            block = np.empty((ks.size, m), dtype=np.int64)
+            block[:, : m - 2] = prefix[: m - 2]
+            block[:, m - 2] = ks
+            block[:, m - 1] = remaining - ks
+            blocks.append(block)
+            return
+        num = used + e[level + 1] * remaining - cap
+        den = e[level + 1] - e[level]
+        k_min = max(0, -((-num) // den))
+        for k in range(k_min, remaining + 1):
+            prefix[level] = k
+            emit(level + 1, remaining - k, used + e[level] * k)
+        prefix[level] = 0
+
+    emit(0, n, 0)
+    if not blocks:
+        return np.empty((0, m), dtype=np.int64)
+    return np.concatenate(blocks, axis=0)
+
+
+def reference_log_multiplicity(counts, degs):
+    """Table lookup plus a row-wise sort and sum, kept as the oracle;
+    `log_multiplicity` must match it bit for bit for m <= 7."""
+    counts = np.asarray(counts, dtype=np.int64)
+    degs = np.asarray(degs, dtype=np.int64)
+    if np.any(counts < 0):
+        raise ValueError("counts must be nonnegative")
+    table = level_log_weights(degs, int(counts.max(initial=0)))
+    terms = table[np.arange(degs.size), counts]
+    return np.sort(terms, axis=-1, kind="stable").sum(axis=-1)
+
+
+def brute_force_state_count(spec, n):
+    """Number of compositions of n over m levels under the cap, by filtering
+    every composition (stars and bars)."""
+    m = spec.m
+    cap = spec.energy_cap_units(n)
+    e = spec.energy_units
+    count = 0
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1, *bars, n + m - 1)
+        parts = [edges[i + 1] - edges[i] - 1 for i in range(m)]
+        count += sum(p * ei for p, ei in zip(parts, e)) <= cap
+    return count

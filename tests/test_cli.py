@@ -162,8 +162,9 @@ class TestLlnSweep:
         config = self.config(tmp_path, N_list=[16, 32],
                              sampler_fallback=True,
                              chain={"steps": 30_000, "seed": 5})
+        # N=16 already has 7 states
         assert main(["lln-sweep", "--config", config, "--out", str(out),
-                     "--budget", "20"]) == 0
+                     "--budget", "5"]) == 0
         _, header, rows = read_csv(out)
         errs = [float(r[header.index("mean_abs_err")]) for r in rows]
         assert all(0 < e < 0.5 for e in errs)
@@ -213,7 +214,7 @@ class TestLlnSweep:
                              chain={"steps": 20_000, "seed": 5})
         for out, jobs in ((out1, "1"), (out2, "2")):
             assert main(["lln-sweep", "--config", config, "--out", str(out),
-                         "--budget", "20", "--jobs", jobs]) == 0
+                         "--budget", "5", "--jobs", jobs]) == 0
         _, _, rows1 = read_csv(out1)
         _, _, rows2 = read_csv(out2)
         assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
@@ -230,7 +231,7 @@ class TestLlnSweep:
         config = self.config(tmp_path, **{"N_list": [16, 32, 48], **extra})
         errs = []
         for jobs in ("1", "2"):
-            assert main(["lln-sweep", "--config", config, "--budget", "20",
+            assert main(["lln-sweep", "--config", config, "--budget", "5",
                          "--jobs", jobs]) == code
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
@@ -278,8 +279,9 @@ class TestFluctCheck:
             **BOUNDARY_CONFIG, "N_list": [64], "sampler_fallback": True,
             "chain": {"steps": 50_000, "seed": 9}})
         out = tmp_path / "fl.csv"
+        # N=64 has 26 states
         assert main(["fluct-check", "--config", config, "--out", str(out),
-                     "--budget", "50"]) == 0
+                     "--budget", "20"]) == 0
         _, header, rows = read_csv(out)
         r10 = float(rows[0][header.index("ratio_1_0")])
         assert 0.3 < r10 < 1.0  # sampled estimate of the ~2/3 geometric ratio
@@ -363,10 +365,23 @@ class TestSample:
         assert main(["sample", "--config", config]) == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # SciPy is imported only by the entropy-probe path that uses it.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # No command needs SciPy: neither importing the CLI nor running
+    # entropy-probe, the command that used to call gammaln, loads it.
     env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
-    code = "import sys, occens.cli; print('scipy' in sys.modules)"
+    loaded = "any(name.split('.')[0] == 'scipy' for name in sys.modules)"
+    code = f"import sys, occens.cli; print({loaded})"
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "False"
+    config = write_config(tmp_path, {
+        **BOUNDARY_CONFIG, "N_list": [10, 100, 1000], "x_probe": [0.6, 0.4]})
+    out = tmp_path / "probe.csv"
+    argv = ["entropy-probe", "--config", config, "--out", str(out)]
+    code = ("import sys; from occens.cli import main; "
+            f"status = main({argv!r}); print(status, {loaded})")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == ["0", "False"]
+    _, header, rows = read_csv(out)
+    assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occens import (
     EnumerationBudgetError,
@@ -14,8 +17,15 @@ from occens import (
     mgf,
 )
 from occens.ensemble import dump_distribution
+from occens.entropy import log_multiplicity
 
-from helpers import random_spec, two_level_spec
+from helpers import (
+    brute_force_state_count,
+    random_spec,
+    reference_enumerate_states,
+    reference_log_multiplicity,
+    two_level_spec,
+)
 
 
 def uniform_two_level(energy_cap=1.5):
@@ -61,10 +71,37 @@ class TestEnumeration:
         assert lo_set <= hi_set
 
     def test_budget_error_advises_sampler(self):
+        # 1,373,701 states; the error names that count
         spec = make_spec(["1", "2", "3", "4"], [0.25] * 4, 5,
                          "proportional", c=1.0)
-        with pytest.raises(EnumerationBudgetError, match="sampler"):
-            enumerate_states(spec, 200)
+        count = enumerate_states(spec, 200).shape[0]
+        with pytest.raises(EnumerationBudgetError,
+                           match=f"exact state count {count} .*sampler"):
+            enumerate_states(spec, 200, budget=10**6)
+
+    def test_budget_checked_on_prefixes_first(self):
+        # 201*202/2 = 20301 viable prefixes over the first two levels
+        spec = make_spec(["1", "2", "3", "4"], [0.25] * 4, 5,
+                         "proportional", c=1.0)
+        with pytest.raises(EnumerationBudgetError,
+                           match="at least 20301 viable prefixes"):
+            enumerate_states(spec, 200, budget=10**4)
+
+    def test_int64_overflow_rejected(self):
+        # 1e12 - ceil(9998e12 / 9999) + 1 states; at N=1e15,
+        # q*eps_m*N = 1e19 would wrap in the int64 prefix arithmetic
+        spec = make_spec(["1", "10000"], [0.5, 0.5], 2, "proportional", c=1.0)
+        with pytest.raises(EnumerationBudgetError, match="exact state count 100010002 "):
+            enumerate_states(spec, 10**12)
+        with pytest.raises(OverflowError, match="overflows int64"):
+            enumerate_states(spec, 10**15)
+
+    def test_exact_count_admits_m3_at_n3000(self):
+        # the old bound m*(N+1)^(m-1) = 27M rejected this under the default
+        # budget of 10M
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "9/5",
+                         "proportional", c=1.0)
+        assert enumerate_states(spec, 3000).shape == (1201 ** 2, 3)
 
     def test_every_state_feasible_and_complete(self):
         # cross-check against a direct filter of all compositions
@@ -81,6 +118,39 @@ class TestEnumeration:
             if a * e[0] + b * e[1] + (n - a - b) * e[2] <= cap
         }
         assert states == brute
+
+
+# Largest N per m that keeps C(N+m-1, m-1), the brute-force filter's work,
+# near 12k compositions.
+MAX_N = {1: 40, 2: 40, 3: 40, 4: 40, 5: 20, 6: 14}
+
+
+@st.composite
+def capped_supports(draw):
+    """A random rational spec with m <= 6, a cap anywhere above eps_1, an N
+    and per-level degeneracies up to 1e8."""
+    m = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 4))
+    numerators = sorted(draw(st.lists(st.integers(1, 12), min_size=m,
+                                      max_size=m, unique=True)))
+    energies = [Fraction(v, q) for v in numerators]
+    cap = energies[0] + Fraction(draw(st.integers(1, 48)),
+                                 draw(st.integers(1, 8)))
+    spec = make_spec(energies, [1.0 / m] * m, cap, "proportional", c=1.0)
+    degs = draw(st.lists(st.integers(1, 10**8), min_size=m, max_size=m))
+    return spec, draw(st.integers(1, MAX_N[m])), degs
+
+
+@settings(max_examples=80, deadline=None)
+@given(capped_supports())
+def test_enumeration_matches_reference(case):
+    spec, n, degs = case
+    states = enumerate_states(spec, n)
+    assert states.dtype == np.int64 and states.flags.c_contiguous
+    assert np.array_equal(states, reference_enumerate_states(spec, n))
+    assert states.shape[0] == brute_force_state_count(spec, n)
+    assert np.array_equal(log_multiplicity(states, degs),
+                          reference_log_multiplicity(states, degs))
 
 
 class TestDistribution:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occens import (
     DegeneracyAssignment,
@@ -21,7 +23,8 @@ from occens import (
 from occens.entropy import EntropyModel, log_multiplicity
 from occens.core import Regime
 
-from helpers import central_diff, random_spec, two_level_spec
+from helpers import (central_diff, random_spec, reference_log_multiplicity,
+                     two_level_spec)
 
 
 class TestLevelLogWeights:
@@ -63,6 +66,8 @@ class TestLevelLogWeights:
             level_log_weights([0, 3], 5)
         with pytest.raises(ValueError):
             log_multiplicity([-1, 2], [3, 3])
+        with pytest.raises(ValueError, match="2 levels"):
+            log_multiplicity([[1, 2, 3]], [3, 3])
 
 
 class TestStirling:
@@ -125,6 +130,29 @@ class TestEntropyExact:
         a = log_multiplicity([4, 2, 4], [3, 5, 3])
         b = log_multiplicity([4, 4, 2], [3, 3, 5])
         assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+    def test_matches_sorted_sum_up_to_m7(self, m, seed):
+        rng = np.random.default_rng(seed)
+        degs = rng.integers(1, 10 ** int(rng.integers(1, 9)), size=m)
+        counts = rng.integers(0, int(rng.integers(1, 5000)), size=(64, m))
+        assert np.array_equal(log_multiplicity(counts, degs),
+                              reference_log_multiplicity(counts, degs))
+
+    def test_permutation_symmetry_at_m10(self):
+        # from m = 8 on the sum may differ from a pairwise sorted sum by
+        # rounding, but not between orderings of the levels
+        rng = np.random.default_rng(10)
+        degs = rng.integers(1, 10**6, size=10)
+        counts = rng.integers(0, 2000, size=(500, 10))
+        base = log_multiplicity(counts, degs)
+        np.testing.assert_allclose(
+            base, reference_log_multiplicity(counts, degs), rtol=1e-14)
+        for _ in range(5):
+            perm = rng.permutation(10)
+            assert np.array_equal(
+                log_multiplicity(counts[:, perm], degs[perm]), base)
 
     def test_discrete_concavity_along_each_coordinate(self):
         spec = two_level_spec("proportional", energy_cap=2)

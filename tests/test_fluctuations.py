@@ -13,6 +13,7 @@ from occens import (
     predict_boundary,
     predict_interior,
     rotation_basis,
+    scaling_factor,
     solve,
 )
 from occens.entropy import entropy_model_for, limit_entropy_grad
@@ -195,6 +196,21 @@ class TestEmpiricalSummaries:
             summary = empirical_fluctuations(build_distribution(spec, n), sol, spec)
             thirds.append(abs(float(summary.third_std_moments[0])))
         assert thirds[0] > thirds[1] > thirds[2]
+
+    def test_interior_third_moment_matches_direct_sum(self):
+        spec = make_spec(["1", "2", "3"], [0.2, 0.3, 0.5], 3, "high_degeneracy")
+        sol = solve(spec)
+        n = 40
+        dist = build_distribution(spec, n)
+        summary = empirical_fluctuations(dist, sol, spec)
+        y = (math.sqrt(scaling_factor(spec, n))
+             * (dist.counts[:, :2] / n - sol.x_star[:2]))
+        for j in range(2):
+            c = y[:, j] - math.fsum(dist.pmf * y[:, j])
+            want = (math.fsum(dist.pmf * c**3)
+                    / math.fsum(dist.pmf * c**2) ** 1.5)
+            assert want > 0.1
+            assert summary.third_std_moments[j] == pytest.approx(want, rel=1e-12)
 
     def test_boundary_summary_masses(self):
         spec = two_level_spec("high_degeneracy")
