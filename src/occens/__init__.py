@@ -4,66 +4,59 @@ Exact finite-N occupancy distributions under a per-particle energy cap,
 their limiting maximum-entropy statistics for three degeneracy-growth
 regimes, and the interior/boundary fluctuation laws, with exact enumeration
 and sampling utilities for desk-scale verification.
+
+Names are loaded on first use (PEP 562), so importing the package loads no
+submodule; NumPy is imported only by the modules that hold arrays over
+states (ensemble, fluctuations, sampler).
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .core import (
-    DegeneracyAssignment,
-    DegeneracySchedule,
-    EnsembleSpec,
-    EnumerationBudgetError,
-    Occupancy,
-    Regime,
-    SolverError,
-    SpecValidationError,
-    degeneracies_for,
-    default_schedule,
-    make_spec,
-    threshold_energy,
-    validate_spec,
-)
-from .ensemble import (
-    ExactDistribution,
-    LayerDecomposition,
-    build_distribution,
-    enumerate_states,
-    exact_covariance,
-    exact_mean,
-    layer_decomposition,
-    mgf,
-)
-from .entropy import (
-    EntropyModel,
-    approximation_error,
-    entropy_exact,
-    entropy_model_for,
-    level_log_weights,
-    limit_entropy,
-    limit_entropy_grad,
-    limit_entropy_hessian_diag,
-    scaling_factor,
-    stirling_log_gamma,
-)
-from .fluctuations import (
-    FluctuationPrediction,
-    FluctuationSummary,
-    empirical_fluctuations,
-    predict_boundary,
-    predict_interior,
-    rotation_basis,
-)
-from .maxent import (
-    MaxEntSolution,
-    MaximumKind,
-    classify_maximum,
-    kkt_stationarity_residual,
-    oracle_grid_maximize,
-    solve,
-    solve_regime1_multipliers,
-    solve_regime2_multipliers,
-    solve_regime3_multipliers,
-)
-from .sampler import ChainConfig, exact_sample, metropolis_chain
+_EXPORTS = {
+    "core": (
+        "DegeneracyAssignment", "DegeneracySchedule", "EnsembleSpec",
+        "EnumerationBudgetError", "Occupancy", "Regime", "SolverError",
+        "SpecValidationError", "degeneracies_for", "default_schedule",
+        "make_spec", "threshold_energy", "validate_spec",
+    ),
+    "ensemble": (
+        "ExactDistribution", "LayerDecomposition", "build_distribution",
+        "enumerate_states", "exact_covariance", "exact_mean",
+        "layer_decomposition", "mgf",
+    ),
+    "entropy": (
+        "EntropyModel", "approximation_error", "entropy_exact",
+        "entropy_model_for", "level_log_weights", "limit_entropy",
+        "limit_entropy_grad", "limit_entropy_hessian_diag", "scaling_factor",
+        "stirling_log_gamma",
+    ),
+    "fluctuations": (
+        "FluctuationPrediction", "FluctuationSummary", "empirical_fluctuations",
+        "predict_boundary", "predict_interior", "rotation_basis",
+    ),
+    "maxent": (
+        "MaxEntSolution", "MaximumKind", "classify_maximum", "solve",
+        "solve_regime1_multipliers", "solve_regime2_multipliers",
+        "solve_regime3_multipliers",
+    ),
+    "sampler": ("ChainConfig", "exact_sample", "metropolis_chain"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__),
+                    name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

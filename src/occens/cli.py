@@ -12,29 +12,25 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
+import numbers
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
-from pathlib import Path
-
-import numpy as np
 
 from . import __version__
-from .core import EnumerationBudgetError, SolverError, SpecValidationError, make_spec
-from .ensemble import DEFAULT_STATE_BUDGET, build_distribution, exact_mean, mgf
-from .entropy import approximation_error, scaling_factor
-from .fluctuations import (
-    MaximumKind,
-    empirical_fluctuations,
-    predict_boundary,
-    predict_interior,
-    rotation_basis,
+from .core import (
+    WEIGHT_SUM_TOL,
+    EnumerationBudgetError,
+    SolverError,
+    SpecValidationError,
+    make_spec,
 )
-from .maxent import classify_maximum, solve
-from .sampler import ChainConfig, exact_sample, metropolis_chain
+from .entropy import approximation_error, scaling_factor
+from .maxent import MaximumKind, classify_maximum, solve
 
+# The array side (ensemble, fluctuations, sampler) and NumPy are imported
+# inside the commands that use them, so `solve` and `entropy-probe` run on
+# the standard library alone.
 CSV_SCHEMA_LINE = "# schema=1"
 
 
@@ -75,20 +71,53 @@ def _spec_from_config(config: dict):
         raise ConfigError(f"invalid spec: {exc}") from exc
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """value if it is an integer >= minimum (a boolean is not), else a
+    config error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, "
+                          f"got {value!r}")
+    return value
+
+
+def _vector(name: str, value, m: int) -> tuple[float, ...]:
+    """value as m finite floats; booleans and strings are config errors."""
+    if (not isinstance(value, list) or len(value) != m
+            or any(isinstance(v, bool) or not isinstance(v, (int, float))
+                   for v in value)
+            or not all(math.isfinite(v) for v in value)):
+        raise ConfigError(f"{name} must be a list of {m} finite numbers, "
+                          f"got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _n_list(config: dict) -> list[int]:
     ns = _require(config, "N_list")
     if (not isinstance(ns, list) or not ns
-            or any(not isinstance(n, int) or n < 1 for n in ns)):
+            or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
+                   for n in ns)):
         raise ConfigError("N_list must be a nonempty list of positive integers")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError("N_list must be strictly increasing")
     return ns
 
 
+def _budget(args, config: dict) -> int:
+    from .ensemble import DEFAULT_STATE_BUDGET
+    budget = (args.budget if args.budget is not None
+              else config.get("budget", DEFAULT_STATE_BUDGET))
+    return _integer("budget", budget, 1)
+
+
+def _seed(args, config: dict) -> int:
+    return _integer("seed", args.seed if args.seed is not None
+                    else config.get("seed", 0), 0)
+
+
 def _format_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return repr(float(value))
     return str(value)
 
@@ -98,7 +127,8 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _write_csv(out: str | None, comments: list[str], header: list[str],
@@ -120,12 +150,16 @@ def _map_ordered(fn, items, jobs: int):
     row.  A row's exception is raised here, the first in item order.
     """
     workers = min(jobs, len(items))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_set_row, initargs=(fn,)) as pool:
-        return list(pool.map(_run_row, items))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_set_row, initargs=(fn,)) as pool:
+                return list(pool.map(_run_row, items))
+    return [fn(item) for item in items]
 
 
 # Set only inside forked workers: the initializer's arguments reach a forked
@@ -142,19 +176,23 @@ def _run_row(item):
     return _row(item)
 
 
-def _chain_config(config: dict, seed_flag: int | None) -> ChainConfig:
+def _chain_config(config: dict, args):
+    from .sampler import ChainConfig
     chain = config.get("chain", {})
     if not isinstance(chain, dict):
         raise ConfigError("chain must be a JSON object")
-    seed = chain.get("seed", seed_flag if seed_flag is not None
-                     else config.get("seed", 0))
-    steps = chain.get("steps")
-    return ChainConfig(steps=None if steps is None else int(steps),
-                       seed=int(seed), burn_in=chain.get("burn_in"),
-                       thinning=chain.get("thinning"))
+    minimum = {"steps": 1, "burn_in": 0, "thinning": 1}
+    fields = {key: chain.get(key) for key in minimum}
+    for key, value in fields.items():
+        if value is not None:
+            _integer(f"chain.{key}", value, minimum[key])
+    seed = (_integer("chain.seed", chain["seed"], 0) if "seed" in chain
+            else _seed(args, config))
+    return ChainConfig(seed=seed, **fields)
 
 
-def _run_chain(spec, n: int, cfg: ChainConfig) -> np.ndarray:
+def _run_chain(spec, n: int, cfg):
+    from .sampler import metropolis_chain
     try:
         return metropolis_chain(spec, n, cfg)
     except ValueError as exc:
@@ -168,7 +206,7 @@ def cmd_solve(args) -> int:
     report = {
         "regime": sol.regime.value,
         "kind": sol.kind.value,
-        "x_star": [float(v) for v in sol.x_star],
+        "x_star": list(sol.x_star),
         "lam": sol.lam,
         "nu": sol.nu,
         "residual_norm": sol.residual_norm,
@@ -179,17 +217,22 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lln_sweep(args) -> int:
+    import numpy as np
+
+    from .ensemble import build_distribution, exact_mean, mgf
+
     config = _load_config(args.config)
     spec = _spec_from_config(config)
     ns = _n_list(config)
-    probes = [np.asarray(xi, dtype=float) for xi in config.get("xi_list", [])]
-    for xi in probes:
-        if xi.shape != (spec.m,):
-            raise ConfigError(f"xi probe {xi.tolist()} must have length {spec.m}")
+    xi_list = config.get("xi_list", [])
+    if not isinstance(xi_list, list):
+        raise ConfigError("xi_list must be a list of probes")
+    probes = [np.array(_vector("xi probe", xi, spec.m)) for xi in xi_list]
     sol = solve(spec)
-    budget = args.budget or config.get("budget", DEFAULT_STATE_BUDGET)
+    x_star = np.array(sol.x_star)
+    budget = _budget(args, config)
     fallback = bool(config.get("sampler_fallback", False))
-    chain_cfg = _chain_config(config, args.seed) if fallback else None
+    chain_cfg = _chain_config(config, args) if fallback else None
 
     def one(n):
         start = time.perf_counter()
@@ -203,8 +246,8 @@ def cmd_lln_sweep(args) -> int:
             frac = _run_chain(spec, n, chain_cfg) / n
             mean = frac.mean(axis=0)
             mgfs = [float(np.exp(frac @ xi).mean()) for xi in probes]
-        mean_err = float(np.max(np.abs(mean - sol.x_star)))
-        mgf_errs = [abs(v - math.exp(float(xi @ sol.x_star)))
+        mean_err = float(np.max(np.abs(mean - x_star)))
+        mgf_errs = [abs(v - math.exp(float(xi @ x_star)))
                     for v, xi in zip(mgfs, probes)]
         return [n, mean_err, *mgf_errs, time.perf_counter() - start]
 
@@ -223,11 +266,21 @@ def cmd_lln_sweep(args) -> int:
 
 
 def cmd_fluct_check(args) -> int:
+    import numpy as np
+
+    from .ensemble import build_distribution
+    from .fluctuations import (
+        empirical_fluctuations,
+        predict_boundary,
+        predict_interior,
+        rotation_basis,
+    )
+
     config = _load_config(args.config)
     spec = _spec_from_config(config)
     ns = _n_list(config)
     kind = classify_maximum(spec)
-    budget = args.budget or config.get("budget", DEFAULT_STATE_BUDGET)
+    budget = _budget(args, config)
     sol = solve(spec)
     m = spec.m
     if kind is MaximumKind.BOUNDARY:
@@ -238,7 +291,7 @@ def cmd_fluct_check(args) -> int:
                 f"q={spec.q}; offending N: {bad}")
 
     fallback = bool(config.get("sampler_fallback", False))
-    chain_cfg = _chain_config(config, args.seed) if fallback else None
+    chain_cfg = _chain_config(config, args) if fallback else None
 
     def sampled_cov(n, project=None):
         frac = _run_chain(spec, n, chain_cfg) / n
@@ -317,13 +370,13 @@ def cmd_entropy_probe(args) -> int:
     config = _load_config(args.config)
     spec = _spec_from_config(config)
     ns = _n_list(config)
-    x = np.asarray(_require(config, "x_probe"), dtype=float)
-    if x.shape != (spec.m,):
-        raise ConfigError(f"x_probe must have length {spec.m}")
+    x = _vector("x_probe", _require(config, "x_probe"), spec.m)
+    if min(x) < 0.0 or abs(math.fsum(x) - 1.0) > WEIGHT_SUM_TOL:
+        raise ConfigError(f"x_probe {list(x)} is not a point of the simplex: "
+                          f"it needs x_i >= 0 summing to 1")
     for n in ns:
-        counts = x * n
-        if np.max(np.abs(counts - np.round(counts))) > 1e-9:
-            raise ConfigError(f"x_probe {x.tolist()} not representable at N={n}")
+        if max(abs(v * n - round(v * n)) for v in x) > 1e-9:
+            raise ConfigError(f"x_probe {list(x)} not representable at N={n}")
 
     def one(n):
         start = time.perf_counter()
@@ -332,25 +385,24 @@ def cmd_entropy_probe(args) -> int:
 
     rows = _map_ordered(one, ns, args.jobs)
     _write_csv(args.out,
-               [f"x_probe={x.tolist()}",
+               [f"x_probe={list(x)}",
                 "columns: h(N) and |S/h - s_l| offset-differenced at x_ref=g"],
                ["N", "h", "approx_error", "wall_time_s"], rows)
     return 0
 
 
 def cmd_sample(args) -> int:
+    from .ensemble import build_distribution
+    from .sampler import exact_sample
+
     config = _load_config(args.config)
     spec = _spec_from_config(config)
-    n = config.get("N")
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError("sample command needs a positive integer N")
+    n = _integer("N", config.get("N"), 1)
     method = config.get("method", "exact")
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    budget = args.budget or config.get("budget", DEFAULT_STATE_BUDGET)
+    seed = _seed(args, config)
+    budget = _budget(args, config)
     if method == "exact":
-        count = config.get("count", 1000)
-        if not isinstance(count, int) or count < 1:
-            raise ConfigError("exact sampling needs a positive integer count")
+        count = _integer("count", config.get("count", 1000), 1)
         dist = build_distribution(spec, n, budget=budget)
         draws = exact_sample(dist, count, seed)
         comments = [f"method=exact count={count} seed={seed}"]
@@ -358,13 +410,13 @@ def cmd_sample(args) -> int:
         chain = config.get("chain")
         if not isinstance(chain, dict) or "steps" not in chain:
             raise ConfigError("metropolis sampling needs chain:{steps,...}")
-        cfg = _chain_config(config, args.seed)
+        cfg = _chain_config(config, args)
         draws = _run_chain(spec, n, cfg)
         comments = [f"method=metropolis steps={cfg.steps} seed={cfg.seed}"]
     else:
         raise ConfigError(f"unknown sampling method {method!r}")
     header = [f"N{k + 1}" for k in range(spec.m)]
-    _write_csv(args.out, comments, header, [list(map(int, row)) for row in draws])
+    _write_csv(args.out, comments, header, draws.tolist())
     return 0
 
 
@@ -402,13 +454,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         return args.handler(args)
     except (ConfigError, SpecValidationError) as exc:
         json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
-    except (SolverError, EnumerationBudgetError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    except (SolverError, EnumerationBudgetError, ArithmeticError) as exc:
         json.dump({"error": "numeric", "detail": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

@@ -16,8 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 WEIGHT_SUM_TOL = 1e-12
 
 # Probe points used to sanity-check a schedule against its declared regime.
@@ -128,12 +126,8 @@ class EnsembleSpec:
         return tuple(int(e * self.q) for e in self.energies)
 
     @cached_property
-    def energies_float(self) -> np.ndarray:
-        return np.array([float(e) for e in self.energies])
-
-    @cached_property
-    def weights_array(self) -> np.ndarray:
-        return np.array(self.weights)
+    def energies_float(self) -> tuple[float, ...]:
+        return tuple(float(e) for e in self.energies)
 
     def energy_cap_units(self, n: int) -> int:
         """Integer energy bound floor(q*E*N); ties in the cap are included."""
@@ -235,42 +229,6 @@ class Occupancy:
                 f"counts {self.counts} sum to {sum(self.counts)}, "
                 f"expected {self.total}")
 
-    def fractions(self) -> np.ndarray:
-        return np.array(self.counts) / self.total
-
-
-def occupancy_energy_units(spec: EnsembleSpec, counts) -> int:
-    """Total energy of a count vector in integer 1/q units."""
-    return int(np.asarray(counts, dtype=np.int64) @
-               np.array(spec.energy_units, dtype=np.int64))
-
-
-def assert_feasible(spec: EnsembleSpec, occ: Occupancy) -> Occupancy:
-    """Check the energy-cap invariant of an occupancy against a spec."""
-    if len(occ.counts) != spec.m:
-        raise ValueError(f"occupancy has {len(occ.counts)} levels, spec has {spec.m}")
-    used = occupancy_energy_units(spec, occ.counts)
-    cap = spec.energy_cap_units(occ.total)
-    if used > cap:
-        raise ValueError(
-            f"occupancy {occ.counts} violates energy cap: {used} > {cap} (1/q units)")
-    return occ
-
-
-def fraction_vector(spec: EnsembleSpec, x) -> np.ndarray:
-    """Validate a point of the fraction simplex under the energy cap."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.m,):
-        raise ValueError(f"expected shape ({spec.m},), got {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError(f"fractions must lie in [0, 1]: {x}")
-    if abs(x.sum() - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"fractions sum to {x.sum()!r}, expected 1")
-    if float(x @ spec.energies_float) > float(spec.energy_cap) + 1e-12:
-        raise ValueError(
-            f"mean energy {x @ spec.energies_float} exceeds cap {float(spec.energy_cap)}")
-    return x
-
 
 @dataclass(frozen=True)
 class DegeneracyAssignment:
@@ -288,7 +246,9 @@ class DegeneracyAssignment:
             raise ValueError(f"every level needs G_i >= 1, got {self.per_level}")
 
     @property
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        """per_level as an int64 NumPy array, for the array side."""
+        import numpy as np
         return np.array(self.per_level, dtype=np.int64)
 
 
@@ -302,17 +262,18 @@ def degeneracies_for(spec: EnsembleSpec, n: int) -> DegeneracyAssignment:
     if total < m:
         raise SpecValidationError(
             [f"schedule yields G(N)={total} < m={m} at N={n}"])
-    target = spec.weights_array * total
-    base = np.floor(target).astype(np.int64)
-    short = total - int(base.sum())
+    target = [w * total for w in spec.weights]
+    base = [math.floor(t) for t in target]
+    short = total - sum(base)
     # Stable sort on descending remainder keeps rounding deterministic.
-    order = np.argsort(-(target - base), kind="stable")
-    base[order[:short]] += 1
-    while np.any(base == 0):
-        base[int(np.argmax(base))] -= 1
-        base[int(np.argmin(base))] += 1
-    assignment = DegeneracyAssignment(total=total, per_level=tuple(int(v) for v in base))
-    drift = np.max(np.abs(assignment.as_array - target))
+    order = sorted(range(m), key=lambda i: base[i] - target[i])
+    for i in order[:short]:
+        base[i] += 1
+    while 0 in base:
+        base[base.index(max(base))] -= 1
+        base[base.index(min(base))] += 1
+    assignment = DegeneracyAssignment(total=total, per_level=tuple(base))
+    drift = max(abs(b - t) for b, t in zip(base, target))
     if drift > 1.0 + 1e-9:
         raise SpecValidationError(
             [f"degeneracy rounding drift {drift:.3f} exceeds 1 at N={n}; "
@@ -326,4 +287,4 @@ def threshold_energy(spec: EnsembleSpec) -> float:
     At or above this value the limiting distribution sits at x* = g strictly
     inside the energy cap; below it the cap is active.
     """
-    return float(np.dot(spec.weights_array, spec.energies_float))
+    return sum(w * e for w, e in zip(spec.weights, spec.energies_float))

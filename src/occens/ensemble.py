@@ -173,12 +173,14 @@ def layer_decomposition(dist: ExactDistribution) -> LayerDecomposition:
     slack = cap - dist.counts @ e
     # a stable sort keeps each layer's state indices ascending
     order = np.argsort(slack, kind="stable")
-    values, starts = np.unique(slack[order], return_index=True)
-    members = tuple(np.split(order, starts[1:]))
+    sorted_slack = slack[order]
+    starts = np.flatnonzero(np.diff(sorted_slack)) + 1
+    members = tuple(np.split(order, starts))
     masses = np.array([float(dist.pmf[idx].sum()) for idx in members])
     masses.setflags(write=False)
-    return LayerDecomposition(slacks=tuple(int(v) for v in values),
-                              masses=masses, members=members)
+    return LayerDecomposition(
+        slacks=tuple(sorted_slack[np.r_[0, starts]].tolist()),
+        masses=masses, members=members)
 
 
 def dump_distribution(dist: ExactDistribution) -> str:

@@ -10,14 +10,15 @@ running sum of log1p((G_i - 1)/j).  The three limit entropies (one per
 degeneracy regime) and their derivatives back the multiplier solver and the
 fluctuation predictions; a truncated Stirling series exists to validate the
 asymptotic approximation the limits rely on.
+
+The limit side works at a point, on m numbers, in plain Python; only the
+table functions, which read whole arrays of states, import NumPy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import (
     DegeneracyAssignment,
@@ -30,7 +31,7 @@ from .core import (
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def level_log_weights(degs, n: int) -> np.ndarray:
+def level_log_weights(degs, n: int):
     """Per-level log-weights ln C(k + G_i - 1, k) for k = 0..n; shape (m, n+1).
 
     Entry [i, k] is the running sum of log1p((G_i - 1)/j) over j = 1..k, so
@@ -38,6 +39,8 @@ def level_log_weights(degs, n: int) -> np.ndarray:
     large log-factorials cancel; column 0 is zero, and a level with G_i = 1
     is zero throughout.
     """
+    import numpy as np
+
     degs = np.asarray(degs, dtype=np.int64)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -68,7 +71,7 @@ def stirling_log_gamma(lam: float, order: int) -> float:
             + math.log(series))
 
 
-def log_multiplicity(counts, degs) -> np.ndarray | float:
+def log_multiplicity(counts, degs):
     """Exact entropy of count vectors; vectorized over leading axes.
 
     counts may be (..., m) and degs (m,).  Each level's term is read from
@@ -79,6 +82,8 @@ def log_multiplicity(counts, degs) -> np.ndarray | float:
     on NumPy's pairwise sum regroups the additions, so the two differ by
     rounding.
     """
+    import numpy as np
+
     counts = np.asarray(counts, dtype=np.int64)
     degs = np.asarray(degs, dtype=np.int64)
     if counts.shape[-1:] != degs.shape or counts.min(initial=0) < 0:
@@ -126,50 +131,52 @@ def entropy_model_for(spec: EnsembleSpec) -> EntropyModel:
     return EntropyModel(regime=spec.regime, g=spec.weights, c=spec.c)
 
 
-def limit_entropy(model: EntropyModel, x) -> np.ndarray | float:
-    """s_l(x), vectorized over leading axes; zero components contribute 0."""
-    x = np.asarray(x, dtype=float)
-    g = np.array(model.g)
-    positive = x > 0.0
-    xs = np.where(positive, x, 1.0)  # placeholder keeps logs finite
+def limit_entropy(model: EntropyModel, x):
+    """s_l(x) at a point; zero components contribute 0.
+
+    Given rows of points (a 2-D array), returns the array of their values.
+    """
+    if getattr(x, "ndim", 1) > 1:
+        import numpy as np
+        return np.array([limit_entropy(model, row) for row in x.tolist()])
+    g = model.g
     if model.regime is Regime.HIGH_DEGENERACY:
-        terms = xs * np.log(g / xs) + xs
+        terms = (v * math.log(gi / v) + v if v > 0.0 else 0.0
+                 for v, gi in zip(x, g))
     elif model.regime is Regime.PROPORTIONAL:
-        gc = g * model.c
-        terms = (xs + gc) * np.log(xs + gc) - xs * np.log(xs)
+        terms = ((v + gi * model.c) * math.log(v + gi * model.c)
+                 - v * math.log(v) if v > 0.0 else 0.0 for v, gi in zip(x, g))
     else:
-        terms = g * np.log(xs) + g
-    return np.where(positive, terms, 0.0).sum(axis=-1)
+        terms = (gi * math.log(v) + gi if v > 0.0 else 0.0
+                 for v, gi in zip(x, g))
+    return sum(terms)
 
 
-def _require_interior(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+def _require_interior(x) -> tuple[float, ...]:
+    x = tuple(float(v) for v in x)
+    if min(x) <= 0.0:
         raise ValueError("limit-entropy derivatives need x_i > 0 for all i")
     return x
 
 
-def limit_entropy_grad(model: EntropyModel, x) -> np.ndarray:
+def limit_entropy_grad(model: EntropyModel, x) -> tuple[float, ...]:
     """Per-coordinate first derivative of s_l; requires x > 0."""
-    x = _require_interior(x)
-    g = np.array(model.g)
+    pairs = zip(_require_interior(x), model.g)
     if model.regime is Regime.HIGH_DEGENERACY:
-        return np.log(g / x)
+        return tuple(math.log(g / v) for v, g in pairs)
     if model.regime is Regime.PROPORTIONAL:
-        return np.log1p(g * model.c / x)
-    return g / x
+        return tuple(math.log1p(g * model.c / v) for v, g in pairs)
+    return tuple(g / v for v, g in pairs)
 
 
-def limit_entropy_hessian_diag(model: EntropyModel, x) -> np.ndarray:
+def limit_entropy_hessian_diag(model: EntropyModel, x) -> tuple[float, ...]:
     """Diagonal of the (diagonal) second derivative of s_l; requires x > 0."""
-    x = _require_interior(x)
-    g = np.array(model.g)
+    pairs = zip(_require_interior(x), model.g)
     if model.regime is Regime.HIGH_DEGENERACY:
-        return -1.0 / x
+        return tuple(-1.0 / v for v, _ in pairs)
     if model.regime is Regime.PROPORTIONAL:
-        gc = g * model.c
-        return -gc / (x * (x + gc))
-    return -g / (x * x)
+        return tuple(-(g * model.c) / (v * (v + g * model.c)) for v, g in pairs)
+    return tuple(-g / (v * v) for v, g in pairs)
 
 
 def scaling_factor(spec: EnsembleSpec, n: int) -> float:
@@ -181,12 +188,12 @@ def scaling_factor(spec: EnsembleSpec, n: int) -> float:
     return float(n)
 
 
-def _entropy_lgamma(spec: EnsembleSpec, n: int, x: np.ndarray) -> float:
+def _entropy_lgamma(spec: EnsembleSpec, n: int, x) -> float:
     # Continuous extension of the exact entropy; needed because the
     # reference point g*N is generally not an integer vector.
     degs = degeneracies_for(spec, n).per_level
-    return sum(math.lgamma(c + g) - math.lgamma(c + 1.0) - math.lgamma(g)
-               for c, g in zip((x * n).tolist(), degs))
+    return sum(math.lgamma(v * n + g) - math.lgamma(v * n + 1.0) - math.lgamma(g)
+               for v, g in zip(x, degs))
 
 
 def approximation_error(spec: EnsembleSpec, n: int, x) -> float:
@@ -196,16 +203,14 @@ def approximation_error(spec: EnsembleSpec, n: int, x) -> float:
     reference point x_ref = g, so the result measures the empirical decay
     rate of the limit-entropy approximation.
     """
-    x = np.asarray(x, dtype=float)
-    counts = x * n
-    if np.max(np.abs(counts - np.round(counts))) > 1e-9:
-        raise ValueError(f"x={x} is not representable at N={n} (x_i*N not integer)")
+    x = tuple(float(v) for v in x)
+    if max(abs(v * n - round(v * n)) for v in x) > 1e-9:
+        raise ValueError(f"x={list(x)} is not representable at N={n} "
+                         f"(x_i*N not integer)")
     model = entropy_model_for(spec)
     h = scaling_factor(spec, n)
-    x_ref = spec.weights_array
 
     def scaled_gap(point):
-        return (_entropy_lgamma(spec, n, point) / h
-                - float(limit_entropy(model, point)))
+        return _entropy_lgamma(spec, n, point) / h - limit_entropy(model, point)
 
-    return abs(scaled_gap(x) - scaled_gap(x_ref))
+    return abs(scaled_gap(x) - scaled_gap(spec.weights))

@@ -35,33 +35,39 @@ class FluctuationPrediction:
     layer_log_ratio: float | None = None    # boundary only; negative
 
 
-def reduced_hessian(spec: EnsembleSpec, x: np.ndarray) -> np.ndarray:
+def reduced_hessian(spec: EnsembleSpec, x) -> np.ndarray:
     """Hessian of s_l in the m-1 free coordinates after x_m = 1 - sum x_i.
 
     The full Hessian is diagonal, so eliminating the last coordinate adds
     its (negative) curvature to every entry of the reduced block.
     """
-    model = entropy_model_for(spec)
-    diag = limit_entropy_hessian_diag(model, x)
-    m = spec.m
-    return np.diag(diag[: m - 1]) + diag[m - 1]
+    diag = limit_entropy_hessian_diag(entropy_model_for(spec), x)
+    return np.diag(diag[:-1]) + diag[-1]
 
 
 def predict_interior(spec: EnsembleSpec) -> FluctuationPrediction:
     """Gaussian covariance (-H_reduced)^-1 at the interior maximum x* = g."""
     if classify_maximum(spec) is not MaximumKind.INTERIOR:
         raise ValueError("wrong kind: boundary instance; use predict_boundary")
-    h_red = reduced_hessian(spec, spec.weights_array)
-    cov = np.linalg.inv(-h_red)
-    cov = 0.5 * (cov + cov.T)
-    _check_positive_definite(cov)
-    cov.setflags(write=False)
+    cov = _gaussian_covariance(-reduced_hessian(spec, spec.weights))
     return FluctuationPrediction(kind=MaximumKind.INTERIOR, covariance=cov)
 
 
-def _check_positive_definite(mat: np.ndarray) -> None:
-    if mat.size and np.min(np.linalg.eigvalsh(mat)) <= 0.0:
-        raise ArithmeticError(f"covariance block not positive definite:\n{mat}")
+def _gaussian_covariance(precision: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of a precision block, checked positive definite.
+
+    A singular or indefinite block is a numeric failure (ArithmeticError).
+    """
+    try:
+        cov = np.linalg.inv(precision)
+        cov = 0.5 * (cov + cov.T)
+        definite = not cov.size or np.min(np.linalg.eigvalsh(cov)) > 0.0
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"covariance block: {exc}") from exc
+    if not definite:
+        raise ArithmeticError(f"covariance block not positive definite:\n{cov}")
+    cov.setflags(write=False)
+    return cov
 
 
 def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
@@ -75,7 +81,7 @@ def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
     m = spec.m
     if m < 2:
         raise ValueError("rotation basis needs m >= 2")
-    w = spec.energies_float[: m - 1] - spec.energies_float[m - 1]
+    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
     norm = float(np.linalg.norm(w))
     if norm < 1e-12:
         raise ValueError("degenerate normal: energies do not separate levels")
@@ -125,7 +131,7 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     sol = solve(spec)
     basis = rotation_basis(spec)
     m = spec.m
-    w = spec.energies_float[: m - 1] - spec.energies_float[m - 1]
+    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
     w_norm = float(np.linalg.norm(w))
     # derivative of s_l along the inward normal; grad s_l(x*) = lam*eps + nu
     s_prime = -sol.lam * w_norm
@@ -137,12 +143,10 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if m > 2:
         in_plane = basis[:, 1:]
         h_red = reduced_hessian(spec, sol.x_star)
-        block = np.linalg.inv(-(in_plane.T @ h_red @ in_plane))
-        block = 0.5 * (block + block.T)
-        _check_positive_definite(block)
+        block = _gaussian_covariance(-(in_plane.T @ h_red @ in_plane))
     else:
         block = np.zeros((0, 0))
-    block.setflags(write=False)
+        block.setflags(write=False)
     return FluctuationPrediction(kind=MaximumKind.BOUNDARY, covariance=block,
                                  rotation=basis, layer_log_ratio=layer_log_ratio)
 

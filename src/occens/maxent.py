@@ -8,8 +8,8 @@ system in each regime:
     proportional:     x_i = g_i * c / (exp(lam*eps_i + nu) - 1)
     low_degeneracy:   x_i = g_i / (lam*eps_i + nu)
 
-subject to sum x_i = 1 and sum eps_i x_i = E.  A brute-force simplex grid
-search over the limit entropy provides an independent oracle.
+subject to sum x_i = 1 and sum eps_i x_i = E.  Everything here is
+arithmetic on m numbers, in plain Python.
 """
 
 from __future__ import annotations
@@ -18,16 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .core import EnsembleSpec, Regime, SolverError, threshold_energy
-from .ensemble import enumerate_states
-from .entropy import (
-    EntropyModel,
-    entropy_model_for,
-    limit_entropy,
-    limit_entropy_grad,
-)
 
 RESIDUAL_TOL = 1e-10
 _BISECT_MAX_ITER = 300
@@ -43,7 +34,7 @@ class MaximumKind(str, Enum):
 class MaxEntSolution:
     """Limiting distribution x* with multipliers and maximum-type tag."""
 
-    x_star: np.ndarray
+    x_star: tuple[float, ...]
     kind: MaximumKind
     lam: float
     nu: float
@@ -85,12 +76,17 @@ def _require_boundary(spec: EnsembleSpec) -> None:
         raise ValueError("not a boundary instance: E >= sum(g_i*eps_i)")
 
 
+def _dot(a, b) -> float:
+    return sum(u * v for u, v in zip(a, b))
+
+
 def _mb_mean_energy(spec: EnsembleSpec, lam: float) -> float:
     # E(lam) = sum g*eps*exp(-lam*eps) / sum g*exp(-lam*eps), computed with
     # a max shift so large lam (or negative energies) cannot overflow.
-    a = -lam * spec.energies_float
-    w = spec.weights_array * np.exp(a - a.max())
-    return float((spec.energies_float @ w) / w.sum())
+    eps = spec.energies_float
+    shift = max(-lam * e for e in eps)
+    w = [g * math.exp(-lam * e - shift) for g, e in zip(spec.weights, eps)]
+    return _dot(eps, w) / sum(w)
 
 
 def solve_regime1_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
@@ -111,18 +107,17 @@ def solve_regime1_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
         raise SolverError(f"no bracket for lam: E({hi}) still above {target}")
     lam = _bisect_monotone(lambda t: _mb_mean_energy(spec, t), target,
                            0.0, hi, increasing=False)
-    a = -lam * spec.energies_float
-    shift = float(a.max())
-    nu = shift + math.log(float((spec.weights_array * np.exp(a - shift)).sum()))
+    shift = max(-lam * e for e in spec.energies_float)
+    nu = shift + math.log(sum(g * math.exp(-lam * e - shift)
+                              for g, e in zip(spec.weights, spec.energies_float)))
     return lam, nu
 
 
 def _zm_mean_energy(spec: EnsembleSpec, alpha: float) -> float:
     # E(alpha) = sum g*eps/(eps+alpha) / sum g/(eps+alpha); strictly
     # increasing on alpha > -eps_1, from eps_1 up to sum g*eps.
-    denom = spec.energies_float + alpha
-    w = spec.weights_array / denom
-    return float((spec.energies_float @ w) / w.sum())
+    w = [g / (e + alpha) for g, e in zip(spec.weights, spec.energies_float)]
+    return _dot(spec.energies_float, w) / sum(w)
 
 
 def solve_regime3_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
@@ -153,23 +148,29 @@ def solve_regime3_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
         raise SolverError(f"no upper bracket for alpha: E({hi}) below {target}")
     alpha = _bisect_monotone(lambda a: _zm_mean_energy(spec, a), target,
                              lo, hi, increasing=True)
-    lam = float((spec.weights_array / (spec.energies_float + alpha)).sum())
+    lam = sum(g / (e + alpha) for g, e in zip(spec.weights, spec.energies_float))
     nu = lam * alpha
     return lam, nu
 
 
-def _be_fractions(spec: EnsembleSpec, lam: float, nu: float) -> np.ndarray:
-    t = lam * spec.energies_float + nu
+def _be_fractions(spec: EnsembleSpec, lam: float, nu: float) -> list[float]:
     # bracket growth may probe the exponent floor t -> 0+, where the
     # fraction legitimately diverges; comparisons handle the inf
-    with np.errstate(divide="ignore", over="ignore"):
-        return spec.weights_array * spec.c / np.expm1(t)
+    return [_be_fraction(g * spec.c, lam * e + nu)
+            for g, e in zip(spec.weights, spec.energies_float)]
 
 
-def _be_residual(spec: EnsembleSpec, lam: float, nu: float) -> np.ndarray:
+def _be_fraction(gc: float, t: float) -> float:
+    try:
+        d = math.expm1(t)
+    except OverflowError:
+        return 0.0
+    return gc / d if d else math.inf
+
+
+def _be_residual(spec: EnsembleSpec, lam: float, nu: float) -> tuple[float, float]:
     x = _be_fractions(spec, lam, nu)
-    return np.array([x.sum() - 1.0,
-                     float(spec.energies_float @ x) - float(spec.energy_cap)])
+    return sum(x) - 1.0, _dot(spec.energies_float, x) - float(spec.energy_cap)
 
 
 def _be_nu_for_lam(spec: EnsembleSpec, lam: float) -> float:
@@ -178,7 +179,7 @@ def _be_nu_for_lam(spec: EnsembleSpec, lam: float) -> float:
     nu_floor = -lam * float(spec.energies[0])
 
     def total(nu):
-        return float(_be_fractions(spec, lam, nu).sum())
+        return sum(_be_fractions(spec, lam, nu))
 
     delta = 1.0
     for _ in range(_BRACKET_GROWTH_CAP):
@@ -200,30 +201,30 @@ def _be_nu_for_lam(spec: EnsembleSpec, lam: float) -> float:
 
 def _be_newton(spec: EnsembleSpec, lam: float, nu: float):
     eps = spec.energies_float
-    gc = spec.weights_array * spec.c
-    best = None
+    gcs = [g * spec.c for g in spec.weights]
     for _ in range(100):
-        resid = _be_residual(spec, lam, nu)
-        err = float(np.max(np.abs(resid)))
-        if best is None or err < best[0]:
-            best = (err, lam, nu)
+        r_norm, r_energy = _be_residual(spec, lam, nu)
+        err = max(abs(r_norm), abs(r_energy))
         if err < 1e-13:
             return lam, nu
         x = _be_fractions(spec, lam, nu)
-        dx_dnu = -x * (1.0 + x / gc)
-        dx_dlam = eps * dx_dnu
-        jac = np.array([[dx_dlam.sum(), dx_dnu.sum()],
-                        [eps @ dx_dlam, eps @ dx_dnu]])
-        try:
-            step = np.linalg.solve(jac, -resid)
-        except np.linalg.LinAlgError:
+        dx_dnu = [-v * (1.0 + v / gc) for v, gc in zip(x, gcs)]
+        # Jacobian [[a, b], [c, d]] of the residual in (lam, nu); the 2x2
+        # Newton step solves it by Cramer's rule.
+        b = sum(dx_dnu)
+        a = d = _dot(eps, dx_dnu)
+        c = _dot(eps, [e * v for e, v in zip(eps, dx_dnu)])
+        det = a * d - b * c
+        if det == 0.0:
             return None
+        step = ((b * r_energy - d * r_norm) / det,
+                (c * r_norm - a * r_energy) / det)
         size = 1.0
         for _ in range(60):
             cand = (lam + size * step[0], nu + size * step[1])
             # stay where every exponent lam*eps_i + nu is positive
-            if float(np.min(cand[0] * eps + cand[1])) > 0:
-                cand_err = float(np.max(np.abs(_be_residual(spec, *cand))))
+            if min(cand[0] * e + cand[1] for e in eps) > 0:
+                cand_err = max(map(abs, _be_residual(spec, *cand)))
                 if cand_err < err:
                     lam, nu = cand
                     break
@@ -254,8 +255,8 @@ def solve_regime2_multipliers(spec: EnsembleSpec,
     target = float(spec.energy_cap)
 
     def mean_energy(lam):
-        x = _be_fractions(spec, lam, _be_nu_for_lam(spec, lam))
-        return float(spec.energies_float @ x)
+        return _dot(spec.energies_float,
+                    _be_fractions(spec, lam, _be_nu_for_lam(spec, lam)))
 
     lo = 1e-12
     hi = 1.0
@@ -274,15 +275,15 @@ def solve_regime2_multipliers(spec: EnsembleSpec,
     return polished if polished is not None else (lam, nu)
 
 
-def x_star_from_multipliers(spec: EnsembleSpec, lam: float, nu: float) -> np.ndarray:
+def x_star_from_multipliers(spec: EnsembleSpec, lam: float,
+                            nu: float) -> tuple[float, ...]:
     """Stationarity solution for the spec's regime at given multipliers."""
-    eps = spec.energies_float
-    g = spec.weights_array
+    pairs = zip(spec.weights, spec.energies_float)
     if spec.regime is Regime.HIGH_DEGENERACY:
-        return g * np.exp(-(lam * eps + nu))
+        return tuple(g * math.exp(-(lam * e + nu)) for g, e in pairs)
     if spec.regime is Regime.PROPORTIONAL:
-        return _be_fractions(spec, lam, nu)
-    return g / (lam * eps + nu)
+        return tuple(_be_fractions(spec, lam, nu))
+    return tuple(g / (lam * e + nu) for g, e in pairs)
 
 
 _INTERIOR_SOLVERS = {
@@ -302,76 +303,22 @@ def solve(spec: EnsembleSpec) -> MaxEntSolution:
     """Limiting distribution x* and multipliers for a validated spec."""
     kind = classify_maximum(spec)
     if kind is MaximumKind.INTERIOR:
-        x = spec.weights_array.copy()
+        x = spec.weights
         lam, nu = 0.0, _INTERIOR_SOLVERS[spec.regime](spec)
-        residual_norm = abs(float(x.sum()) - 1.0)
+        residual_norm = abs(sum(x) - 1.0)
         residual_energy = None
     else:
         lam, nu = _BOUNDARY_SOLVERS[spec.regime](spec)
         x = x_star_from_multipliers(spec, lam, nu)
-        residual_norm = abs(float(x.sum()) - 1.0)
-        residual_energy = abs(float(spec.energies_float @ x)
+        residual_norm = abs(sum(x) - 1.0)
+        residual_energy = abs(_dot(spec.energies_float, x)
                               - float(spec.energy_cap))
         if residual_norm > RESIDUAL_TOL or residual_energy > RESIDUAL_TOL:
             raise SolverError(
                 f"multiplier solve left residuals (|sum x - 1|, |sum eps*x - E|)"
                 f" = ({residual_norm:.3e}, {residual_energy:.3e})")
-    if np.any(x <= 0.0):
+    if min(x) <= 0.0:
         raise SolverError(f"solution left the positive simplex: {x}")
-    x.setflags(write=False)
     return MaxEntSolution(x_star=x, kind=kind, lam=lam, nu=nu,
                           regime=spec.regime, residual_norm=residual_norm,
                           residual_energy=residual_energy)
-
-
-def kkt_stationarity_residual(spec: EnsembleSpec,
-                              sol: MaxEntSolution) -> float:
-    """Max-norm of grad s_l(x*) - (lam*eps + nu); ~0 at a valid solution."""
-    model = entropy_model_for(spec)
-    grad = limit_entropy_grad(model, sol.x_star)
-    return float(np.max(np.abs(grad - (sol.lam * spec.energies_float + sol.nu))))
-
-
-def oracle_grid_maximize(spec: EnsembleSpec, resolution: int = 1000) -> np.ndarray:
-    """Brute-force maximizer of s_l over the capped simplex grid.
-
-    Evaluates every feasible grid point {k/resolution} with all k_i >= 1
-    (the optimization domain keeps x_i > 0), picks the best, and refines
-    once on a 10x finer local subgrid.  Independent of the multiplier
-    solvers; intended for verification at m <= 4.
-    """
-    if spec.m > 4:
-        raise ValueError("grid oracle supports m <= 4")
-    if resolution > 2000:
-        raise ValueError("grid oracle supports resolution <= 2000")
-    if math.comb(resolution + spec.m - 1, spec.m - 1) > 50_000_000:
-        raise ValueError("grid too large; lower the resolution")
-    model = entropy_model_for(spec)
-    if spec.m == 1:
-        return np.array([1.0])
-    states = enumerate_states(spec, resolution, budget=50_000_000)
-    states = states[(states >= 1).all(axis=1)]
-    if states.shape[0] == 0:
-        raise SolverError("no strictly positive feasible grid point; "
-                          "resolution too coarse for this spec")
-    x = states / resolution
-    best = x[int(np.argmax(limit_entropy(model, x)))]
-    return _refine_once(spec, model, best, resolution)
-
-
-def _refine_once(spec: EnsembleSpec, model: EntropyModel, x0: np.ndarray,
-                 resolution: int) -> np.ndarray:
-    m = spec.m
-    sub = 1.0 / (10.0 * resolution)
-    offsets = np.stack(np.meshgrid(*([np.arange(-10, 11)] * (m - 1)),
-                                   indexing="ij"), axis=-1).reshape(-1, m - 1)
-    cand = np.empty((offsets.shape[0], m))
-    cand[:, : m - 1] = x0[: m - 1] + offsets * sub
-    cand[:, m - 1] = 1.0 - cand[:, : m - 1].sum(axis=1)
-    feasible = ((cand > 0.0).all(axis=1)
-                & (cand @ spec.energies_float
-                   <= float(spec.energy_cap) + 1e-12))
-    cand = cand[feasible]
-    if cand.shape[0] == 0:
-        return x0
-    return cand[int(np.argmax(limit_entropy(model, cand)))]

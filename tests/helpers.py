@@ -3,21 +3,34 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from occens import (
     ChainConfig,
+    DegeneracyAssignment,
     EnumerationBudgetError,
+    LayerDecomposition,
+    MaxEntSolution,
+    MaximumKind,
     Occupancy,
+    Regime,
+    SolverError,
+    SpecValidationError,
     build_distribution,
     degeneracies_for,
     entropy_exact,
+    entropy_model_for,
+    enumerate_states,
     level_log_weights,
+    limit_entropy_grad,
     make_spec,
     threshold_energy,
 )
+from occens.core import WEIGHT_SUM_TOL, EnsembleSpec
+from occens.maxent import RESIDUAL_TOL, _BRACKET_GROWTH_CAP, _bisect_monotone
 
 TWO_LEVEL_ENERGIES = ["1", "2"]
 TWO_LEVEL_WEIGHTS = [0.5, 0.5]
@@ -229,3 +242,423 @@ def brute_force_state_count(spec, n):
         parts = [edges[i + 1] - edges[i] - 1 for i in range(m)]
         count += sum(p * ei for p, ei in zip(parts, e)) <= cap
     return count
+
+
+def occupancy_energy_units(spec, counts) -> int:
+    """Total energy of a count vector in integer 1/q units."""
+    return int(np.asarray(counts, dtype=np.int64) @
+               np.array(spec.energy_units, dtype=np.int64))
+
+
+def assert_feasible(spec, occ: Occupancy) -> Occupancy:
+    """Check the energy-cap invariant of an occupancy against a spec."""
+    if len(occ.counts) != spec.m:
+        raise ValueError(f"occupancy has {len(occ.counts)} levels, spec has {spec.m}")
+    used = occupancy_energy_units(spec, occ.counts)
+    cap = spec.energy_cap_units(occ.total)
+    if used > cap:
+        raise ValueError(
+            f"occupancy {occ.counts} violates energy cap: {used} > {cap} (1/q units)")
+    return occ
+
+
+def fraction_vector(spec, x) -> np.ndarray:
+    """Validate a point of the fraction simplex under the energy cap."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.m,):
+        raise ValueError(f"expected shape ({spec.m},), got {x.shape}")
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise ValueError(f"fractions must lie in [0, 1]: {x}")
+    if abs(x.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"fractions sum to {x.sum()!r}, expected 1")
+    energies = np.array(spec.energies_float)
+    if float(x @ energies) > float(spec.energy_cap) + 1e-12:
+        raise ValueError(
+            f"mean energy {x @ energies} exceeds cap {float(spec.energy_cap)}")
+    return x
+
+
+def reference_degeneracies_for(spec, n):
+    """The NumPy largest-remainder split, kept as the oracle for
+    `degeneracies_for`; returns the per-level tuple."""
+    total = spec.schedule(n)
+    m = spec.m
+    if total < m:
+        raise SpecValidationError(
+            [f"schedule yields G(N)={total} < m={m} at N={n}"])
+    target = np.array(spec.weights) * total
+    base = np.floor(target).astype(np.int64)
+    short = total - int(base.sum())
+    order = np.argsort(-(target - base), kind="stable")
+    base[order[:short]] += 1
+    while np.any(base == 0):
+        base[int(np.argmax(base))] -= 1
+        base[int(np.argmin(base))] += 1
+    assignment = DegeneracyAssignment(total=total, per_level=tuple(int(v) for v in base))
+    drift = np.max(np.abs(assignment.as_array - target))
+    if drift > 1.0 + 1e-9:
+        raise SpecValidationError(
+            [f"degeneracy rounding drift {drift:.3f} exceeds 1 at N={n}; "
+             f"weights too small for G(N)={total}"])
+    return assignment.per_level
+
+
+def reference_layer_decomposition(dist):
+    """Grouping by np.unique over the sorted slack, kept as the oracle for
+    `layer_decomposition`."""
+    e = np.array(dist.spec.energy_units, dtype=np.int64)
+    cap = dist.spec.energy_cap_units(dist.n)
+    slack = cap - dist.counts @ e
+    order = np.argsort(slack, kind="stable")
+    values, starts = np.unique(slack[order], return_index=True)
+    members = tuple(np.split(order, starts[1:]))
+    masses = np.array([float(dist.pmf[idx].sum()) for idx in members])
+    return LayerDecomposition(slacks=tuple(int(v) for v in values),
+                              masses=masses, members=members)
+
+
+# The NumPy multiplier solver, kept as the oracle for `solve`.  It reads
+# the spec's float vectors as arrays (_ArraySpec); apart from the _ref
+# prefix, that view and the threshold energy written out as the np.dot it
+# was, the code below is the solver as it was.
+
+class _ArraySpec:
+    """A spec whose float vectors are NumPy arrays."""
+
+    def __init__(self, spec):
+        self._spec = spec
+        self.energies_float = np.array(spec.energies_float)
+        self.weights_array = np.array(spec.weights)
+
+    def __getattr__(self, name):
+        return getattr(self._spec, name)
+
+
+def reference_solve(spec) -> MaxEntSolution:
+    """`solve` as computed by the NumPy solver (x_star an array)."""
+    return _ref_solve(_ArraySpec(spec))
+
+
+def _ref_classify_maximum(spec: EnsembleSpec) -> MaximumKind:
+    """Interior iff E >= sum(g_i*eps_i); boundary iff eps_1 < E below that."""
+    if not spec.energy_cap > spec.energies[0]:
+        raise ValueError("empty domain: E <= eps_1")
+    threshold = float(np.dot(spec.weights_array, spec.energies_float))
+    if float(spec.energy_cap) >= threshold - 1e-12 * max(1.0, abs(threshold)):
+        return MaximumKind.INTERIOR
+    return MaximumKind.BOUNDARY
+
+
+def _ref_require_boundary(spec: EnsembleSpec) -> None:
+    if _ref_classify_maximum(spec) is not MaximumKind.BOUNDARY:
+        raise ValueError("not a boundary instance: E >= sum(g_i*eps_i)")
+
+
+def _ref_mb_mean_energy(spec: EnsembleSpec, lam: float) -> float:
+    # E(lam) = sum g*eps*exp(-lam*eps) / sum g*exp(-lam*eps), computed with
+    # a max shift so large lam (or negative energies) cannot overflow.
+    a = -lam * spec.energies_float
+    w = spec.weights_array * np.exp(a - a.max())
+    return float((spec.energies_float @ w) / w.sum())
+
+
+def _ref_solve_regime1_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
+    """Multipliers for the high-degeneracy boundary case.
+
+    E(lam) is strictly decreasing, so lam comes from bisection on a bracket
+    grown geometrically from [0, 1]; nu then has the closed form
+    ln sum g_i exp(-lam*eps_i).
+    """
+    _ref_require_boundary(spec)
+    target = float(spec.energy_cap)
+    hi = 1.0
+    for _ in range(_BRACKET_GROWTH_CAP):
+        if _ref_mb_mean_energy(spec, hi) < target:
+            break
+        hi *= 2.0
+    else:
+        raise SolverError(f"no bracket for lam: E({hi}) still above {target}")
+    lam = _bisect_monotone(lambda t: _ref_mb_mean_energy(spec, t), target,
+                           0.0, hi, increasing=False)
+    a = -lam * spec.energies_float
+    shift = float(a.max())
+    nu = shift + math.log(float((spec.weights_array * np.exp(a - shift)).sum()))
+    return lam, nu
+
+
+def _ref_zm_mean_energy(spec: EnsembleSpec, alpha: float) -> float:
+    # E(alpha) = sum g*eps/(eps+alpha) / sum g/(eps+alpha); strictly
+    # increasing on alpha > -eps_1, from eps_1 up to sum g*eps.
+    denom = spec.energies_float + alpha
+    w = spec.weights_array / denom
+    return float((spec.energies_float @ w) / w.sum())
+
+
+def _ref_solve_regime3_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
+    """Multipliers for the low-degeneracy boundary case via nu = lam*alpha.
+
+    The substitution reduces the system to one monotone equation E(alpha)
+    on (-eps_1, inf); lam = sum g_i/(eps_i+alpha) then makes sum x_i = 1
+    exact by construction, and lam*eps_i + nu = lam*(eps_i+alpha) > 0.
+    """
+    _ref_require_boundary(spec)
+    target = float(spec.energy_cap)
+    eps1 = float(spec.energies[0])
+    scale = max(1.0, abs(eps1))
+    delta = scale
+    for _ in range(_BRACKET_GROWTH_CAP):
+        if _ref_zm_mean_energy(spec, -eps1 + delta) < target:
+            break
+        delta *= 0.25
+    else:
+        raise SolverError("no lower bracket for alpha near -eps_1")
+    lo = -eps1 + delta
+    hi = max(lo, scale)
+    for _ in range(_BRACKET_GROWTH_CAP):
+        if _ref_zm_mean_energy(spec, hi) > target:
+            break
+        hi = hi * 4.0 + scale
+    else:
+        raise SolverError(f"no upper bracket for alpha: E({hi}) below {target}")
+    alpha = _bisect_monotone(lambda a: _ref_zm_mean_energy(spec, a), target,
+                             lo, hi, increasing=True)
+    lam = float((spec.weights_array / (spec.energies_float + alpha)).sum())
+    nu = lam * alpha
+    return lam, nu
+
+
+def _ref_be_fractions(spec: EnsembleSpec, lam: float, nu: float) -> np.ndarray:
+    t = lam * spec.energies_float + nu
+    # bracket growth may probe the exponent floor t -> 0+, where the
+    # fraction legitimately diverges; comparisons handle the inf
+    with np.errstate(divide="ignore", over="ignore"):
+        return spec.weights_array * spec.c / np.expm1(t)
+
+
+def _ref_be_residual(spec: EnsembleSpec, lam: float, nu: float) -> np.ndarray:
+    x = _ref_be_fractions(spec, lam, nu)
+    return np.array([x.sum() - 1.0,
+                     float(spec.energies_float @ x) - float(spec.energy_cap)])
+
+
+def _ref_be_nu_for_lam(spec: EnsembleSpec, lam: float) -> float:
+    # Inner solve of sum x_i = 1 in nu; the sum is strictly decreasing on
+    # nu > -lam*eps_1 and covers (0, inf), so the bracket always closes.
+    nu_floor = -lam * float(spec.energies[0])
+
+    def total(nu):
+        return float(_ref_be_fractions(spec, lam, nu).sum())
+
+    delta = 1.0
+    for _ in range(_BRACKET_GROWTH_CAP):
+        if total(nu_floor + delta) > 1.0:
+            break
+        delta *= 0.25
+    else:
+        raise SolverError("inner nu bracket failed near nu -> -lam*eps_1")
+    lo = nu_floor + delta
+    hi = lo + 1.0
+    for _ in range(_BRACKET_GROWTH_CAP):
+        if total(hi) < 1.0:
+            break
+        hi = 2.0 * hi - nu_floor
+    else:
+        raise SolverError("inner nu bracket failed for large nu")
+    return _bisect_monotone(total, 1.0, lo, hi, increasing=False)
+
+
+def _ref_be_newton(spec: EnsembleSpec, lam: float, nu: float):
+    eps = spec.energies_float
+    gc = spec.weights_array * spec.c
+    best = None
+    for _ in range(100):
+        resid = _ref_be_residual(spec, lam, nu)
+        err = float(np.max(np.abs(resid)))
+        if best is None or err < best[0]:
+            best = (err, lam, nu)
+        if err < 1e-13:
+            return lam, nu
+        x = _ref_be_fractions(spec, lam, nu)
+        dx_dnu = -x * (1.0 + x / gc)
+        dx_dlam = eps * dx_dnu
+        jac = np.array([[dx_dlam.sum(), dx_dnu.sum()],
+                        [eps @ dx_dlam, eps @ dx_dnu]])
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError:
+            return None
+        size = 1.0
+        for _ in range(60):
+            cand = (lam + size * step[0], nu + size * step[1])
+            # stay where every exponent lam*eps_i + nu is positive
+            if float(np.min(cand[0] * eps + cand[1])) > 0:
+                cand_err = float(np.max(np.abs(_ref_be_residual(spec, *cand))))
+                if cand_err < err:
+                    lam, nu = cand
+                    break
+            size *= 0.5
+        else:
+            return None
+    return None
+
+
+def _ref_solve_regime2_multipliers(spec: EnsembleSpec,
+                              initial: tuple[float, float] | None = None
+                              ) -> tuple[float, float]:
+    """Multipliers for the proportional boundary case.
+
+    The two multipliers cannot be factorized, so the 2-D root of
+    (sum x - 1, sum eps*x - E) is found by damped Newton with the analytic
+    Jacobian; if Newton stalls, a nested bisection (outer lam, inner nu
+    from the monotone normalization equation) recovers the unique root.
+    """
+    _ref_require_boundary(spec)
+    if initial is None:
+        lam0, _ = _ref_solve_regime1_multipliers(spec)
+        initial = (lam0, _ref_be_nu_for_lam(spec, lam0))
+    result = _ref_be_newton(spec, *initial)
+    if result is not None:
+        return result
+
+    target = float(spec.energy_cap)
+
+    def mean_energy(lam):
+        x = _ref_be_fractions(spec, lam, _ref_be_nu_for_lam(spec, lam))
+        return float(spec.energies_float @ x)
+
+    lo = 1e-12
+    hi = 1.0
+    for _ in range(_BRACKET_GROWTH_CAP):
+        if mean_energy(hi) < target:
+            break
+        hi *= 2.0
+    else:
+        raise SolverError(
+            f"regime-2 fallback found no bracket; residual at lam={hi}: "
+            f"{_ref_be_residual(spec, hi, _ref_be_nu_for_lam(spec, hi))}")
+    lam = _bisect_monotone(mean_energy, target, lo, hi, increasing=False)
+    nu = _ref_be_nu_for_lam(spec, lam)
+    # Polish the bisection estimate; keep it if Newton declines to improve.
+    polished = _ref_be_newton(spec, lam, nu)
+    return polished if polished is not None else (lam, nu)
+
+
+def _ref_x_star_from_multipliers(spec: EnsembleSpec, lam: float, nu: float) -> np.ndarray:
+    """Stationarity solution for the spec's regime at given multipliers."""
+    eps = spec.energies_float
+    g = spec.weights_array
+    if spec.regime is Regime.HIGH_DEGENERACY:
+        return g * np.exp(-(lam * eps + nu))
+    if spec.regime is Regime.PROPORTIONAL:
+        return _ref_be_fractions(spec, lam, nu)
+    return g / (lam * eps + nu)
+
+
+_ref_INTERIOR_SOLVERS = {
+    Regime.HIGH_DEGENERACY: lambda spec: 0.0,
+    Regime.PROPORTIONAL: lambda spec: math.log1p(spec.c),
+    Regime.LOW_DEGENERACY: lambda spec: 1.0,
+}
+
+_ref_BOUNDARY_SOLVERS = {
+    Regime.HIGH_DEGENERACY: _ref_solve_regime1_multipliers,
+    Regime.PROPORTIONAL: _ref_solve_regime2_multipliers,
+    Regime.LOW_DEGENERACY: _ref_solve_regime3_multipliers,
+}
+
+
+def _ref_solve(spec) -> MaxEntSolution:
+    kind = _ref_classify_maximum(spec)
+    if kind is MaximumKind.INTERIOR:
+        x = spec.weights_array.copy()
+        lam, nu = 0.0, _ref_INTERIOR_SOLVERS[spec.regime](spec)
+        residual_norm = abs(float(x.sum()) - 1.0)
+        residual_energy = None
+    else:
+        lam, nu = _ref_BOUNDARY_SOLVERS[spec.regime](spec)
+        x = _ref_x_star_from_multipliers(spec, lam, nu)
+        residual_norm = abs(float(x.sum()) - 1.0)
+        residual_energy = abs(float(spec.energies_float @ x)
+                              - float(spec.energy_cap))
+        if residual_norm > RESIDUAL_TOL or residual_energy > RESIDUAL_TOL:
+            raise SolverError(
+                f"multiplier solve left residuals (|sum x - 1|, |sum eps*x - E|)"
+                f" = ({residual_norm:.3e}, {residual_energy:.3e})")
+    if np.any(x <= 0.0):
+        raise SolverError(f"solution left the positive simplex: {x}")
+    x.setflags(write=False)
+    return MaxEntSolution(x_star=x, kind=kind, lam=lam, nu=nu,
+                          regime=spec.regime, residual_norm=residual_norm,
+                          residual_energy=residual_energy)
+
+
+# Test-only oracles over the limit entropy.
+
+def _rows_limit_entropy(model, x):
+    """s_l over the rows of x, vectorized; zero components contribute 0."""
+    x = np.asarray(x, dtype=float)
+    g = np.array(model.g)
+    positive = x > 0.0
+    xs = np.where(positive, x, 1.0)  # placeholder keeps logs finite
+    if model.regime is Regime.HIGH_DEGENERACY:
+        terms = xs * np.log(g / xs) + xs
+    elif model.regime is Regime.PROPORTIONAL:
+        gc = g * model.c
+        terms = (xs + gc) * np.log(xs + gc) - xs * np.log(xs)
+    else:
+        terms = g * np.log(xs) + g
+    return np.where(positive, terms, 0.0).sum(axis=-1)
+
+
+def kkt_stationarity_residual(spec: EnsembleSpec,
+                              sol: MaxEntSolution) -> float:
+    """Max-norm of grad s_l(x*) - (lam*eps + nu); ~0 at a valid solution."""
+    model = entropy_model_for(spec)
+    grad = np.array(limit_entropy_grad(model, sol.x_star))
+    return float(np.max(np.abs(
+        grad - (sol.lam * np.array(spec.energies_float) + sol.nu))))
+
+
+def oracle_grid_maximize(spec: EnsembleSpec, resolution: int = 1000) -> np.ndarray:
+    """Brute-force maximizer of s_l over the capped simplex grid.
+
+    Evaluates every feasible grid point {k/resolution} with all k_i >= 1
+    (the optimization domain keeps x_i > 0), picks the best, and refines
+    once on a 10x finer local subgrid.  Independent of the multiplier
+    solvers; intended for verification at m <= 4.
+    """
+    if spec.m > 4:
+        raise ValueError("grid oracle supports m <= 4")
+    if resolution > 2000:
+        raise ValueError("grid oracle supports resolution <= 2000")
+    if math.comb(resolution + spec.m - 1, spec.m - 1) > 50_000_000:
+        raise ValueError("grid too large; lower the resolution")
+    model = entropy_model_for(spec)
+    if spec.m == 1:
+        return np.array([1.0])
+    states = enumerate_states(spec, resolution, budget=50_000_000)
+    states = states[(states >= 1).all(axis=1)]
+    if states.shape[0] == 0:
+        raise SolverError("no strictly positive feasible grid point; "
+                          "resolution too coarse for this spec")
+    x = states / resolution
+    best = x[int(np.argmax(_rows_limit_entropy(model, x)))]
+    return _refine_once(spec, model, best, resolution)
+
+
+def _refine_once(spec: EnsembleSpec, model, x0: np.ndarray,
+                 resolution: int) -> np.ndarray:
+    m = spec.m
+    sub = 1.0 / (10.0 * resolution)
+    offsets = np.stack(np.meshgrid(*([np.arange(-10, 11)] * (m - 1)),
+                                   indexing="ij"), axis=-1).reshape(-1, m - 1)
+    cand = np.empty((offsets.shape[0], m))
+    cand[:, : m - 1] = x0[: m - 1] + offsets * sub
+    cand[:, m - 1] = 1.0 - cand[:, : m - 1].sum(axis=1)
+    feasible = ((cand > 0.0).all(axis=1)
+                & (cand @ spec.energies_float
+                   <= float(spec.energy_cap) + 1e-12))
+    cand = cand[feasible]
+    if cand.shape[0] == 0:
+        return x0
+    return cand[int(np.argmax(_rows_limit_entropy(model, cand)))]

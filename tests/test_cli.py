@@ -365,23 +365,105 @@ class TestSample:
         assert main(["sample", "--config", config]) == 2
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
-    # No command needs SciPy: neither importing the CLI nor running
-    # entropy-probe, the command that used to call gammaln, loads it.
+def test_commands_import_only_what_they_use(tmp_path):
+    # NumPy is imported only by code that holds arrays over states: the
+    # package, the CLI, `solve` and `entropy-probe` load none of it (nor
+    # SciPy, which no command needs), and a sweep at --jobs 1 loads no
+    # process-pool machinery.  Every exported name still imports lazily.
     env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
-    loaded = "any(name.split('.')[0] == 'scipy' for name in sys.modules)"
-    code = f"import sys, occens.cli; print({loaded})"
+    solve_config = write_config(tmp_path, BOUNDARY_CONFIG, "solve.json")
+    probe_config = write_config(tmp_path, {
+        **BOUNDARY_CONFIG, "N_list": [10, 100, 1000], "x_probe": [0.6, 0.4]},
+        "probe.json")
+    sweep_config = write_config(tmp_path, {
+        **BOUNDARY_CONFIG, "N_list": [16, 32]}, "sweep.json")
+    probe_out = tmp_path / "probe.csv"
+    code = f"""
+import sys
+def loaded(*roots):
+    return sorted({{name.split('.')[0] for name in sys.modules}} & set(roots))
+import occens
+print('import occens', loaded('numpy', 'scipy'))
+import occens.cli
+print('import occens.cli', loaded('numpy', 'scipy'))
+from occens.cli import main
+assert main(['solve', '--config', {solve_config!r}, '--out', {str(tmp_path / 'sol.json')!r}]) == 0
+print('solve', loaded('numpy', 'scipy'))
+assert main(['entropy-probe', '--config', {probe_config!r}, '--out', {str(probe_out)!r}]) == 0
+print('entropy-probe', loaded('numpy', 'scipy'))
+assert main(['lln-sweep', '--config', {sweep_config!r}, '--out', {str(tmp_path / 'sweep.csv')!r}, '--jobs', '1']) == 0
+print('lln-sweep', loaded('scipy', 'multiprocessing', 'concurrent'))
+for name in occens.__all__:
+    exec(f'from occens import {{name}}')
+    assert name in dir(occens), name
+print('exports', len(occens.__all__))
+"""
     done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
-    config = write_config(tmp_path, {
-        **BOUNDARY_CONFIG, "N_list": [10, 100, 1000], "x_probe": [0.6, 0.4]})
-    out = tmp_path / "probe.csv"
-    argv = ["entropy-probe", "--config", config, "--out", str(out)]
-    code = ("import sys; from occens.cli import main; "
-            f"status = main({argv!r}); print(status, {loaded})")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout.split() == ["0", "False"]
-    _, header, rows = read_csv(out)
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "import occens []", "import occens.cli []", "solve []",
+        "entropy-probe []", "lln-sweep []",
+        f"exports {len(occens.__all__)}"]
+    _, header, rows = read_csv(probe_out)
     assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0
+
+
+M3_PROPORTIONAL = {**M3_CONFIG, "regime": "proportional", "c": 1.0}
+
+
+def assert_config_error(capsys, code):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "config"  # exactly one JSON object
+    return json.loads(err)["detail"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("entropy-probe", {"N_list": [10], "x_probe": [0.5, "a", 0.5]}),
+    ("lln-sweep", {"N_list": [10], "xi_list": [["a", 1, 2]]}),
+    ("lln-sweep", {"N_list": [10], "budget": "x"}),
+    ("sample", {"N": 10, "seed": "abc"}),
+    ("sample", {"N": 10, "method": "metropolis", "chain": {"steps": "x"}}),
+    ("sample", {"N": 10, "method": "metropolis",
+                "chain": {"steps": 100, "burn_in": "5"}}),
+], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in"])
+def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
+    assert_config_error(capsys, main([command, "--config", config]))
+
+
+@pytest.mark.parametrize("command, extra, flags, named", [
+    ("lln-sweep", {"N_list": [10]}, ["--budget", "0"], "budget must be"),
+    ("lln-sweep", {"N_list": [10], "budget": 0}, [], "budget must be"),
+    ("lln-sweep", {"N_list": [10], "budget": True}, [], "budget must be"),
+    ("lln-sweep", {"N_list": [10]}, ["--jobs", "0"], "--jobs must be"),
+    ("lln-sweep", {"N_list": [True, 2]}, [], "N_list must be"),
+    ("sample", {"N": True}, [], "N must be"),
+    ("sample", {"N": 10, "count": True}, [], "count must be"),
+], ids=["budget-flag-0", "budget-0", "budget-bool", "jobs-0", "N_list-bool",
+        "N-bool", "count-bool"])
+def test_budget_jobs_and_booleans_rejected(tmp_path, capsys, command, extra,
+                                           flags, named):
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
+    detail = assert_config_error(capsys, main([command, "--config", config,
+                                               *flags]))
+    assert named in detail
+
+
+@pytest.mark.parametrize("probe", [[1.5, -0.5, 0.0], [0.5, 0.5, 0.5],
+                                   [0.5, 0.5, math.nan]])
+def test_probe_off_simplex_rejected(tmp_path, capsys, probe):
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, "N_list": [10, 20],
+                                     "x_probe": probe})
+    assert_config_error(capsys, main(["entropy-probe", "--config", config]))
+
+
+def test_probe_above_energy_cap_accepted(tmp_path):
+    # mean energy 2.7 exceeds the 8/5 cap; the probe measures s_l anywhere
+    # on the simplex, so the cap is not checked
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, "N_list": [10, 20],
+                                     "x_probe": [0.1, 0.1, 0.8]})
+    assert main(["entropy-probe", "--config", config,
+                 "--out", str(tmp_path / "probe.csv")]) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occens import (
     DegeneracySchedule,
@@ -13,9 +15,8 @@ from occens import (
     threshold_energy,
     validate_spec,
 )
-from occens.core import assert_feasible, fraction_vector
-
-from helpers import random_spec, two_level_spec
+from helpers import (assert_feasible, fraction_vector, random_spec,
+                     reference_degeneracies_for, two_level_spec)
 
 
 class TestValidation:
@@ -142,7 +143,7 @@ class TestDegeneracies:
                 except SpecValidationError:
                     assert spec.schedule(n) < 1 / min(spec.weights)
                     continue
-                target = spec.weights_array * deg.total
+                target = np.array(spec.weights) * deg.total
                 assert np.max(np.abs(deg.as_array - target)) <= 1.0 + 1e-9
             assert degeneracies_for(spec, 500) is not None
 
@@ -193,3 +194,30 @@ class TestFractionVector:
             fraction_vector(spec, [0.7, 0.2])
         with pytest.raises(ValueError, match="exceeds cap"):
             fraction_vector(spec, [0.1, 0.9])  # mean energy 1.9 > 1.4
+
+
+@st.composite
+def weighted_specs(draw):
+    """Specs with m <= 6 and weights k_i / sum(k), so remainders can tie."""
+    m = draw(st.integers(1, 6))
+    ks = draw(st.lists(st.integers(1, 40), min_size=m, max_size=m))
+    regime = draw(st.sampled_from(["high_degeneracy", "proportional",
+                                   "low_degeneracy"]))
+    kwargs = {"c": draw(st.sampled_from([0.5, 1.0, 1.3, 3.0]))} \
+        if regime == "proportional" else {}
+    weights = [k / sum(ks) for k in ks]
+    return make_spec([str(i + 1) for i in range(m)], weights, m + 1, regime,
+                     **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_specs(), st.integers(1, 3000))
+def test_degeneracies_match_numpy_reference(spec, n):
+    try:
+        want = reference_degeneracies_for(spec, n)
+    except SpecValidationError as exc:
+        with pytest.raises(SpecValidationError) as err:
+            degeneracies_for(spec, n)
+        assert str(err.value) == str(exc)
+        return
+    assert degeneracies_for(spec, n).per_level == want

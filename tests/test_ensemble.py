@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from occens import (
     EnumerationBudgetError,
+    SpecValidationError,
     build_distribution,
     enumerate_states,
     exact_covariance,
@@ -23,6 +24,7 @@ from helpers import (
     brute_force_state_count,
     random_spec,
     reference_enumerate_states,
+    reference_layer_decomposition,
     reference_log_multiplicity,
     two_level_spec,
 )
@@ -245,3 +247,23 @@ class TestDump:
         first = lines[0].split(",")
         assert first[:2] == ["2", "2"]
         assert float(first[3]) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(["high_degeneracy", "proportional",
+                               "low_degeneracy"]),
+       m=st.integers(2, 4), n=st.integers(1, 60))
+def test_layers_match_unique_grouping(seed, regime, m, n):
+    # Layer starts come from the sorted slack's steps instead of a second
+    # sort in np.unique; the grouping and the masses must not move a bit.
+    spec = random_spec(np.random.default_rng(seed), regime, m, boundary=True)
+    try:
+        dist = build_distribution(spec, n)
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    got, want = layer_decomposition(dist), reference_layer_decomposition(dist)
+    assert got.slacks == want.slacks
+    assert len(got.members) == len(want.members)
+    assert all(np.array_equal(a, b) for a, b in zip(got.members, want.members))
+    assert np.array_equal(got.masses, want.masses)

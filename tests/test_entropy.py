@@ -231,7 +231,7 @@ class TestDerivatives:
             x = x / x.sum()
             grad = limit_entropy_grad(model, x)
             hess = limit_entropy_hessian_diag(model, x)
-            assert np.all(hess < 0.0)
+            assert np.all(np.array(hess) < 0.0)
             for i in range(m):
                 fd_grad = central_diff(lambda p: float(limit_entropy(model, p)),
                                        x, i, 1e-6)
@@ -291,4 +291,4 @@ class TestModelFactory:
             x = rng.dirichlet(np.ones(3))
             x = np.clip(x, 0.05, None)
             x = x / x.sum()
-            assert np.all(limit_entropy_hessian_diag(model, x) < 0.0)
+            assert np.all(np.array(limit_entropy_hessian_diag(model, x)) < 0.0)

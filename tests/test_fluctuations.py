@@ -51,7 +51,7 @@ class TestInteriorPrediction:
         spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], 3,
                          "proportional", c=1.0)
         pred = predict_interior(spec)
-        h_red = reduced_hessian(spec, spec.weights_array)
+        h_red = reduced_hessian(spec, spec.weights)
         assert np.max(np.abs((-h_red) @ pred.covariance - np.eye(2))) < 1e-10
 
     def test_rejects_boundary_instance(self):
@@ -147,7 +147,7 @@ class TestStationarityGeometry:
             spec = random_spec(rng, regime, 3, boundary=True)
             sol = solve(spec)
             model = entropy_model_for(spec)
-            grad = limit_entropy_grad(model, sol.x_star)
+            grad = np.array(limit_entropy_grad(model, sol.x_star))
             reduced = grad[:-1] - grad[-1]
             in_plane = rotation_basis(spec)[:, 1:]
             assert np.max(np.abs(reduced @ in_plane)) < 1e-8

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occens import (
     MaximumKind,
     Regime,
     classify_maximum,
     default_schedule,
-    kkt_stationarity_residual,
     make_spec,
-    oracle_grid_maximize,
     solve,
     solve_regime1_multipliers,
     solve_regime2_multipliers,
@@ -20,9 +20,10 @@ from occens import (
 )
 from occens.core import EnsembleSpec
 from occens.entropy import entropy_model_for, limit_entropy
-from occens.maxent import x_star_from_multipliers
+from occens.maxent import _be_newton, _be_nu_for_lam, x_star_from_multipliers
 
-from helpers import random_spec, two_level_spec
+from helpers import (kkt_stationarity_residual, oracle_grid_maximize,
+                     random_spec, reference_solve, two_level_spec)
 
 REGIMES = [("high_degeneracy", {}), ("proportional", {"c": 1.0}),
            ("low_degeneracy", {})]
@@ -93,7 +94,7 @@ class TestSolverContracts:
         spec = two_level_spec(regime, energy_cap=4, **kwargs)
         sol = solve(spec)
         assert sol.kind is MaximumKind.INTERIOR
-        assert np.array_equal(sol.x_star, spec.weights_array)
+        assert np.array_equal(sol.x_star, spec.weights)
         assert sol.lam == 0.0
 
     def test_interior_nu_by_regime(self):
@@ -115,7 +116,7 @@ class TestSolverContracts:
                 assert sol.lam > 0
                 assert sol.residual_norm < 1e-10
                 assert sol.residual_energy < 1e-10
-                assert np.all(sol.x_star > 0)
+                assert np.all(np.array(sol.x_star) > 0)
 
     @pytest.mark.parametrize("regime,kwargs", REGIMES)
     def test_kkt_stationarity(self, regime, kwargs):
@@ -129,7 +130,7 @@ class TestSolverContracts:
         spec = two_level_spec("high_degeneracy")
         lam, nu = solve_regime1_multipliers(spec)
         x = x_star_from_multipliers(spec, lam, nu)
-        assert float(spec.energies_float @ x) == pytest.approx(
+        assert float(np.dot(spec.energies_float, x)) == pytest.approx(
             float(spec.energy_cap), abs=1e-10)
 
     def test_boundary_solvers_reject_interior_specs(self):
@@ -184,7 +185,7 @@ class TestMultiplierBehaviour:
         gaps = []
         for c in (1.0, 10.0, 100.0):
             x = solve(make_spec(energies, weights, cap, "proportional", c=c)).x_star
-            gaps.append(float(np.max(np.abs(x - target))))
+            gaps.append(float(np.max(np.abs(np.subtract(x, target)))))
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -192,7 +193,7 @@ class TestGridOracle:
     def test_interior_recovers_weights(self):
         spec = two_level_spec("high_degeneracy", energy_cap=2)
         best = oracle_grid_maximize(spec, resolution=1000)
-        assert np.max(np.abs(best - spec.weights_array)) <= 2.0 / 1000.0
+        assert np.max(np.abs(best - np.array(spec.weights))) <= 2.0 / 1000.0
 
     def test_boundary_two_level(self):
         best = oracle_grid_maximize(two_level_spec("high_degeneracy"),
@@ -230,3 +231,25 @@ class TestGridOracle:
         spec = two_level_spec("high_degeneracy")
         with pytest.raises(ValueError):
             oracle_grid_maximize(spec, resolution=4000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from([r for r, _ in REGIMES]),
+       m=st.integers(2, 6), boundary=st.booleans())
+def test_solve_matches_numpy_reference(seed, regime, m, boundary):
+    # The plain-Python solver differs from the NumPy one it replaced only by
+    # the rounding of exp/log, sums and the closed-form 2x2 Newton step.
+    spec = random_spec(np.random.default_rng(seed), regime, m, boundary)
+    got, want = solve(spec), reference_solve(spec)
+    assert got.kind is want.kind
+    assert np.max(np.abs(np.subtract(got.x_star, want.x_star))) <= 1e-12
+    assert got.lam == pytest.approx(want.lam, rel=1e-10)
+    assert got.nu == pytest.approx(want.nu, rel=1e-10)
+    if regime == "proportional" and want.kind is MaximumKind.BOUNDARY:
+        # The nested bisection would hide a wrong 2x2 step, so Newton must
+        # converge on its own from the solver's start.
+        lam0, _ = solve_regime1_multipliers(spec)
+        newton = _be_newton(spec, lam0, _be_nu_for_lam(spec, lam0))
+        assert newton is not None
+        assert newton == pytest.approx((want.lam, want.nu), rel=1e-10)

@@ -15,10 +15,11 @@ from occens import (
     metropolis_chain,
 )
 from occens import sampler
-from occens.core import Occupancy, SpecValidationError, assert_feasible
+from occens.core import Occupancy, SpecValidationError
 from occens.entropy import entropy_exact
 
 from helpers import (
+    assert_feasible,
     chain_marginal,
     enumerated_kernel,
     random_spec,
