@@ -17,18 +17,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "DegeneracyAssignment", "DegeneracySchedule", "EnsembleSpec",
-        "EnumerationBudgetError", "Occupancy", "Regime", "SolverError",
+        "EnumerationBudgetError", "Regime", "SolverError",
         "SpecValidationError", "degeneracies_for", "default_schedule",
         "make_spec", "threshold_energy", "validate_spec",
     ),
     "ensemble": (
-        "ExactDistribution", "LayerDecomposition", "build_distribution",
-        "enumerate_states", "exact_covariance", "exact_mean",
-        "layer_decomposition", "mgf",
+        "Distribution", "LayerDecomposition", "build_distribution",
+        "draws_distribution", "enumerate_states", "exact_covariance",
+        "exact_mean", "layer_decomposition", "mgf",
     ),
     "entropy": (
-        "EntropyModel", "approximation_error", "entropy_exact",
-        "entropy_model_for", "level_log_weights", "limit_entropy",
+        "EntropyModel", "approximation_error", "entropy_model_for", "level_log_weights", "limit_entropy",
         "limit_entropy_grad", "limit_entropy_hessian_diag", "scaling_factor",
         "stirling_log_gamma",
     ),

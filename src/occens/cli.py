@@ -58,16 +58,20 @@ def _require(config: dict, key: str):
 
 
 def _spec_from_config(config: dict):
+    for key in ("energies", "weights"):
+        if not isinstance(_require(config, key), list):
+            raise ConfigError(f"{key} must be a list, got {config[key]!r}")
     try:
         return make_spec(
-            energies=_require(config, "energies"),
-            weights=_require(config, "weights"),
+            energies=config["energies"],
+            weights=config["weights"],
             energy_cap=_require(config, "energy_cap"),
             regime=_require(config, "regime"),
             c=config.get("c"),
             p=config.get("p"),
         )
-    except (SpecValidationError, ValueError, ZeroDivisionError) as exc:
+    except (SpecValidationError, ValueError, TypeError,
+            ZeroDivisionError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
 
 
@@ -191,12 +195,34 @@ def _chain_config(config: dict, args):
     return ChainConfig(seed=seed, **fields)
 
 
+def _fallback_chain(config: dict, args):
+    """The chain config for rows past the budget, or None when the config
+    does not set sampler_fallback."""
+    fallback = config.get("sampler_fallback", False)
+    if not isinstance(fallback, bool):
+        raise ConfigError(f"sampler_fallback must be true or false, "
+                          f"got {fallback!r}")
+    return _chain_config(config, args) if fallback else None
+
+
 def _run_chain(spec, n: int, cfg):
     from .sampler import metropolis_chain
     try:
         return metropolis_chain(spec, n, cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _distribution(spec, n: int, budget: int, chain_cfg):
+    """The enumerated distribution at N; past the budget, chain draws when
+    chain_cfg is given, else the budget error."""
+    from .ensemble import build_distribution, draws_distribution
+    try:
+        return build_distribution(spec, n, budget=budget)
+    except EnumerationBudgetError:
+        if chain_cfg is None:
+            raise
+        return draws_distribution(spec, n, _run_chain(spec, n, chain_cfg))
 
 
 def cmd_solve(args) -> int:
@@ -219,7 +245,7 @@ def cmd_solve(args) -> int:
 def cmd_lln_sweep(args) -> int:
     import numpy as np
 
-    from .ensemble import build_distribution, exact_mean, mgf
+    from .ensemble import exact_mean, mgf
 
     config = _load_config(args.config)
     spec = _spec_from_config(config)
@@ -231,24 +257,14 @@ def cmd_lln_sweep(args) -> int:
     sol = solve(spec)
     x_star = np.array(sol.x_star)
     budget = _budget(args, config)
-    fallback = bool(config.get("sampler_fallback", False))
-    chain_cfg = _chain_config(config, args) if fallback else None
+    chain_cfg = _fallback_chain(config, args)
 
     def one(n):
         start = time.perf_counter()
-        try:
-            dist = build_distribution(spec, n, budget=budget)
-            mean = exact_mean(dist)
-            mgfs = [mgf(dist, xi) for xi in probes]
-        except EnumerationBudgetError:
-            if not fallback:
-                raise
-            frac = _run_chain(spec, n, chain_cfg) / n
-            mean = frac.mean(axis=0)
-            mgfs = [float(np.exp(frac @ xi).mean()) for xi in probes]
-        mean_err = float(np.max(np.abs(mean - x_star)))
-        mgf_errs = [abs(v - math.exp(float(xi @ x_star)))
-                    for v, xi in zip(mgfs, probes)]
+        dist = _distribution(spec, n, budget, chain_cfg)
+        mean_err = float(np.max(np.abs(exact_mean(dist) - x_star)))
+        mgf_errs = [abs(mgf(dist, xi) - math.exp(float(xi @ x_star)))
+                    for xi in probes]
         return [n, mean_err, *mgf_errs, time.perf_counter() - start]
 
     rows = _map_ordered(one, ns, args.jobs)
@@ -258,7 +274,7 @@ def cmd_lln_sweep(args) -> int:
     comments = ["columns: max-norm |exact_mean - x_star|, then "
                 "|mgf(xi) - exp(xi.x_star)| per probe; wall_time_s varies "
                 "between runs"]
-    if fallback:
+    if chain_cfg is not None:
         comments.append("sampler fallback enabled for N beyond the budget")
     comments += [f"xi_{k}={probes[k].tolist()}" for k in range(len(probes))]
     _write_csv(args.out, comments, header, rows)
@@ -266,14 +282,10 @@ def cmd_lln_sweep(args) -> int:
 
 
 def cmd_fluct_check(args) -> int:
-    import numpy as np
-
-    from .ensemble import build_distribution
     from .fluctuations import (
         empirical_fluctuations,
         predict_boundary,
         predict_interior,
-        rotation_basis,
     )
 
     config = _load_config(args.config)
@@ -290,17 +302,11 @@ def cmd_fluct_check(args) -> int:
                 f"boundary fluctuation runs need every N divisible by "
                 f"q={spec.q}; offending N: {bad}")
 
-    fallback = bool(config.get("sampler_fallback", False))
-    chain_cfg = _chain_config(config, args) if fallback else None
+    chain_cfg = _fallback_chain(config, args)
 
-    def sampled_cov(n, project=None):
-        frac = _run_chain(spec, n, chain_cfg) / n
-        scale = math.sqrt(scaling_factor(spec, n))
-        y = scale * (frac[:, : m - 1] - sol.x_star[: m - 1])
-        if project is not None:
-            y = y @ project
-        centered = y - y.mean(axis=0)
-        return frac, centered.T @ centered / centered.shape[0]
+    def empirical(n):
+        dist = _distribution(spec, n, budget, chain_cfg)
+        return empirical_fluctuations(dist, sol, spec)
 
     if kind is MaximumKind.INTERIOR:
         pred = predict_interior(spec)
@@ -308,13 +314,7 @@ def cmd_fluct_check(args) -> int:
 
         def one(n):
             start = time.perf_counter()
-            try:
-                dist = build_distribution(spec, n, budget=budget)
-                cov = empirical_fluctuations(dist, sol, spec).scaled_covariance
-            except EnumerationBudgetError:
-                if not fallback:
-                    raise
-                _, cov = sampled_cov(n)
+            cov = empirical(n).scaled_covariance
             emp = [float(cov[i, j]) for i, j in pairs]
             prd = [float(pred.covariance[i, j]) for i, j in pairs]
             return [n, *emp, *prd, time.perf_counter() - start]
@@ -327,25 +327,12 @@ def cmd_fluct_check(args) -> int:
                     "reduced coordinates"]
     else:
         pairs = [(i, j) for i in range(m - 2) for j in range(i, m - 2)]
-        in_plane = rotation_basis(spec)[:, 1:] if m > 2 else None
 
         def one(n):
             start = time.perf_counter()
             pred = predict_boundary(spec, n)
-            try:
-                dist = build_distribution(spec, n, budget=budget)
-                summary = empirical_fluctuations(dist, sol, spec)
-                masses = summary.layer_masses
-                cov = summary.scaled_covariance
-            except EnumerationBudgetError:
-                if not fallback:
-                    raise
-                frac, cov = sampled_cov(n, project=in_plane)
-                e = np.array(spec.energy_units, dtype=np.int64)
-                slack = (spec.energy_cap_units(n)
-                         - np.round(frac * n).astype(np.int64) @ e)
-                _, tallies = np.unique(slack, return_counts=True)
-                masses = tallies / tallies.sum()
+            got = empirical(n)
+            masses, cov = got.layer_masses, got.scaled_covariance
             ratio10 = float(masses[1] / masses[0]) if masses.size > 1 else math.nan
             ratio21 = float(masses[2] / masses[1]) if masses.size > 2 else math.nan
             emp = [float(cov[i, j]) for i, j in pairs]
@@ -359,7 +346,7 @@ def cmd_fluct_check(args) -> int:
                   + ["wall_time_s"])
         comments = ["boundary: adjacent layer-mass ratios vs "
                     "exp(layer_log_ratio); in-plane sqrt(h(N))-scaled covariance"]
-    if fallback:
+    if chain_cfg is not None:
         comments.append("sampler fallback enabled for N beyond the budget")
     rows = _map_ordered(one, ns, args.jobs)
     _write_csv(args.out, comments, header, rows)

@@ -133,9 +133,6 @@ class EnsembleSpec:
         """Integer energy bound floor(q*E*N); ties in the cap are included."""
         return math.floor(self.q * self.energy_cap * n)
 
-    def degeneracy_total(self, n: int) -> int:
-        return self.schedule(n)
-
 
 def make_spec(energies, weights, energy_cap, regime, c=None, p=None,
               schedule=None) -> EnsembleSpec:
@@ -210,24 +207,6 @@ def _schedule_violations(spec: EnsembleSpec) -> list[str]:
             out.append("regime/schedule mismatch: G(N)/N not near c "
                        "for proportional regime")
     return out
-
-
-@dataclass(frozen=True)
-class Occupancy:
-    """An integer occupancy vector (N_1, ..., N_m) with sum N."""
-
-    total: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.total < 1:
-            raise ValueError(f"total must be positive, got {self.total}")
-        if any(c < 0 for c in self.counts):
-            raise ValueError(f"negative occupancy in {self.counts}")
-        if sum(self.counts) != self.total:
-            raise ValueError(
-                f"counts {self.counts} sum to {sum(self.counts)}, "
-                f"expected {self.total}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Exact finite-N distribution over the occupancy lattice.
+"""Finite-N distributions over the occupancy lattice.
 
 Enumerates every count vector satisfying the particle-number and energy
-constraints, weights each state by exp(S), normalizes through a max-shifted
-log-sum-exp, and exposes moments, the moment generating function, and the
-decomposition of the support into exact energy-slack layers.
+constraints, weights each state by exp(S) and normalizes through a
+max-shifted log-sum-exp.  The same record holds equally weighted chain
+draws past the enumeration budget, and one set of estimators serves both:
+moments, the moment generating function, and the decomposition of the
+support into exact energy-slack layers.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegeneracyAssignment, EnsembleSpec, EnumerationBudgetError, degeneracies_for
+from .core import EnsembleSpec, EnumerationBudgetError, degeneracies_for
 from .entropy import log_multiplicity
 
 DEFAULT_STATE_BUDGET = 10_000_000
@@ -77,16 +79,17 @@ def enumerate_states(spec: EnsembleSpec, n: int,
 
 
 @dataclass(frozen=True)
-class ExactDistribution:
-    """Enumerated support with log-weights, log-partition-function and pmf."""
+class Distribution:
+    """A pmf over occupancy rows: the enumerated support or chain draws.
+
+    Every estimator below reads only counts and pmf, so exact enumeration
+    and equally weighted chain draws share one set of them.
+    """
 
     spec: EnsembleSpec
     n: int
-    degeneracy: DegeneracyAssignment
-    counts: np.ndarray      # (S, m) int64, lexicographic
-    log_weights: np.ndarray  # (S,) exact entropies S(x, N)
-    log_z: float
-    pmf: np.ndarray          # (S,)
+    counts: np.ndarray  # (S, m) int64; lexicographic when enumerated
+    pmf: np.ndarray     # (S,)
 
     @property
     def size(self) -> int:
@@ -97,7 +100,7 @@ class ExactDistribution:
 
 
 def build_distribution(spec: EnsembleSpec, n: int,
-                       budget: int = DEFAULT_STATE_BUDGET) -> ExactDistribution:
+                       budget: int = DEFAULT_STATE_BUDGET) -> Distribution:
     """Enumerate the support and normalize exp(S) into a pmf."""
     counts = enumerate_states(spec, n, budget=budget)
     if counts.shape[0] == 0:
@@ -106,39 +109,46 @@ def build_distribution(spec: EnsembleSpec, n: int,
     log_weights = np.asarray(log_multiplicity(counts, deg.as_array), dtype=float)
     shift = float(log_weights.max())
     # One exp pass: dividing by the sum normalizes to rounding, where
-    # exp(lw - log_z) would inherit half an ulp of a large log Z.
+    # exp(lw - log Z) would inherit half an ulp of a large log Z.
     weights = np.exp(log_weights - shift)
     total_weight = float(weights.sum())
-    log_z = shift + math.log(total_weight)
     pmf = weights / total_weight
     total = float(pmf.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise ArithmeticError(f"pmf sums to {total!r}; log-sum-exp unstable")
-    for arr in (counts, log_weights, pmf):
+    for arr in (counts, pmf):
         arr.setflags(write=False)
-    return ExactDistribution(spec=spec, n=n, degeneracy=deg, counts=counts,
-                             log_weights=log_weights, log_z=log_z, pmf=pmf)
+    return Distribution(spec=spec, n=n, counts=counts, pmf=pmf)
 
 
-def exact_mean(dist: ExactDistribution) -> np.ndarray:
+def draws_distribution(spec: EnsembleSpec, n: int,
+                       draws: np.ndarray) -> Distribution:
+    """K chain draws as a distribution, each row weighted 1/K (draws are
+    frozen, not copied)."""
+    pmf = np.full(draws.shape[0], 1.0 / draws.shape[0])
+    for arr in (draws, pmf):
+        arr.setflags(write=False)
+    return Distribution(spec=spec, n=n, counts=draws, pmf=pmf)
+
+
+def exact_mean(dist: Distribution) -> np.ndarray:
     """Mean of the fraction vector X_N = counts/N under the pmf."""
     return (dist.pmf @ dist.counts) / dist.n
 
 
-def weighted_covariance(y: np.ndarray,
-                        pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of y centred under pmf, and their symmetrized covariance."""
+def weighted_covariance(y: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Symmetrized covariance of the rows of y under pmf."""
     centered = y - pmf @ y
     cov = (centered * pmf[:, None]).T @ centered
-    return centered, 0.5 * (cov + cov.T)
+    return 0.5 * (cov + cov.T)
 
 
-def exact_covariance(dist: ExactDistribution) -> np.ndarray:
+def exact_covariance(dist: Distribution) -> np.ndarray:
     """Covariance matrix of X_N; symmetric positive semidefinite."""
-    return weighted_covariance(dist.fractions(), dist.pmf)[1]
+    return weighted_covariance(dist.fractions(), dist.pmf)
 
 
-def mgf(dist: ExactDistribution, xi) -> float:
+def mgf(dist: Distribution, xi) -> float:
     """Moment generating function E[exp(xi . X_N)], max-shifted for stability."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dist.spec.m,):
@@ -159,34 +169,24 @@ class LayerDecomposition:
 
     slacks: tuple[int, ...]          # realized slack per layer, ascending
     masses: np.ndarray               # (L,) total probability per layer
-    members: tuple[np.ndarray, ...]  # state indices per layer
 
     @property
     def layers(self) -> int:
         return len(self.slacks)
 
 
-def layer_decomposition(dist: ExactDistribution) -> LayerDecomposition:
+def layer_decomposition(dist: Distribution) -> LayerDecomposition:
     """Group states by exact integer energy slack."""
     e = np.array(dist.spec.energy_units, dtype=np.int64)
     cap = dist.spec.energy_cap_units(dist.n)
     slack = cap - dist.counts @ e
-    # a stable sort keeps each layer's state indices ascending
+    # a stable sort keeps each layer's states in row order
     order = np.argsort(slack, kind="stable")
     sorted_slack = slack[order]
     starts = np.flatnonzero(np.diff(sorted_slack)) + 1
-    members = tuple(np.split(order, starts))
-    masses = np.array([float(dist.pmf[idx].sum()) for idx in members])
+    masses = np.array([float(p.sum())
+                       for p in np.split(dist.pmf[order], starts)])
     masses.setflags(write=False)
     return LayerDecomposition(
-        slacks=tuple(sorted_slack[np.r_[0, starts]].tolist()),
-        masses=masses, members=members)
+        slacks=tuple(sorted_slack[np.r_[0, starts]].tolist()), masses=masses)
 
-
-def dump_distribution(dist: ExactDistribution) -> str:
-    """Text dump, one line per state: `N1,...,Nm,logW,pmf` (golden tests)."""
-    lines = []
-    for row, lw, p in zip(dist.counts, dist.log_weights, dist.pmf):
-        cells = [str(int(v)) for v in row] + [repr(float(lw)), repr(float(p))]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -20,13 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    DegeneracyAssignment,
-    EnsembleSpec,
-    Occupancy,
-    Regime,
-    degeneracies_for,
-)
+from .core import EnsembleSpec, Regime, degeneracies_for
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -95,15 +89,6 @@ def log_multiplicity(counts, degs):
             terms[i], terms[i + 1] = (np.minimum(terms[i], terms[i + 1]),
                                       np.maximum(terms[i], terms[i + 1]))
     return sum(terms[1:], terms[0])
-
-
-def entropy_exact(occ: Occupancy, deg: DegeneracyAssignment) -> float:
-    """Exact entropy of an occupancy under a degeneracy assignment."""
-    if len(occ.counts) != len(deg.per_level):
-        raise ValueError(
-            f"occupancy has {len(occ.counts)} levels, assignment has "
-            f"{len(deg.per_level)}")
-    return float(log_multiplicity(occ.counts, deg.per_level))
 
 
 @dataclass(frozen=True)

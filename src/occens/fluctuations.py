@@ -17,8 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .core import EnsembleSpec
-from .ensemble import (ExactDistribution, layer_decomposition,
-                       weighted_covariance)
+from .ensemble import Distribution, layer_decomposition, weighted_covariance
 from .entropy import entropy_model_for, limit_entropy_hessian_diag, scaling_factor
 from .maxent import MaximumKind, MaxEntSolution, classify_maximum, solve
 
@@ -31,7 +30,6 @@ class FluctuationPrediction:
 
     kind: MaximumKind
     covariance: np.ndarray           # (m-1)x(m-1) interior, (m-2)x(m-2) boundary
-    rotation: np.ndarray | None = None      # boundary only
     layer_log_ratio: float | None = None    # boundary only; negative
 
 
@@ -129,7 +127,6 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if classify_maximum(spec) is not MaximumKind.BOUNDARY:
         raise ValueError("wrong kind: interior instance; use predict_interior")
     sol = solve(spec)
-    basis = rotation_basis(spec)
     m = spec.m
     w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
     w_norm = float(np.linalg.norm(w))
@@ -141,41 +138,32 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
         raise ArithmeticError(
             f"layer log-ratio {layer_log_ratio} not negative; lam={sol.lam}")
     if m > 2:
-        in_plane = basis[:, 1:]
+        in_plane = rotation_basis(spec)[:, 1:]
         h_red = reduced_hessian(spec, sol.x_star)
         block = _gaussian_covariance(-(in_plane.T @ h_red @ in_plane))
     else:
         block = np.zeros((0, 0))
         block.setflags(write=False)
     return FluctuationPrediction(kind=MaximumKind.BOUNDARY, covariance=block,
-                                 rotation=basis, layer_log_ratio=layer_log_ratio)
-
-
-def predict(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
-    """Dispatch on the maximum type."""
-    if classify_maximum(spec) is MaximumKind.INTERIOR:
-        return predict_interior(spec)
-    return predict_boundary(spec, n)
+                                 layer_log_ratio=layer_log_ratio)
 
 
 @dataclass(frozen=True)
 class FluctuationSummary:
-    """Empirical scaled moments of an exact distribution.
+    """Empirical scaled moments of a distribution, exact or sampled.
 
-    Interior: covariance and third standardized moments of
-    sqrt(h(N))*(X - x*) in reduced coordinates.  Boundary: layer masses by
-    ascending slack plus the covariance of the sqrt(h(N))-scaled in-plane
-    rotated coordinates.
+    Interior: covariance of sqrt(h(N))*(X - x*) in reduced coordinates.
+    Boundary: layer masses by ascending slack plus the covariance of the
+    sqrt(h(N))-scaled in-plane rotated coordinates.
     """
 
     kind: MaximumKind
     scaled_covariance: np.ndarray
-    third_std_moments: np.ndarray | None = None
     layer_slacks: tuple[int, ...] | None = None
     layer_masses: np.ndarray | None = None
 
 
-def empirical_fluctuations(dist: ExactDistribution, sol: MaxEntSolution,
+def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
                            spec: EnsembleSpec) -> FluctuationSummary:
     """Scaled empirical moments matching the prediction conventions."""
     m = spec.m
@@ -183,20 +171,13 @@ def empirical_fluctuations(dist: ExactDistribution, sol: MaxEntSolution,
     center = sol.x_star[: m - 1]
     scale = math.sqrt(scaling_factor(spec, dist.n))
     if sol.kind is MaximumKind.INTERIOR:
-        y = scale * (x_red - center)
-        centered, cov = weighted_covariance(y, dist.pmf)
-        variances = np.diag(cov)
-        third = np.zeros(m - 1)
-        nonzero = variances > 0
-        c = centered[:, nonzero]
-        third[nonzero] = (dist.pmf @ (c * c * c)) / variances[nonzero] ** 1.5
-        return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
-                                  third_std_moments=third)
+        cov = weighted_covariance(scale * (x_red - center), dist.pmf)
+        return FluctuationSummary(kind=sol.kind, scaled_covariance=cov)
     layers = layer_decomposition(dist)
     if m > 2:
         in_plane = rotation_basis(spec)[:, 1:]
         y_hat = scale * (x_red - center) @ in_plane
-        _, cov = weighted_covariance(y_hat, dist.pmf)
+        cov = weighted_covariance(y_hat, dist.pmf)
     else:
         cov = np.zeros((0, 0))
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnsembleSpec, degeneracies_for
-from .ensemble import ExactDistribution
+from .ensemble import Distribution
 from .entropy import level_log_weights
 
 # Draws are turned into Python scalars this many steps at a time, so those
@@ -58,7 +58,7 @@ class ChainConfig:
         return steps, burn_in, thinning
 
 
-def exact_sample(dist: ExactDistribution, count: int, seed: int) -> np.ndarray:
+def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
     """i.i.d. draws by inverse CDF over the enumerated pmf.
 
     Returns a (count, m) int64 array of occupancy rows; deterministic for a

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,24 +13,29 @@ from occens import (
     ChainConfig,
     DegeneracyAssignment,
     EnumerationBudgetError,
+    FluctuationPrediction,
     LayerDecomposition,
     MaxEntSolution,
     MaximumKind,
-    Occupancy,
     Regime,
     SolverError,
     SpecValidationError,
     build_distribution,
+    classify_maximum,
     degeneracies_for,
-    entropy_exact,
     entropy_model_for,
     enumerate_states,
     level_log_weights,
     limit_entropy_grad,
     make_spec,
+    predict_boundary,
+    predict_interior,
+    rotation_basis,
+    scaling_factor,
     threshold_energy,
 )
 from occens.core import WEIGHT_SUM_TOL, EnsembleSpec
+from occens.entropy import log_multiplicity
 from occens.maxent import RESIDUAL_TOL, _BRACKET_GROWTH_CAP, _bisect_monotone
 
 TWO_LEVEL_ENERGIES = ["1", "2"]
@@ -67,6 +73,109 @@ def random_spec(rng, regime, m, boundary):
     return make_spec(energies, weights, cap, regime, **kwargs)
 
 
+@dataclass(frozen=True)
+class Occupancy:
+    """An integer occupancy vector (N_1, ..., N_m) with sum N."""
+
+    total: int
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.total < 1:
+            raise ValueError(f"total must be positive, got {self.total}")
+        if any(c < 0 for c in self.counts):
+            raise ValueError(f"negative occupancy in {self.counts}")
+        if sum(self.counts) != self.total:
+            raise ValueError(
+                f"counts {self.counts} sum to {sum(self.counts)}, "
+                f"expected {self.total}")
+
+
+def entropy_exact(occ: Occupancy, deg: DegeneracyAssignment) -> float:
+    """Exact entropy of an occupancy under a degeneracy assignment."""
+    if len(occ.counts) != len(deg.per_level):
+        raise ValueError(
+            f"occupancy has {len(occ.counts)} levels, assignment has "
+            f"{len(deg.per_level)}")
+    return float(log_multiplicity(occ.counts, deg.per_level))
+
+
+def log_weights_and_z(dist):
+    """Exact entropies S(x, N) of the states of an enumerated distribution,
+    and the log-partition function by a max-shifted log-sum-exp."""
+    log_weights = np.asarray(log_multiplicity(
+        dist.counts, degeneracies_for(dist.spec, dist.n).as_array), dtype=float)
+    shift = float(log_weights.max())
+    log_z = shift + math.log(float(np.exp(log_weights - shift).sum()))
+    return log_weights, log_z
+
+
+def dump_distribution(dist) -> str:
+    """Text dump, one line per state: `N1,...,Nm,logW,pmf` (golden tests)."""
+    lines = []
+    for row, lw, p in zip(dist.counts, log_weights_and_z(dist)[0], dist.pmf):
+        cells = [str(int(v)) for v in row] + [repr(float(lw)), repr(float(p))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def predict(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
+    """Dispatch on the maximum type."""
+    if classify_maximum(spec) is MaximumKind.INTERIOR:
+        return predict_interior(spec)
+    return predict_boundary(spec, n)
+
+
+def third_std_moments(dist, sol, spec) -> np.ndarray:
+    """Third standardized moments of sqrt(h(N))*(X - x*) in reduced
+    coordinates (interior maxima)."""
+    m = spec.m
+    x_red = dist.fractions()[:, : m - 1]
+    scale = math.sqrt(scaling_factor(spec, dist.n))
+    y = scale * (x_red - sol.x_star[: m - 1])
+    centered = y - dist.pmf @ y
+    variances = np.diag((centered * dist.pmf[:, None]).T @ centered)
+    third = np.zeros(m - 1)
+    nonzero = variances > 0
+    c = centered[:, nonzero]
+    third[nonzero] = (dist.pmf @ (c * c * c)) / variances[nonzero] ** 1.5
+    return third
+
+
+def reference_sampled_estimates(spec, sol, n, draws, probes):
+    """The sample-average estimators the CLI once applied to chain draws,
+    kept as the oracle for the shared estimators on `draws_distribution`.
+
+    Returns (mean, mgfs, cov, masses): the sample mean of X_N, the sample
+    mean of exp(xi . X_N) per probe, the sqrt(h(N))-scaled covariance
+    (reduced coordinates at an interior maximum, in-plane at a boundary
+    one, as the CLI columns read it) and, at a boundary maximum, the
+    normalized tallies of the realized energy slacks (None otherwise).
+    """
+    m = spec.m
+    frac = draws / n
+    mean = frac.mean(axis=0)
+    mgfs = [float(np.exp(frac @ xi).mean()) for xi in probes]
+
+    def sampled_cov(project=None):
+        scale = math.sqrt(scaling_factor(spec, n))
+        y = scale * (frac[:, : m - 1] - sol.x_star[: m - 1])
+        if project is not None:
+            y = y @ project
+        centered = y - y.mean(axis=0)
+        return centered.T @ centered / centered.shape[0]
+
+    if sol.kind is MaximumKind.INTERIOR:
+        return mean, mgfs, sampled_cov(), None
+    in_plane = rotation_basis(spec)[:, 1:] if m > 2 else None
+    cov = sampled_cov(project=in_plane)
+    e = np.array(spec.energy_units, dtype=np.int64)
+    slack = (spec.energy_cap_units(n)
+             - np.round(frac * n).astype(np.int64) @ e)
+    _, tallies = np.unique(slack, return_counts=True)
+    return mean, mgfs, cov, tallies / tallies.sum()
+
+
 def central_diff(fn, x, i, h):
     xp = np.array(x, dtype=float)
     xm = np.array(x, dtype=float)
@@ -93,6 +202,7 @@ def enumerated_kernel(spec, n, budget=10_000_000):
     reject empty sources and cap violations, accept with min(1, exp(dS)).
     """
     dist = build_distribution(spec, n, budget=budget)
+    deg = degeneracies_for(spec, n)
     states = [tuple(int(v) for v in row) for row in dist.counts]
     index = {s: k for k, s in enumerate(states)}
     m = spec.m
@@ -101,11 +211,11 @@ def enumerated_kernel(spec, n, budget=10_000_000):
     kernel = np.zeros((len(states), len(states)))
     base = 1.0 / (m * (m - 1))
     for a, state in enumerate(states):
-        s_a = entropy_exact(Occupancy(n, state), dist.degeneracy)
+        s_a = entropy_exact(Occupancy(n, state), deg)
         for _, _, new in single_ball_moves(state, m):
             if sum(u * v for u, v in zip(new, e)) > cap:
                 continue
-            s_b = entropy_exact(Occupancy(n, new), dist.degeneracy)
+            s_b = entropy_exact(Occupancy(n, new), deg)
             kernel[a, index[new]] += base * min(1.0, np.exp(s_b - s_a))
         kernel[a, a] = 1.0 - kernel[a].sum()
     return dist, states, kernel
@@ -314,7 +424,7 @@ def reference_layer_decomposition(dist):
     members = tuple(np.split(order, starts[1:]))
     masses = np.array([float(dist.pmf[idx].sum()) for idx in members])
     return LayerDecomposition(slacks=tuple(int(v) for v in values),
-                              masses=masses, members=members)
+                              masses=masses)
 
 
 # The NumPy multiplier solver, kept as the oracle for `solve`.  It reads

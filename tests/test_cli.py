@@ -428,7 +428,22 @@ def assert_config_error(capsys, code):
     ("sample", {"N": 10, "method": "metropolis", "chain": {"steps": "x"}}),
     ("sample", {"N": 10, "method": "metropolis",
                 "chain": {"steps": 100, "burn_in": "5"}}),
-], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in"])
+    ("solve", {"energies": 5}),
+    ("solve", {"energies": "123"}),
+    ("solve", {"energies": ["1", None, "2"]}),
+    ("solve", {"weights": [0.3, None, 0.4]}),
+    ("solve", {"energy_cap": None}),
+    ("solve", {"c": [1]}),
+    ("solve", {"regime": "high_degeneracy", "p": "x"}),
+    ("solve", {"regime": "high_degeneracy", "p": [2]}),
+    # every row is over the budget: a fallback read by truthiness would run
+    # the chain and exit 0
+    ("lln-sweep", {"N_list": [10], "budget": 2, "sampler_fallback": "false"}),
+    ("fluct-check", {"N_list": [10], "budget": 2, "sampler_fallback": 0}),
+], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in",
+        "energies-int", "energies-str", "energies-null", "weights-null",
+        "energy_cap-null", "c-list", "p-str", "p-list", "fallback-str",
+        "fallback-int"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
     assert_config_error(capsys, main([command, "--config", config]))
@@ -467,3 +482,4 @@ def test_probe_above_energy_cap_accepted(tmp_path):
                                      "x_probe": [0.1, 0.1, 0.8]})
     assert main(["entropy-probe", "--config", config,
                  "--out", str(tmp_path / "probe.csv")]) == 0
+

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from occens import (
     DegeneracySchedule,
     EnsembleSpec,
-    Occupancy,
     Regime,
     SpecValidationError,
     degeneracies_for,
@@ -15,7 +14,7 @@ from occens import (
     threshold_energy,
     validate_spec,
 )
-from helpers import (assert_feasible, fraction_vector, random_spec,
+from helpers import (Occupancy, assert_feasible, fraction_vector, random_spec,
                      reference_degeneracies_for, two_level_spec)
 
 

@@ -10,6 +10,7 @@ from occens import (
     EnumerationBudgetError,
     SpecValidationError,
     build_distribution,
+    degeneracies_for,
     enumerate_states,
     exact_covariance,
     exact_mean,
@@ -17,11 +18,12 @@ from occens import (
     make_spec,
     mgf,
 )
-from occens.ensemble import dump_distribution
 from occens.entropy import log_multiplicity
 
 from helpers import (
     brute_force_state_count,
+    dump_distribution,
+    log_weights_and_z,
     random_spec,
     reference_enumerate_states,
     reference_layer_decomposition,
@@ -159,16 +161,18 @@ class TestDistribution:
     def test_pmf_normalized(self):
         dist = build_distribution(two_level_spec("proportional", energy_cap=1.5), 4)
         assert abs(dist.pmf.sum() - 1.0) <= 1e-12
-        assert np.allclose(dist.pmf, np.exp(dist.log_weights - dist.log_z))
+        log_weights, log_z = log_weights_and_z(dist)
+        assert np.allclose(dist.pmf, np.exp(log_weights - log_z))
 
     def test_uniform_when_single_boxes(self):
         dist = build_distribution(uniform_two_level(), 4)
-        assert dist.degeneracy.per_level == (1, 1)
+        assert degeneracies_for(uniform_two_level(), 4).per_level == (1, 1)
         assert np.allclose(dist.pmf, 1.0 / 3.0, atol=1e-15)
 
     def test_log_z_dominates_max_weight(self):
         dist = build_distribution(two_level_spec("high_degeneracy"), 16)
-        assert dist.log_z >= float(dist.log_weights.max())
+        log_weights, log_z = log_weights_and_z(dist)
+        assert log_z >= float(log_weights.max())
 
     def test_arrays_frozen(self):
         dist = build_distribution(uniform_two_level(), 4)
@@ -221,9 +225,9 @@ class TestLayers:
         dist = build_distribution(two_level_spec("proportional", energy_cap=1.5), 4)
         layers = layer_decomposition(dist)
         assert layers.slacks == (0, 1, 2)
-        assert all(idx.size == 1 for idx in layers.members)
-        # layer 0 holds the maximal-energy state (2, 2)
-        assert dist.counts[layers.members[0][0]].tolist() == [2, 2]
+        # one state per layer; layer 0 holds the maximal-energy state (2, 2)
+        assert dist.counts.tolist() == [[2, 2], [3, 1], [4, 0]]
+        assert layers.masses.tolist() == dist.pmf.tolist()
 
     def test_single_state_single_layer(self):
         spec = make_spec(["1"], [1.0], 2, "proportional", c=1.0)
@@ -235,8 +239,13 @@ class TestLayers:
         dist = build_distribution(two_level_spec("high_degeneracy"), 40)
         layers = layer_decomposition(dist)
         assert layers.masses.sum() == pytest.approx(1.0, abs=1e-12)
-        combined = np.sort(np.concatenate(layers.members))
-        assert np.array_equal(combined, np.arange(dist.size))
+        # every state lies in exactly one layer: its slack's
+        slack = (dist.spec.energy_cap_units(dist.n)
+                 - dist.counts @ np.array(dist.spec.energy_units))
+        assert sorted(set(slack.tolist())) == list(layers.slacks)
+        for value, mass in zip(layers.slacks, layers.masses):
+            assert mass == pytest.approx(float(dist.pmf[slack == value].sum()),
+                                         rel=1e-15)
 
 
 class TestDump:
@@ -256,7 +265,8 @@ class TestDump:
        m=st.integers(2, 4), n=st.integers(1, 60))
 def test_layers_match_unique_grouping(seed, regime, m, n):
     # Layer starts come from the sorted slack's steps instead of a second
-    # sort in np.unique; the grouping and the masses must not move a bit.
+    # sort in np.unique, and masses sum slices of the sorted pmf instead of
+    # index gathers; the slacks and masses must not move a bit.
     spec = random_spec(np.random.default_rng(seed), regime, m, boundary=True)
     try:
         dist = build_distribution(spec, n)
@@ -264,6 +274,4 @@ def test_layers_match_unique_grouping(seed, regime, m, n):
         return
     got, want = layer_decomposition(dist), reference_layer_decomposition(dist)
     assert got.slacks == want.slacks
-    assert len(got.members) == len(want.members)
-    assert all(np.array_equal(a, b) for a, b in zip(got.members, want.members))
     assert np.array_equal(got.masses, want.masses)

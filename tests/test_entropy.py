@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from occens import (
     DegeneracyAssignment,
-    Occupancy,
     approximation_error,
     degeneracies_for,
-    entropy_exact,
     entropy_model_for,
     level_log_weights,
     limit_entropy,
@@ -23,8 +21,8 @@ from occens import (
 from occens.entropy import EntropyModel, log_multiplicity
 from occens.core import Regime
 
-from helpers import (central_diff, random_spec, reference_log_multiplicity,
-                     two_level_spec)
+from helpers import (Occupancy, central_diff, entropy_exact, random_spec,
+                     reference_log_multiplicity, two_level_spec)
 
 
 class TestLevelLogWeights:

@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from occens import (
+    ChainConfig,
     MaximumKind,
     build_distribution,
+    draws_distribution,
     empirical_fluctuations,
     exact_covariance,
+    exact_mean,
     layer_decomposition,
     make_spec,
+    metropolis_chain,
+    mgf,
     predict_boundary,
     predict_interior,
     rotation_basis,
@@ -17,9 +22,10 @@ from occens import (
     solve,
 )
 from occens.entropy import entropy_model_for, limit_entropy_grad
-from occens.fluctuations import energy_lattice_step, predict, reduced_hessian
+from occens.fluctuations import energy_lattice_step, reduced_hessian
 
-from helpers import random_spec, two_level_spec
+from helpers import (predict, random_spec, reference_sampled_estimates,
+                     third_std_moments, two_level_spec)
 
 
 class TestInteriorPrediction:
@@ -159,13 +165,15 @@ class TestStationarityGeometry:
         layers = layer_decomposition(dist)
         basis = rotation_basis(spec)
         v1 = dist.fractions()[:, :2] @ basis[:, 0]
-        # states share a layer iff they share the normal coordinate
+        # states share a layer iff they share the normal coordinate; energy
+        # grows along the normal, so layer 0 (least slack) has the largest v1
         groups = {}
         for idx, value in enumerate(np.round(v1, 12)):
             groups.setdefault(value, []).append(idx)
-        by_v1 = sorted(sorted(g) for g in groups.values())
-        by_slack = sorted(sorted(idx.tolist()) for idx in layers.members)
-        assert by_v1 == by_slack
+        by_v1 = [math.fsum(dist.pmf[groups[v]])
+                 for v in sorted(groups, reverse=True)]
+        assert len(by_v1) == layers.layers
+        assert layers.masses.tolist() == pytest.approx(by_v1, rel=1e-13)
 
 
 class TestEmpiricalSummaries:
@@ -193,8 +201,8 @@ class TestEmpiricalSummaries:
         sol = solve(spec)
         thirds = []
         for n in (64, 128, 256):
-            summary = empirical_fluctuations(build_distribution(spec, n), sol, spec)
-            thirds.append(abs(float(summary.third_std_moments[0])))
+            dist = build_distribution(spec, n)
+            thirds.append(abs(float(third_std_moments(dist, sol, spec)[0])))
         assert thirds[0] > thirds[1] > thirds[2]
 
     def test_interior_third_moment_matches_direct_sum(self):
@@ -202,7 +210,7 @@ class TestEmpiricalSummaries:
         sol = solve(spec)
         n = 40
         dist = build_distribution(spec, n)
-        summary = empirical_fluctuations(dist, sol, spec)
+        third = third_std_moments(dist, sol, spec)
         y = (math.sqrt(scaling_factor(spec, n))
              * (dist.counts[:, :2] / n - sol.x_star[:2]))
         for j in range(2):
@@ -210,7 +218,7 @@ class TestEmpiricalSummaries:
             want = (math.fsum(dist.pmf * c**3)
                     / math.fsum(dist.pmf * c**2) ** 1.5)
             assert want > 0.1
-            assert summary.third_std_moments[j] == pytest.approx(want, rel=1e-12)
+            assert third[j] == pytest.approx(want, rel=1e-12)
 
     def test_boundary_summary_masses(self):
         spec = two_level_spec("high_degeneracy")
@@ -218,3 +226,53 @@ class TestEmpiricalSummaries:
         summary = empirical_fluctuations(build_distribution(spec, 64), sol, spec)
         assert summary.layer_masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert summary.layer_slacks[0] == 0
+
+
+# (energies, weights, boundary cap, interior cap) per number of levels
+CHAIN_SPECS = {
+    2: (["1", "2"], [0.5, 0.5], "7/5", "2"),
+    3: (["1", "2", "3"], [0.3, 0.4, 0.3], "8/5", "5/2"),
+    4: (["1", "2", "3", "4"], [0.25] * 4, "17/10", "3"),
+}
+
+
+def assert_close(got, want, rel=1e-12):
+    """|got - want| <= rel * max|want|, elementwise over a block."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(
+        np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("regime", ["high_degeneracy", "proportional",
+                                    "low_degeneracy"])
+@pytest.mark.parametrize("boundary", [False, True], ids=["interior", "boundary"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_shared_estimators_on_chain_draws(m, boundary, regime):
+    # The estimators of the exact path, applied to equally weighted chain
+    # draws, give the sample averages the fallback rows were once built from.
+    energies, weights, bcap, icap = CHAIN_SPECS[m]
+    spec = make_spec(energies, weights, bcap if boundary else icap, regime,
+                     c=1.0)
+    n = 30
+    sol = solve(spec)
+    assert (sol.kind is MaximumKind.BOUNDARY) == boundary
+    draws = metropolis_chain(spec, n, ChainConfig(steps=30_000, seed=m,
+                                                  burn_in=3_000, thinning=7))
+    probes = [np.full(m, 0.5), np.linspace(-1.0, 1.0, m)]
+    mean, mgfs, cov, masses = reference_sampled_estimates(spec, sol, n, draws,
+                                                          probes)
+    dist = draws_distribution(spec, n, draws)
+    assert dist.size == draws.shape[0]
+    assert_close(exact_mean(dist), mean)
+    for xi, want in zip(probes, mgfs):
+        assert_close(mgf(dist, xi), want)
+    summary = empirical_fluctuations(dist, sol, spec)
+    if not boundary:
+        assert_close(summary.scaled_covariance, cov)
+        return
+    # the in-plane block is (m-2)x(m-2): empty at m = 2
+    assert summary.scaled_covariance.shape == (m - 2, m - 2)
+    assert_close(summary.scaled_covariance, cov[: m - 2, : m - 2])
+    assert masses.size > 2
+    assert np.all(np.abs(summary.layer_masses - masses) <= 1e-12 * masses)

@@ -15,12 +15,13 @@ from occens import (
     metropolis_chain,
 )
 from occens import sampler
-from occens.core import Occupancy, SpecValidationError
-from occens.entropy import entropy_exact
+from occens.core import SpecValidationError
 
 from helpers import (
+    Occupancy,
     assert_feasible,
     chain_marginal,
+    entropy_exact,
     enumerated_kernel,
     random_spec,
     reference_metropolis_chain,
@@ -98,7 +99,7 @@ class TestMetropolis:
         spec = sampler_spec()
         n = 6
         dist = build_distribution(spec, n)
-        deg = dist.degeneracy
+        deg = degeneracies_for(spec, n)
         logw = level_log_weights(deg.as_array, n)
         for counts in dist.counts.tolist():
             for i, j, new in single_ball_moves(tuple(counts), 2):
