@@ -16,9 +16,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "core": (
-        "DegeneracyAssignment", "DegeneracySchedule", "EnsembleSpec",
-        "EnumerationBudgetError", "Regime", "SolverError",
-        "SpecValidationError", "degeneracies_for", "default_schedule",
+        "DegeneracyAssignment", "EnsembleSpec", "EnumerationBudgetError",
+        "Regime", "SolverError", "SpecValidationError", "degeneracies_for",
         "make_spec", "threshold_energy", "validate_spec",
     ),
     "ensemble": (
@@ -27,9 +26,8 @@ _EXPORTS = {
         "exact_mean", "layer_decomposition", "mgf",
     ),
     "entropy": (
-        "EntropyModel", "approximation_error", "entropy_model_for", "level_log_weights", "limit_entropy",
-        "limit_entropy_grad", "limit_entropy_hessian_diag", "scaling_factor",
-        "stirling_log_gamma",
+        "approximation_error", "level_log_weights", "limit_entropy",
+        "limit_entropy_hessian_diag", "scaling_factor",
     ),
     "fluctuations": (
         "FluctuationPrediction", "FluctuationSummary", "empirical_fluctuations",

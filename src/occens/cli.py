@@ -61,6 +61,17 @@ def _spec_from_config(config: dict):
     for key in ("energies", "weights"):
         if not isinstance(_require(config, key), list):
             raise ConfigError(f"{key} must be a list, got {config[key]!r}")
+    for key in ("c", "p"):
+        value = config.get(key)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, (int, float))):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+    for key in ("energies", "weights", "energy_cap"):
+        value = config.get(key)
+        if any(isinstance(v, bool)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{key} must be numbers or strings, not "
+                              f"booleans, got {value!r}")
     try:
         return make_spec(
             energies=config["energies"],
@@ -71,7 +82,7 @@ def _spec_from_config(config: dict):
             p=config.get("p"),
         )
     except (SpecValidationError, ValueError, TypeError,
-            ZeroDivisionError) as exc:
+            ArithmeticError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
 
 

@@ -2,8 +2,8 @@
 
 An instance is a fixed set of m energy levels with strictly increasing
 rational energies, level weights g_i summing to 1, a per-particle energy
-cap E, and a degeneracy schedule N -> G(N) whose growth regime selects
-which limiting statistics apply.  Energies are kept as exact rationals so
+cap E, and a total degeneracy G(N) whose growth regime selects which
+limiting statistics apply.  Energies are kept as exact rationals so
 the energy constraint can be evaluated in integer arithmetic.
 """
 
@@ -17,9 +17,6 @@ from functools import cached_property
 from typing import Sequence
 
 WEIGHT_SUM_TOL = 1e-12
-
-# Probe points used to sanity-check a schedule against its declared regime.
-_REGIME_PROBES = (10_000, 40_000)
 
 
 class Regime(str, Enum):
@@ -52,61 +49,21 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DegeneracySchedule:
-    """Named rule mapping N to the total degeneracy G(N).
-
-    kind "power":  G(N) = ceil(N**p)
-    kind "linear": G(N) = ceil(c*N)
-    """
-
-    kind: str
-    p: float | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.kind == "power":
-            if self.p is None or self.p <= 0:
-                raise SpecValidationError(["power schedule requires p > 0"])
-        elif self.kind == "linear":
-            if self.c is None or self.c <= 0:
-                raise SpecValidationError(["linear schedule requires c > 0"])
-        else:
-            raise SpecValidationError([f"unknown schedule kind {self.kind!r}"])
-
-    def __call__(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"N must be >= 1, got {n}")
-        if self.kind == "power":
-            return math.ceil(n**self.p)
-        return math.ceil(self.c * n)
-
-
-def default_schedule(regime: Regime, c: float | None = None,
-                     p: float | None = None) -> DegeneracySchedule:
-    """Built-in schedule for a regime (power p=2 / linear c / power p=1/2)."""
-    if regime is Regime.HIGH_DEGENERACY:
-        return DegeneracySchedule("power", p=2.0 if p is None else p)
-    if regime is Regime.PROPORTIONAL:
-        if c is None:
-            raise SpecValidationError(["proportional regime requires c"])
-        return DegeneracySchedule("linear", c=c)
-    return DegeneracySchedule("power", p=0.5 if p is None else p)
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
     """A bounded-energy occupancy ensemble instance.
 
     energies are exact Fractions (strictly increasing), weights are reals in
     (0, 1] summing to 1, energy_cap is the per-particle cap E as a Fraction.
+    The total degeneracy is G(N) = ceil(c*N) in the proportional regime and
+    G(N) = ceil(N**p) in the other two.
     """
 
     energies: tuple[Fraction, ...]
     weights: tuple[float, ...]
     energy_cap: Fraction
     regime: Regime
-    schedule: DegeneracySchedule
     c: float | None = None
+    p: float | None = None
 
     @property
     def m(self) -> int:
@@ -133,23 +90,35 @@ class EnsembleSpec:
         """Integer energy bound floor(q*E*N); ties in the cap are included."""
         return math.floor(self.q * self.energy_cap * n)
 
+    def schedule(self, n: int) -> int:
+        """Total degeneracy G(N)."""
+        if n < 1:
+            raise ValueError(f"N must be >= 1, got {n}")
+        if self.regime is Regime.PROPORTIONAL:
+            return math.ceil(self.c * n)
+        return math.ceil(n**self.p)
 
-def make_spec(energies, weights, energy_cap, regime, c=None, p=None,
-              schedule=None) -> EnsembleSpec:
-    """Build and validate an EnsembleSpec from loosely-typed inputs."""
+
+def make_spec(energies, weights, energy_cap, regime, c=None,
+              p=None) -> EnsembleSpec:
+    """Build and validate an EnsembleSpec from loosely-typed inputs.
+
+    p defaults to 2 (high_degeneracy) or 1/2 (low_degeneracy) and is kept as
+    given, so an integer p gives exact integer powers.
+    """
     regime = Regime(regime)
+    if p is None:
+        p = {Regime.HIGH_DEGENERACY: 2.0, Regime.LOW_DEGENERACY: 0.5}.get(regime)
     # Strings ("3/2", "1.4") are parsed exactly; floats keep their binary value.
     energies = tuple(Fraction(e) for e in energies)
     weights = tuple(float(w) for w in weights)
-    if schedule is None:
-        schedule = default_schedule(regime, c=c, p=p)
     spec = EnsembleSpec(
         energies=energies,
         weights=weights,
         energy_cap=Fraction(energy_cap),
         regime=regime,
-        schedule=schedule,
         c=float(c) if c is not None else None,
+        p=p,
     )
     return validate_spec(spec)
 
@@ -175,38 +144,18 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
             f"by more than {WEIGHT_SUM_TOL}")
     if not spec.energy_cap > spec.energies[0]:
         violations.append("empty domain: E <= eps_1")
-    if spec.regime is Regime.PROPORTIONAL:
-        if spec.c is None or spec.c <= 0:
-            violations.append("proportional regime requires c > 0")
-    violations.extend(_schedule_violations(spec))
+    # The regime is the limit of G(N)/N: c for ceil(c*N); for ceil(N**p),
+    # infinity when p > 1 and 0 when p < 1.
+    name, low, high = {Regime.HIGH_DEGENERACY: ("p", 1, math.inf),
+                       Regime.PROPORTIONAL: ("c", 0, math.inf),
+                       Regime.LOW_DEGENERACY: ("p", 0, 1)}[spec.regime]
+    value = getattr(spec, name)
+    if value is None or not low < value < high:
+        violations.append(f"{spec.regime.value} regime requires {name} in "
+                          f"({low}, {high}), got {value!r}")
     if violations:
         raise SpecValidationError(violations)
     return spec
-
-
-def _schedule_violations(spec: EnsembleSpec) -> list[str]:
-    n1, n2 = _REGIME_PROBES
-    try:
-        g1, g2 = spec.schedule(n1), spec.schedule(n2)
-    except SpecValidationError as exc:
-        return list(exc.violations)
-    out = []
-    if g2 < g1:
-        out.append("schedule G(N) not nondecreasing")
-    r1, r2 = g1 / n1, g2 / n2
-    if spec.regime is Regime.HIGH_DEGENERACY and not r2 > r1:
-        out.append("regime/schedule mismatch: G(N)/N not increasing "
-                   "for high-degeneracy regime")
-    elif spec.regime is Regime.LOW_DEGENERACY and not r2 < r1:
-        out.append("regime/schedule mismatch: G(N)/N not decreasing "
-                   "for low-degeneracy regime")
-    elif spec.regime is Regime.PROPORTIONAL and spec.c is not None:
-        # ceil-based linear schedules satisfy |G/N - c| <= 1/N.
-        tol = 2.0 / n1 + 1e-9 * spec.c
-        if abs(r1 - spec.c) > tol or abs(r2 - spec.c) > tol:
-            out.append("regime/schedule mismatch: G(N)/N not near c "
-                       "for proportional regime")
-    return out
 
 
 @dataclass(frozen=True)

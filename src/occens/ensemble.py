@@ -170,10 +170,6 @@ class LayerDecomposition:
     slacks: tuple[int, ...]          # realized slack per layer, ascending
     masses: np.ndarray               # (L,) total probability per layer
 
-    @property
-    def layers(self) -> int:
-        return len(self.slacks)
-
 
 def layer_decomposition(dist: Distribution) -> LayerDecomposition:
     """Group states by exact integer energy slack."""

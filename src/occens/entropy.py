@@ -7,9 +7,8 @@ arrangements over degenerate sub-boxes,
 
 read from one per-level table of ln C(k + G_i - 1, k), k = 0..N, built as a
 running sum of log1p((G_i - 1)/j).  The three limit entropies (one per
-degeneracy regime) and their derivatives back the multiplier solver and the
-fluctuation predictions; a truncated Stirling series exists to validate the
-asymptotic approximation the limits rely on.
+degeneracy regime) back the approximation-error measurement, and their
+curvature the fluctuation predictions.
 
 The limit side works at a point, on m numbers, in plain Python; only the
 table functions, which read whole arrays of states, import NumPy.
@@ -18,11 +17,8 @@ table functions, which read whole arrays of states, import NumPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import EnsembleSpec, Regime, degeneracies_for
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def level_log_weights(degs, n: int):
@@ -44,25 +40,6 @@ def level_log_weights(degs, n: int):
     table = np.zeros((degs.size, n + 1))
     np.cumsum(np.log1p((degs[:, None] - 1) / j), axis=1, out=table[:, 1:])
     return table
-
-
-def stirling_log_gamma(lam: float, order: int) -> float:
-    """Truncated Stirling approximation of ln Gamma(lam).
-
-    order selects how many correction terms of the series
-    [1 + 1/(12 lam) + 1/(288 lam^2)] are kept (0, 1 or 2).
-    """
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    series = 1.0
-    if order >= 1:
-        series += 1.0 / (12.0 * lam)
-    if order >= 2:
-        series += 1.0 / (288.0 * lam * lam)
-    return (-lam + (lam - 0.5) * math.log(lam) + _HALF_LOG_TWO_PI
-            + math.log(series))
 
 
 def log_multiplicity(counts, degs):
@@ -91,9 +68,8 @@ def log_multiplicity(counts, degs):
     return sum(terms[1:], terms[0])
 
 
-@dataclass(frozen=True)
-class EntropyModel:
-    """Limit entropy s_l for one degeneracy regime.
+def limit_entropy(spec: EnsembleSpec, x):
+    """Limit entropy s_l(x) of the spec's regime at a point, g its weights:
 
     high_degeneracy: s(x) = sum x_i ln(g_i/x_i) + x_i
     proportional:    s(x) = sum (x_i + g_i c) ln(x_i + g_i c) - x_i ln x_i
@@ -102,34 +78,12 @@ class EntropyModel:
     Summands with x_i = 0 contribute 0.  The Hessian is diagonal in full
     coordinates and strictly negative on the open simplex.
     """
-
-    regime: Regime
-    g: tuple[float, ...]
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.regime is Regime.PROPORTIONAL and (self.c is None or self.c <= 0):
-            raise ValueError("proportional entropy model requires c > 0")
-
-
-def entropy_model_for(spec: EnsembleSpec) -> EntropyModel:
-    return EntropyModel(regime=spec.regime, g=spec.weights, c=spec.c)
-
-
-def limit_entropy(model: EntropyModel, x):
-    """s_l(x) at a point; zero components contribute 0.
-
-    Given rows of points (a 2-D array), returns the array of their values.
-    """
-    if getattr(x, "ndim", 1) > 1:
-        import numpy as np
-        return np.array([limit_entropy(model, row) for row in x.tolist()])
-    g = model.g
-    if model.regime is Regime.HIGH_DEGENERACY:
+    g = spec.weights
+    if spec.regime is Regime.HIGH_DEGENERACY:
         terms = (v * math.log(gi / v) + v if v > 0.0 else 0.0
                  for v, gi in zip(x, g))
-    elif model.regime is Regime.PROPORTIONAL:
-        terms = ((v + gi * model.c) * math.log(v + gi * model.c)
+    elif spec.regime is Regime.PROPORTIONAL:
+        terms = ((v + gi * spec.c) * math.log(v + gi * spec.c)
                  - v * math.log(v) if v > 0.0 else 0.0 for v, gi in zip(x, g))
     else:
         terms = (gi * math.log(v) + gi if v > 0.0 else 0.0
@@ -144,23 +98,13 @@ def _require_interior(x) -> tuple[float, ...]:
     return x
 
 
-def limit_entropy_grad(model: EntropyModel, x) -> tuple[float, ...]:
-    """Per-coordinate first derivative of s_l; requires x > 0."""
-    pairs = zip(_require_interior(x), model.g)
-    if model.regime is Regime.HIGH_DEGENERACY:
-        return tuple(math.log(g / v) for v, g in pairs)
-    if model.regime is Regime.PROPORTIONAL:
-        return tuple(math.log1p(g * model.c / v) for v, g in pairs)
-    return tuple(g / v for v, g in pairs)
-
-
-def limit_entropy_hessian_diag(model: EntropyModel, x) -> tuple[float, ...]:
+def limit_entropy_hessian_diag(spec: EnsembleSpec, x) -> tuple[float, ...]:
     """Diagonal of the (diagonal) second derivative of s_l; requires x > 0."""
-    pairs = zip(_require_interior(x), model.g)
-    if model.regime is Regime.HIGH_DEGENERACY:
+    pairs = zip(_require_interior(x), spec.weights)
+    if spec.regime is Regime.HIGH_DEGENERACY:
         return tuple(-1.0 / v for v, _ in pairs)
-    if model.regime is Regime.PROPORTIONAL:
-        return tuple(-(g * model.c) / (v * (v + g * model.c)) for v, g in pairs)
+    if spec.regime is Regime.PROPORTIONAL:
+        return tuple(-(g * spec.c) / (v * (v + g * spec.c)) for v, g in pairs)
     return tuple(-g / (v * v) for v, g in pairs)
 
 
@@ -192,10 +136,9 @@ def approximation_error(spec: EnsembleSpec, n: int, x) -> float:
     if max(abs(v * n - round(v * n)) for v in x) > 1e-9:
         raise ValueError(f"x={list(x)} is not representable at N={n} "
                          f"(x_i*N not integer)")
-    model = entropy_model_for(spec)
     h = scaling_factor(spec, n)
 
     def scaled_gap(point):
-        return _entropy_lgamma(spec, n, point) / h - limit_entropy(model, point)
+        return _entropy_lgamma(spec, n, point) / h - limit_entropy(spec, point)
 
     return abs(scaled_gap(x) - scaled_gap(spec.weights))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import EnsembleSpec
 from .ensemble import Distribution, layer_decomposition, weighted_covariance
-from .entropy import entropy_model_for, limit_entropy_hessian_diag, scaling_factor
+from .entropy import limit_entropy_hessian_diag, scaling_factor
 from .maxent import MaximumKind, MaxEntSolution, classify_maximum, solve
 
 _ORTHONORMAL_TOL = 1e-12
@@ -39,7 +39,7 @@ def reduced_hessian(spec: EnsembleSpec, x) -> np.ndarray:
     The full Hessian is diagonal, so eliminating the last coordinate adds
     its (negative) curvature to every entry of the reduced block.
     """
-    diag = limit_entropy_hessian_diag(entropy_model_for(spec), x)
+    diag = limit_entropy_hessian_diag(spec, x)
     return np.diag(diag[:-1]) + diag[-1]
 
 
@@ -127,7 +127,6 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if classify_maximum(spec) is not MaximumKind.BOUNDARY:
         raise ValueError("wrong kind: interior instance; use predict_interior")
     sol = solve(spec)
-    m = spec.m
     w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
     w_norm = float(np.linalg.norm(w))
     # derivative of s_l along the inward normal; grad s_l(x*) = lam*eps + nu
@@ -137,13 +136,9 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if not layer_log_ratio < 0.0:
         raise ArithmeticError(
             f"layer log-ratio {layer_log_ratio} not negative; lam={sol.lam}")
-    if m > 2:
-        in_plane = rotation_basis(spec)[:, 1:]
-        h_red = reduced_hessian(spec, sol.x_star)
-        block = _gaussian_covariance(-(in_plane.T @ h_red @ in_plane))
-    else:
-        block = np.zeros((0, 0))
-        block.setflags(write=False)
+    in_plane = rotation_basis(spec)[:, 1:]  # (1, 0) at m = 2: an empty block
+    h_red = reduced_hessian(spec, sol.x_star)
+    block = _gaussian_covariance(-(in_plane.T @ h_red @ in_plane))
     return FluctuationPrediction(kind=MaximumKind.BOUNDARY, covariance=block,
                                  layer_log_ratio=layer_log_ratio)
 
@@ -174,12 +169,8 @@ def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
         cov = weighted_covariance(scale * (x_red - center), dist.pmf)
         return FluctuationSummary(kind=sol.kind, scaled_covariance=cov)
     layers = layer_decomposition(dist)
-    if m > 2:
-        in_plane = rotation_basis(spec)[:, 1:]
-        y_hat = scale * (x_red - center) @ in_plane
-        cov = weighted_covariance(y_hat, dist.pmf)
-    else:
-        cov = np.zeros((0, 0))
+    y_hat = scale * (x_red - center) @ rotation_basis(spec)[:, 1:]
+    cov = weighted_covariance(y_hat, dist.pmf)
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
                               layer_slacks=layers.slacks,
                               layer_masses=layers.masses)

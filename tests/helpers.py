@@ -23,10 +23,9 @@ from occens import (
     build_distribution,
     classify_maximum,
     degeneracies_for,
-    entropy_model_for,
     enumerate_states,
     level_log_weights,
-    limit_entropy_grad,
+    limit_entropy,
     make_spec,
     predict_boundary,
     predict_interior,
@@ -35,7 +34,7 @@ from occens import (
     threshold_energy,
 )
 from occens.core import WEIGHT_SUM_TOL, EnsembleSpec
-from occens.entropy import log_multiplicity
+from occens.entropy import _require_interior, log_multiplicity
 from occens.maxent import RESIDUAL_TOL, _BRACKET_GROWTH_CAP, _bisect_monotone
 
 TWO_LEVEL_ENERGIES = ["1", "2"]
@@ -71,6 +70,51 @@ def random_spec(rng, regime, m, boundary):
     else:
         cap = thr + float(rng.uniform(0.0, 1.0)) * (float(energies[-1]) - thr + 0.5)
     return make_spec(energies, weights, cap, regime, **kwargs)
+
+
+def entropy_spec(regime, g, c=None):
+    """A spec with level weights g; the limit entropy reads only its regime,
+    weights and c, so the energies are 1..m and the cap is m + 1."""
+    m = len(g)
+    return make_spec([str(i + 1) for i in range(m)], [float(v) for v in g],
+                     m + 1, regime, c=c)
+
+
+_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def stirling_log_gamma(lam: float, order: int) -> float:
+    """Truncated Stirling approximation of ln Gamma(lam).
+
+    order selects how many correction terms of the series
+    [1 + 1/(12 lam) + 1/(288 lam^2)] are kept (0, 1 or 2).
+    """
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order}")
+    series = 1.0
+    if order >= 1:
+        series += 1.0 / (12.0 * lam)
+    if order >= 2:
+        series += 1.0 / (288.0 * lam * lam)
+    return (-lam + (lam - 0.5) * math.log(lam) + _HALF_LOG_TWO_PI
+            + math.log(series))
+
+
+def limit_entropy_rows(spec, x):
+    """limit_entropy over the rows of a 2-D array."""
+    return np.array([limit_entropy(spec, row) for row in x.tolist()])
+
+
+def limit_entropy_grad(spec, x) -> tuple[float, ...]:
+    """Per-coordinate first derivative of s_l; requires x > 0."""
+    pairs = zip(_require_interior(x), spec.weights)
+    if spec.regime is Regime.HIGH_DEGENERACY:
+        return tuple(math.log(g / v) for v, g in pairs)
+    if spec.regime is Regime.PROPORTIONAL:
+        return tuple(math.log1p(g * spec.c / v) for v, g in pairs)
+    return tuple(g / v for v, g in pairs)
 
 
 @dataclass(frozen=True)
@@ -704,16 +748,16 @@ def _ref_solve(spec) -> MaxEntSolution:
 
 # Test-only oracles over the limit entropy.
 
-def _rows_limit_entropy(model, x):
+def _rows_limit_entropy(spec, x):
     """s_l over the rows of x, vectorized; zero components contribute 0."""
     x = np.asarray(x, dtype=float)
-    g = np.array(model.g)
+    g = np.array(spec.weights)
     positive = x > 0.0
     xs = np.where(positive, x, 1.0)  # placeholder keeps logs finite
-    if model.regime is Regime.HIGH_DEGENERACY:
+    if spec.regime is Regime.HIGH_DEGENERACY:
         terms = xs * np.log(g / xs) + xs
-    elif model.regime is Regime.PROPORTIONAL:
-        gc = g * model.c
+    elif spec.regime is Regime.PROPORTIONAL:
+        gc = g * spec.c
         terms = (xs + gc) * np.log(xs + gc) - xs * np.log(xs)
     else:
         terms = g * np.log(xs) + g
@@ -723,8 +767,7 @@ def _rows_limit_entropy(model, x):
 def kkt_stationarity_residual(spec: EnsembleSpec,
                               sol: MaxEntSolution) -> float:
     """Max-norm of grad s_l(x*) - (lam*eps + nu); ~0 at a valid solution."""
-    model = entropy_model_for(spec)
-    grad = np.array(limit_entropy_grad(model, sol.x_star))
+    grad = np.array(limit_entropy_grad(spec, sol.x_star))
     return float(np.max(np.abs(
         grad - (sol.lam * np.array(spec.energies_float) + sol.nu))))
 
@@ -743,7 +786,6 @@ def oracle_grid_maximize(spec: EnsembleSpec, resolution: int = 1000) -> np.ndarr
         raise ValueError("grid oracle supports resolution <= 2000")
     if math.comb(resolution + spec.m - 1, spec.m - 1) > 50_000_000:
         raise ValueError("grid too large; lower the resolution")
-    model = entropy_model_for(spec)
     if spec.m == 1:
         return np.array([1.0])
     states = enumerate_states(spec, resolution, budget=50_000_000)
@@ -752,11 +794,11 @@ def oracle_grid_maximize(spec: EnsembleSpec, resolution: int = 1000) -> np.ndarr
         raise SolverError("no strictly positive feasible grid point; "
                           "resolution too coarse for this spec")
     x = states / resolution
-    best = x[int(np.argmax(_rows_limit_entropy(model, x)))]
-    return _refine_once(spec, model, best, resolution)
+    best = x[int(np.argmax(_rows_limit_entropy(spec, x)))]
+    return _refine_once(spec, best, resolution)
 
 
-def _refine_once(spec: EnsembleSpec, model, x0: np.ndarray,
+def _refine_once(spec: EnsembleSpec, x0: np.ndarray,
                  resolution: int) -> np.ndarray:
     m = spec.m
     sub = 1.0 / (10.0 * resolution)
@@ -771,4 +813,4 @@ def _refine_once(spec: EnsembleSpec, model, x0: np.ndarray,
     cand = cand[feasible]
     if cand.shape[0] == 0:
         return x0
-    return cand[int(np.argmax(_rows_limit_entropy(model, cand)))]
+    return cand[int(np.argmax(_rows_limit_entropy(spec, cand)))]

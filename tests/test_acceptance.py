@@ -24,19 +24,21 @@ from occens import (
     predict_interior,
     solve,
     solve_regime1_multipliers,
-    stirling_log_gamma,
 )
-from occens.entropy import EntropyModel, limit_entropy, limit_entropy_grad, limit_entropy_hessian_diag
+from occens.entropy import limit_entropy, limit_entropy_hessian_diag
 from occens.core import Regime
 from occens.sampler import ChainConfig
 
 from helpers import (
     central_diff,
     chain_marginal,
+    entropy_spec,
     enumerated_kernel,
     kkt_stationarity_residual,
+    limit_entropy_grad,
     oracle_grid_maximize,
     random_spec,
+    stirling_log_gamma,
     two_level_spec,
 )
 
@@ -240,23 +242,23 @@ def test_criterion_11_gradient_hessian_checks():
     rng = np.random.default_rng(77)
     worst_grad = 0.0
     worst_hess = 0.0
-    models = [
-        EntropyModel(Regime.HIGH_DEGENERACY, (0.25, 0.45, 0.3)),
-        EntropyModel(Regime.PROPORTIONAL, (0.25, 0.45, 0.3), c=1.4),
-        EntropyModel(Regime.LOW_DEGENERACY, (0.25, 0.45, 0.3)),
+    specs = [
+        entropy_spec(Regime.HIGH_DEGENERACY, (0.25, 0.45, 0.3)),
+        entropy_spec(Regime.PROPORTIONAL, (0.25, 0.45, 0.3), c=1.4),
+        entropy_spec(Regime.LOW_DEGENERACY, (0.25, 0.45, 0.3)),
     ]
-    for model in models:
+    for spec in specs:
         for _ in range(100):
             x = rng.dirichlet(np.ones(3))
             x = np.clip(x, 0.05, None)
             x = x / x.sum()
-            grad = limit_entropy_grad(model, x)
-            hess = limit_entropy_hessian_diag(model, x)
+            grad = limit_entropy_grad(spec, x)
+            hess = limit_entropy_hessian_diag(spec, x)
             for i in range(3):
-                fd_g = central_diff(lambda p: float(limit_entropy(model, p)),
+                fd_g = central_diff(lambda p: float(limit_entropy(spec, p)),
                                     x, i, 1e-6)
                 fd_h = central_diff(
-                    lambda p: float(limit_entropy_grad(model, p)[i]), x, i, 1e-5)
+                    lambda p: float(limit_entropy_grad(spec, p)[i]), x, i, 1e-5)
                 # relative with a small absolute floor: regime-1 gradients
                 # vanish at x = g, where FD noise would swamp a pure ratio
                 worst_grad = max(worst_grad,

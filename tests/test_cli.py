@@ -440,10 +440,16 @@ def assert_config_error(capsys, code):
     # the chain and exit 0
     ("lln-sweep", {"N_list": [10], "budget": 2, "sampler_fallback": "false"}),
     ("fluct-check", {"N_list": [10], "budget": 2, "sampler_fallback": 0}),
+    ("solve", {"energies": [1, 1e400, 3]}),
+    ("solve", {"c": True}),
+    ("solve", {"weights": [True, 0.4, 0.3]}),
+    ("solve", {"energy_cap": True}),
+    ("solve", {"regime": "high_degeneracy", "p": True}),
 ], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in",
         "energies-int", "energies-str", "energies-null", "weights-null",
         "energy_cap-null", "c-list", "p-str", "p-list", "fallback-str",
-        "fallback-int"])
+        "fallback-int", "energies-overflow", "c-bool", "weights-bool",
+        "energy_cap-bool", "p-bool"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
     assert_config_error(capsys, main([command, "--config", config]))

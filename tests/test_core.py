@@ -1,15 +1,16 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occens import (
-    DegeneracySchedule,
     EnsembleSpec,
     Regime,
     SpecValidationError,
     degeneracies_for,
-    default_schedule,
     make_spec,
     threshold_energy,
     validate_spec,
@@ -36,10 +37,9 @@ class TestValidation:
             make_spec(["1", "2"], [0.5, 0.6], 1.4, "proportional", c=1.0)
 
     def test_rejects_regime_schedule_mismatch(self):
-        schedule = DegeneracySchedule("power", p=2.0)
-        with pytest.raises(SpecValidationError, match="regime/schedule mismatch"):
-            make_spec(["1", "2"], [0.5, 0.5], 1.4, "low_degeneracy",
-                      schedule=schedule)
+        with pytest.raises(SpecValidationError,
+                           match=r"low_degeneracy regime requires p in \(0, 1\)"):
+            make_spec(["1", "2"], [0.5, 0.5], 1.4, "low_degeneracy", p=2.0)
 
     def test_requires_c_for_proportional(self):
         with pytest.raises(SpecValidationError, match="requires c"):
@@ -53,7 +53,7 @@ class TestValidation:
             weights=(0.5, 0.6),
             energy_cap=Fraction(0),
             regime=Regime.HIGH_DEGENERACY,
-            schedule=default_schedule(Regime.HIGH_DEGENERACY),
+            p=2.0,
         )
         with pytest.raises(SpecValidationError) as err:
             validate_spec(spec)
@@ -74,22 +74,74 @@ class TestValidation:
         assert spec.energy_cap_units(5) == 7
 
 
+def _schedule_spec(regime, **kwargs):
+    return make_spec(["1", "2"], [0.5, 0.5], 1.4, regime, **kwargs)
+
+
 class TestSchedules:
     def test_builtin_defaults(self):
-        high = default_schedule(Regime.HIGH_DEGENERACY)
-        low = default_schedule(Regime.LOW_DEGENERACY)
-        lin = default_schedule(Regime.PROPORTIONAL, c=1.5)
-        assert high(10) == 100
-        assert low(100) == 10
-        assert lin(10) == 15
+        assert _schedule_spec("high_degeneracy").schedule(10) == 100
+        assert _schedule_spec("low_degeneracy").schedule(100) == 10
+        assert _schedule_spec("proportional", c=1.5).schedule(10) == 15
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(SpecValidationError):
-            DegeneracySchedule("power", p=-1.0)
+            _schedule_spec("low_degeneracy", p=-1.0)
         with pytest.raises(SpecValidationError):
-            DegeneracySchedule("linear")
-        with pytest.raises(SpecValidationError):
-            DegeneracySchedule("weird")
+            _schedule_spec("proportional")
+        with pytest.raises(ValueError):
+            _schedule_spec("weird")
+
+
+class TestRegimeExponent:
+    """Each regime is checked by its defining exponent: G(N)/N -> infinity
+    for ceil(N**p) iff p > 1, -> 0 iff p < 1, and -> c for ceil(c*N)."""
+
+    @pytest.mark.parametrize("regime, p", [
+        ("high_degeneracy", 1.000001), ("high_degeneracy", 1 + 1e-12),
+        ("high_degeneracy", 3), ("low_degeneracy", 0.999999),
+        ("low_degeneracy", 1 - 1e-12), ("low_degeneracy", 1e-6),
+    ])
+    def test_exponents_near_one_accepted(self, regime, p):
+        spec = _schedule_spec(regime, p=p)
+        assert spec.p == p
+        assert spec.schedule(7) == math.ceil(7**p)
+
+    @pytest.mark.parametrize("regime, p", [
+        ("high_degeneracy", 1), ("high_degeneracy", 1.0),
+        ("low_degeneracy", 1), ("low_degeneracy", 1.0),
+        ("high_degeneracy", 0.5), ("high_degeneracy", math.inf),
+        ("high_degeneracy", math.nan), ("low_degeneracy", 0),
+        ("low_degeneracy", -0.5), ("low_degeneracy", 2.0),
+    ])
+    def test_exponents_outside_regime_rejected(self, regime, p):
+        with pytest.raises(SpecValidationError, match=f"{regime} regime requires"):
+            _schedule_spec(regime, p=p)
+
+    @pytest.mark.parametrize("c", [0, -1.0, math.inf, math.nan])
+    def test_nonpositive_or_infinite_c_rejected(self, c):
+        with pytest.raises(SpecValidationError, match="requires c in"):
+            _schedule_spec("proportional", c=c)
+
+    def test_integer_exponent_kept_exact(self):
+        spec = _schedule_spec("high_degeneracy", p=1000)
+        assert spec.p == 1000 and isinstance(spec.p, int)
+        assert spec.schedule(3) == 3**1000  # an exact integer, no float
+
+    def test_overflowing_exponent_solves_but_cannot_sweep(self, tmp_path,
+                                                          capsys):
+        from occens.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "energies": ["1", "2", "3"], "weights": [0.25, 0.45, 0.3],
+            "energy_cap": "17/10", "regime": "high_degeneracy", "p": 1000,
+            "N_list": [10]}))
+        assert main(["solve", "--config", str(path)]) == 0
+        capsys.readouterr()
+        # G(10) = 10**1000 has no float, so no degeneracy split exists
+        assert main(["lln-sweep", "--config", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
 
 class TestDegeneracies:

@@ -232,7 +232,7 @@ class TestLayers:
     def test_single_state_single_layer(self):
         spec = make_spec(["1"], [1.0], 2, "proportional", c=1.0)
         layers = layer_decomposition(build_distribution(spec, 5))
-        assert layers.layers == 1
+        assert len(layers.slacks) == 1
         assert layers.masses[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_partition(self):

@@ -9,20 +9,19 @@ from occens import (
     DegeneracyAssignment,
     approximation_error,
     degeneracies_for,
-    entropy_model_for,
     level_log_weights,
     limit_entropy,
-    limit_entropy_grad,
     limit_entropy_hessian_diag,
     make_spec,
     scaling_factor,
-    stirling_log_gamma,
 )
-from occens.entropy import EntropyModel, log_multiplicity
+from occens.entropy import log_multiplicity
 from occens.core import Regime
 
-from helpers import (Occupancy, central_diff, entropy_exact, random_spec,
-                     reference_log_multiplicity, two_level_spec)
+from helpers import (Occupancy, central_diff, entropy_exact, entropy_spec,
+                     limit_entropy_grad, limit_entropy_rows, random_spec,
+                     reference_log_multiplicity, stirling_log_gamma,
+                     two_level_spec)
 
 
 class TestLevelLogWeights:
@@ -171,22 +170,22 @@ class TestEntropyExact:
 
 class TestLimitEntropy:
     def test_single_level_regime1(self):
-        model = EntropyModel(Regime.HIGH_DEGENERACY, (1.0,))
-        assert limit_entropy(model, [1.0]) == pytest.approx(1.0, abs=1e-15)
+        spec = entropy_spec(Regime.HIGH_DEGENERACY, (1.0,))
+        assert limit_entropy(spec, [1.0]) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_component_contributes_nothing(self):
-        model = EntropyModel(Regime.LOW_DEGENERACY, (0.5, 0.5))
+        spec = entropy_spec(Regime.LOW_DEGENERACY, (0.5, 0.5))
         # only the occupied level contributes: 0.5*ln(1) + 0.5
-        assert limit_entropy(model, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
+        assert limit_entropy(spec, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_proportional_at_weights(self):
-        model = EntropyModel(Regime.PROPORTIONAL, (0.5, 0.5), c=1.0)
-        assert limit_entropy(model, [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
+        spec = entropy_spec(Regime.PROPORTIONAL, (0.5, 0.5), c=1.0)
+        assert limit_entropy(spec, [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_vectorized_rows(self):
-        model = EntropyModel(Regime.HIGH_DEGENERACY, (0.5, 0.5))
+        spec = entropy_spec(Regime.HIGH_DEGENERACY, (0.5, 0.5))
         rows = np.array([[0.5, 0.5], [0.25, 0.75]])
-        vals = limit_entropy(model, rows)
+        vals = limit_entropy_rows(spec, rows)
         assert vals.shape == (2,)
         assert vals[0] == pytest.approx(1.0, abs=1e-12)  # x = g: sum x_i
         assert vals[0] > vals[1]  # maximum at x = g
@@ -194,24 +193,24 @@ class TestLimitEntropy:
 
 class TestDerivatives:
     def test_regime1_grad_zero_at_weights(self):
-        model = EntropyModel(Regime.HIGH_DEGENERACY, (0.3, 0.7))
-        assert np.allclose(limit_entropy_grad(model, [0.3, 0.7]), 0.0, atol=1e-15)
+        spec = entropy_spec(Regime.HIGH_DEGENERACY, (0.3, 0.7))
+        assert np.allclose(limit_entropy_grad(spec, [0.3, 0.7]), 0.0, atol=1e-15)
 
     def test_regime1_hessian_value(self):
-        model = EntropyModel(Regime.HIGH_DEGENERACY, (0.5, 0.5))
-        assert np.allclose(limit_entropy_hessian_diag(model, [0.5, 0.5]),
+        spec = entropy_spec(Regime.HIGH_DEGENERACY, (0.5, 0.5))
+        assert np.allclose(limit_entropy_hessian_diag(spec, [0.5, 0.5]),
                            [-2.0, -2.0], atol=1e-12)
 
     def test_regime3_grad_ones_at_weights(self):
-        model = EntropyModel(Regime.LOW_DEGENERACY, (0.2, 0.8))
-        assert np.allclose(limit_entropy_grad(model, [0.2, 0.8]), 1.0, atol=1e-15)
+        spec = entropy_spec(Regime.LOW_DEGENERACY, (0.2, 0.8))
+        assert np.allclose(limit_entropy_grad(spec, [0.2, 0.8]), 1.0, atol=1e-15)
 
     def test_domain_error_at_zero(self):
-        model = EntropyModel(Regime.HIGH_DEGENERACY, (0.5, 0.5))
+        spec = entropy_spec(Regime.HIGH_DEGENERACY, (0.5, 0.5))
         with pytest.raises(ValueError):
-            limit_entropy_grad(model, [1.0, 0.0])
+            limit_entropy_grad(spec, [1.0, 0.0])
         with pytest.raises(ValueError):
-            limit_entropy_hessian_diag(model, [1.0, 0.0])
+            limit_entropy_hessian_diag(spec, [1.0, 0.0])
 
     @pytest.mark.parametrize("regime,kwargs", [
         (Regime.HIGH_DEGENERACY, {}),
@@ -222,20 +221,20 @@ class TestDerivatives:
         rng = np.random.default_rng(42)
         m = 3
         g = np.array([0.2, 0.5, 0.3])
-        model = EntropyModel(regime, tuple(g), **kwargs)
+        spec = entropy_spec(regime, tuple(g), **kwargs)
         for _ in range(100):
             x = rng.dirichlet(np.ones(m))
             x = np.clip(x, 0.05, None)
             x = x / x.sum()
-            grad = limit_entropy_grad(model, x)
-            hess = limit_entropy_hessian_diag(model, x)
+            grad = limit_entropy_grad(spec, x)
+            hess = limit_entropy_hessian_diag(spec, x)
             assert np.all(np.array(hess) < 0.0)
             for i in range(m):
-                fd_grad = central_diff(lambda p: float(limit_entropy(model, p)),
+                fd_grad = central_diff(lambda p: float(limit_entropy(spec, p)),
                                        x, i, 1e-6)
                 assert fd_grad == pytest.approx(grad[i], rel=1e-6, abs=1e-9)
                 fd_hess = central_diff(
-                    lambda p: float(limit_entropy_grad(model, p)[i]), x, i, 1e-5)
+                    lambda p: float(limit_entropy_grad(spec, p)[i]), x, i, 1e-5)
                 assert fd_hess == pytest.approx(hess[i], rel=1e-5, abs=1e-8)
 
 
@@ -274,19 +273,11 @@ class TestApproximationError:
 
 
 class TestModelFactory:
-    def test_carries_spec_fields(self):
-        spec = two_level_spec("proportional", c=2.0)
-        model = entropy_model_for(spec)
-        assert model.regime is Regime.PROPORTIONAL
-        assert model.c == 2.0
-        assert model.g == spec.weights
-
     def test_random_interior_hessians_negative(self):
         rng = np.random.default_rng(3)
         for regime in ("high_degeneracy", "proportional", "low_degeneracy"):
             spec = random_spec(rng, regime, 3, boundary=False)
-            model = entropy_model_for(spec)
             x = rng.dirichlet(np.ones(3))
             x = np.clip(x, 0.05, None)
             x = x / x.sum()
-            assert np.all(np.array(limit_entropy_hessian_diag(model, x)) < 0.0)
+            assert np.all(np.array(limit_entropy_hessian_diag(spec, x)) < 0.0)

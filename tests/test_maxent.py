@@ -10,7 +10,6 @@ from occens import (
     MaximumKind,
     Regime,
     classify_maximum,
-    default_schedule,
     make_spec,
     solve,
     solve_regime1_multipliers,
@@ -19,7 +18,7 @@ from occens import (
     threshold_energy,
 )
 from occens.core import EnsembleSpec
-from occens.entropy import entropy_model_for, limit_entropy
+from occens.entropy import limit_entropy
 from occens.maxent import _be_newton, _be_nu_for_lam, x_star_from_multipliers
 
 from helpers import (kkt_stationarity_residual, oracle_grid_maximize,
@@ -49,7 +48,7 @@ class TestClassify:
             weights=(0.5, 0.5),
             energy_cap=Fraction(1),
             regime=Regime.HIGH_DEGENERACY,
-            schedule=default_schedule(Regime.HIGH_DEGENERACY),
+            p=2.0,
         )
         with pytest.raises(ValueError, match="empty domain"):
             classify_maximum(spec)
@@ -209,10 +208,9 @@ class TestGridOracle:
     def test_oracle_never_beats_solver(self):
         for regime, kwargs in REGIMES:
             spec = two_level_spec(regime, **kwargs)
-            model = entropy_model_for(spec)
             best = oracle_grid_maximize(spec, resolution=500)
-            assert float(limit_entropy(model, best)) \
-                <= float(limit_entropy(model, solve(spec).x_star)) + 1e-6
+            assert float(limit_entropy(spec, best)) \
+                <= float(limit_entropy(spec, solve(spec).x_star)) + 1e-6
 
     def test_matches_solver_on_random_specs(self):
         rng = np.random.default_rng(123)
