@@ -35,8 +35,6 @@ _EXPORTS = {
     ),
     "maxent": (
         "MaxEntSolution", "MaximumKind", "classify_maximum", "solve",
-        "solve_regime1_multipliers", "solve_regime2_multipliers",
-        "solve_regime3_multipliers",
     ),
     "sampler": ("ChainConfig", "exact_sample", "metropolis_chain"),
 }

@@ -23,6 +23,7 @@ from .core import (
     EnumerationBudgetError,
     SolverError,
     SpecValidationError,
+    has_finite_float,
     make_spec,
 )
 from .entropy import approximation_error, scaling_factor
@@ -100,7 +101,7 @@ def _vector(name: str, value, m: int) -> tuple[float, ...]:
     if (not isinstance(value, list) or len(value) != m
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
                    for v in value)
-            or not all(math.isfinite(v) for v in value)):
+            or not all(map(has_finite_float, value))):
         raise ConfigError(f"{name} must be a list of {m} finite numbers, "
                           f"got {value!r}")
     return tuple(float(v) for v in value)

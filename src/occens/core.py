@@ -10,6 +10,7 @@ the energy constraint can be evaluated in integer arithmetic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -17,6 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 WEIGHT_SUM_TOL = 1e-12
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class Regime(str, Enum):
@@ -91,12 +93,25 @@ class EnsembleSpec:
         return math.floor(self.q * self.energy_cap * n)
 
     def schedule(self, n: int) -> int:
-        """Total degeneracy G(N)."""
+        """Total degeneracy G(N); OverflowError if it has no float."""
         if n < 1:
             raise ValueError(f"N must be >= 1, got {n}")
         if self.regime is Regime.PROPORTIONAL:
             return math.ceil(self.c * n)
+        # checked first: an integer p builds the exact power, p*log2(N) bits
+        if self.p * math.log(n) > _LOG_FLOAT_MAX:
+            raise OverflowError(f"G(N) = ceil(N**p) exceeds the float range "
+                                f"at N={n}, p={self.p}")
         return math.ceil(n**self.p)
+
+
+def has_finite_float(value) -> bool:
+    """True iff float(value) is finite; an int or Fraction past the float
+    range has none."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def make_spec(energies, weights, energy_cap, regime, c=None,
@@ -142,6 +157,8 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
         violations.append(
             f"weight sum {math.fsum(spec.weights)!r} differs from 1 "
             f"by more than {WEIGHT_SUM_TOL}")
+    if not all(map(has_finite_float, (*spec.energies, spec.energy_cap))):
+        violations.append("energies and energy_cap must be finite as floats")
     if not spec.energy_cap > spec.energies[0]:
         violations.append("empty domain: E <= eps_1")
     # The regime is the limit of G(N)/N: c for ceil(c*N); for ceil(N**p),

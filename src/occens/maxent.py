@@ -1,15 +1,25 @@
 """Limiting constrained entropy maximization.
 
 Classifies the maximum as interior (x* = g, cap slack) or boundary (cap
-active), and solves for the multipliers (lam, nu) of the stationarity
-system in each regime:
+active), and solves for the multipliers (lam, nu).  Stationarity has the
+same form in every regime,
 
-    high_degeneracy:  x_i = g_i * exp(-(lam*eps_i + nu))
-    proportional:     x_i = g_i * c / (exp(lam*eps_i + nu) - 1)
-    low_degeneracy:   x_i = g_i / (lam*eps_i + nu)
+    x_i = g_i * phi(t_i),   t_i = lam*eps_i + nu,
 
-subject to sum x_i = 1 and sum eps_i x_i = E.  Everything here is
-arithmetic on m numbers, in plain Python.
+with phi strictly decreasing:
+
+    high_degeneracy:  phi(t) = exp(-t)
+    proportional:     phi(t) = c / (exp(t) - 1)
+    low_degeneracy:   phi(t) = 1 / t
+
+subject to sum x_i = 1 and sum eps_i x_i = E.  One nested solve serves all
+three regimes.  For fixed lam >= 0, sum x_i = 1 fixes t_1 inside the
+closed-form bracket [phi^-1(1/g_1), phi^-1(1)]: x_1 alone is 1 at the lower
+end and every x_i <= g_i at the upper end.  The mean energy then falls from
+the interior threshold at lam = 0 towards eps_1, which fixes lam.  x is
+computed from t_i = t_1 + lam*(eps_i - eps_1), so no large lam*eps_i
+cancels against nu.  Everything here is arithmetic on m numbers, in plain
+Python.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from enum import Enum
 from .core import EnsembleSpec, Regime, SolverError, threshold_energy
 
 RESIDUAL_TOL = 1e-10
-_BISECT_MAX_ITER = 300
+_ROOT_MAX_ITER = 300
 _BRACKET_GROWTH_CAP = 200
 
 
@@ -53,265 +63,105 @@ def classify_maximum(spec: EnsembleSpec) -> MaximumKind:
     return MaximumKind.BOUNDARY
 
 
-def _bisect_monotone(f, target, lo, hi, increasing, xtol=1e-13):
-    """Solve f(x) = target for monotone f on a valid bracket [lo, hi]."""
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _falling_root(f, lo, hi, f_lo, f_hi):
+    """Root of a decreasing f on [lo, hi], given f_lo = f(lo), f_hi = f(hi).
+
+    Bracketed false position with the Illinois modification (Dowell &
+    Jarratt, BIT 11, 1971): an end kept twice in a row has its value halved,
+    so both ends close in superlinearly.  Returns the evaluated point of
+    least |f|, once f is 0 or the bracket is a few ulps wide.
+    """
+    best = min((abs(f_lo), lo), (abs(f_hi), hi))
+    if f_lo <= 0.0 or f_hi >= 0.0:
+        return best[1]
+    side = 0
+    for _ in range(_ROOT_MAX_ITER):
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if not lo < x < hi or hi - lo <= 4e-16 * max(abs(lo), abs(hi)):
             break
-        fm = f(mid)
-        if fm == target:
-            return mid
-        if (fm > target) == increasing:
-            hi = mid
+        fx = f(x)
+        best = min(best, (abs(fx), x))
+        if fx > 0.0:
+            lo, f_lo = x, fx
+            if side > 0:
+                f_hi *= 0.5
+            side = 1
+        elif fx < 0.0:
+            hi, f_hi = x, fx
+            if side < 0:
+                f_lo *= 0.5
+            side = -1
         else:
-            lo = mid
-        if hi - lo < xtol * max(1.0, abs(lo), abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    return best[1]
 
 
-def _require_boundary(spec: EnsembleSpec) -> None:
-    if classify_maximum(spec) is not MaximumKind.BOUNDARY:
-        raise ValueError("not a boundary instance: E >= sum(g_i*eps_i)")
-
-
-def _dot(a, b) -> float:
-    return sum(u * v for u, v in zip(a, b))
-
-
-def _mb_mean_energy(spec: EnsembleSpec, lam: float) -> float:
-    # E(lam) = sum g*eps*exp(-lam*eps) / sum g*exp(-lam*eps), computed with
-    # a max shift so large lam (or negative energies) cannot overflow.
-    eps = spec.energies_float
-    shift = max(-lam * e for e in eps)
-    w = [g * math.exp(-lam * e - shift) for g, e in zip(spec.weights, eps)]
-    return _dot(eps, w) / sum(w)
-
-
-def solve_regime1_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
-    """Multipliers for the high-degeneracy boundary case.
-
-    E(lam) is strictly decreasing, so lam comes from bisection on a bracket
-    grown geometrically from [0, 1]; nu then has the closed form
-    ln sum g_i exp(-lam*eps_i).
-    """
-    _require_boundary(spec)
-    target = float(spec.energy_cap)
-    hi = 1.0
-    for _ in range(_BRACKET_GROWTH_CAP):
-        if _mb_mean_energy(spec, hi) < target:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(f"no bracket for lam: E({hi}) still above {target}")
-    lam = _bisect_monotone(lambda t: _mb_mean_energy(spec, t), target,
-                           0.0, hi, increasing=False)
-    shift = max(-lam * e for e in spec.energies_float)
-    nu = shift + math.log(sum(g * math.exp(-lam * e - shift)
-                              for g, e in zip(spec.weights, spec.energies_float)))
-    return lam, nu
-
-
-def _zm_mean_energy(spec: EnsembleSpec, alpha: float) -> float:
-    # E(alpha) = sum g*eps/(eps+alpha) / sum g/(eps+alpha); strictly
-    # increasing on alpha > -eps_1, from eps_1 up to sum g*eps.
-    w = [g / (e + alpha) for g, e in zip(spec.weights, spec.energies_float)]
-    return _dot(spec.energies_float, w) / sum(w)
-
-
-def solve_regime3_multipliers(spec: EnsembleSpec) -> tuple[float, float]:
-    """Multipliers for the low-degeneracy boundary case via nu = lam*alpha.
-
-    The substitution reduces the system to one monotone equation E(alpha)
-    on (-eps_1, inf); lam = sum g_i/(eps_i+alpha) then makes sum x_i = 1
-    exact by construction, and lam*eps_i + nu = lam*(eps_i+alpha) > 0.
-    """
-    _require_boundary(spec)
-    target = float(spec.energy_cap)
-    eps1 = float(spec.energies[0])
-    scale = max(1.0, abs(eps1))
-    delta = scale
-    for _ in range(_BRACKET_GROWTH_CAP):
-        if _zm_mean_energy(spec, -eps1 + delta) < target:
-            break
-        delta *= 0.25
-    else:
-        raise SolverError("no lower bracket for alpha near -eps_1")
-    lo = -eps1 + delta
-    hi = max(lo, scale)
-    for _ in range(_BRACKET_GROWTH_CAP):
-        if _zm_mean_energy(spec, hi) > target:
-            break
-        hi = hi * 4.0 + scale
-    else:
-        raise SolverError(f"no upper bracket for alpha: E({hi}) below {target}")
-    alpha = _bisect_monotone(lambda a: _zm_mean_energy(spec, a), target,
-                             lo, hi, increasing=True)
-    lam = sum(g / (e + alpha) for g, e in zip(spec.weights, spec.energies_float))
-    nu = lam * alpha
-    return lam, nu
-
-
-def _be_fractions(spec: EnsembleSpec, lam: float, nu: float) -> list[float]:
-    # bracket growth may probe the exponent floor t -> 0+, where the
-    # fraction legitimately diverges; comparisons handle the inf
-    return [_be_fraction(g * spec.c, lam * e + nu)
-            for g, e in zip(spec.weights, spec.energies_float)]
-
-
-def _be_fraction(gc: float, t: float) -> float:
-    try:
-        d = math.expm1(t)
-    except OverflowError:
-        return 0.0
-    return gc / d if d else math.inf
-
-
-def _be_residual(spec: EnsembleSpec, lam: float, nu: float) -> tuple[float, float]:
-    x = _be_fractions(spec, lam, nu)
-    return sum(x) - 1.0, _dot(spec.energies_float, x) - float(spec.energy_cap)
-
-
-def _be_nu_for_lam(spec: EnsembleSpec, lam: float) -> float:
-    # Inner solve of sum x_i = 1 in nu; the sum is strictly decreasing on
-    # nu > -lam*eps_1 and covers (0, inf), so the bracket always closes.
-    nu_floor = -lam * float(spec.energies[0])
-
-    def total(nu):
-        return sum(_be_fractions(spec, lam, nu))
-
-    delta = 1.0
-    for _ in range(_BRACKET_GROWTH_CAP):
-        if total(nu_floor + delta) > 1.0:
-            break
-        delta *= 0.25
-    else:
-        raise SolverError("inner nu bracket failed near nu -> -lam*eps_1")
-    lo = nu_floor + delta
-    hi = lo + 1.0
-    for _ in range(_BRACKET_GROWTH_CAP):
-        if total(hi) < 1.0:
-            break
-        hi = 2.0 * hi - nu_floor
-    else:
-        raise SolverError("inner nu bracket failed for large nu")
-    return _bisect_monotone(total, 1.0, lo, hi, increasing=False)
-
-
-def _be_newton(spec: EnsembleSpec, lam: float, nu: float):
-    eps = spec.energies_float
-    gcs = [g * spec.c for g in spec.weights]
-    for _ in range(100):
-        r_norm, r_energy = _be_residual(spec, lam, nu)
-        err = max(abs(r_norm), abs(r_energy))
-        if err < 1e-13:
-            return lam, nu
-        x = _be_fractions(spec, lam, nu)
-        dx_dnu = [-v * (1.0 + v / gc) for v, gc in zip(x, gcs)]
-        # Jacobian [[a, b], [c, d]] of the residual in (lam, nu); the 2x2
-        # Newton step solves it by Cramer's rule.
-        b = sum(dx_dnu)
-        a = d = _dot(eps, dx_dnu)
-        c = _dot(eps, [e * v for e, v in zip(eps, dx_dnu)])
-        det = a * d - b * c
-        if det == 0.0:
-            return None
-        step = ((b * r_energy - d * r_norm) / det,
-                (c * r_norm - a * r_energy) / det)
-        size = 1.0
-        for _ in range(60):
-            cand = (lam + size * step[0], nu + size * step[1])
-            # stay where every exponent lam*eps_i + nu is positive
-            if min(cand[0] * e + cand[1] for e in eps) > 0:
-                cand_err = max(map(abs, _be_residual(spec, *cand)))
-                if cand_err < err:
-                    lam, nu = cand
-                    break
-            size *= 0.5
-        else:
-            return None
-    return None
-
-
-def solve_regime2_multipliers(spec: EnsembleSpec,
-                              initial: tuple[float, float] | None = None
-                              ) -> tuple[float, float]:
-    """Multipliers for the proportional boundary case.
-
-    The two multipliers cannot be factorized, so the 2-D root of
-    (sum x - 1, sum eps*x - E) is found by damped Newton with the analytic
-    Jacobian; if Newton stalls, a nested bisection (outer lam, inner nu
-    from the monotone normalization equation) recovers the unique root.
-    """
-    _require_boundary(spec)
-    if initial is None:
-        lam0, _ = solve_regime1_multipliers(spec)
-        initial = (lam0, _be_nu_for_lam(spec, lam0))
-    result = _be_newton(spec, *initial)
-    if result is not None:
-        return result
-
-    target = float(spec.energy_cap)
-
-    def mean_energy(lam):
-        return _dot(spec.energies_float,
-                    _be_fractions(spec, lam, _be_nu_for_lam(spec, lam)))
-
-    lo = 1e-12
-    hi = 1.0
-    for _ in range(_BRACKET_GROWTH_CAP):
-        if mean_energy(hi) < target:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError(
-            f"regime-2 fallback found no bracket; residual at lam={hi}: "
-            f"{_be_residual(spec, hi, _be_nu_for_lam(spec, hi))}")
-    lam = _bisect_monotone(mean_energy, target, lo, hi, increasing=False)
-    nu = _be_nu_for_lam(spec, lam)
-    # Polish the bisection estimate; keep it if Newton declines to improve.
-    polished = _be_newton(spec, lam, nu)
-    return polished if polished is not None else (lam, nu)
-
-
-def x_star_from_multipliers(spec: EnsembleSpec, lam: float,
-                            nu: float) -> tuple[float, ...]:
-    """Stationarity solution for the spec's regime at given multipliers."""
-    pairs = zip(spec.weights, spec.energies_float)
+def _stationarity(spec: EnsembleSpec):
+    """phi for the spec's regime and the bracket [phi^-1(1/g_1), phi^-1(1)]."""
+    g1 = spec.weights[0]
     if spec.regime is Regime.HIGH_DEGENERACY:
-        return tuple(g * math.exp(-(lam * e + nu)) for g, e in pairs)
+        return (lambda t: math.exp(-t)), math.log(g1), 0.0
     if spec.regime is Regime.PROPORTIONAL:
-        return tuple(_be_fractions(spec, lam, nu))
-    return tuple(g / (lam * e + nu) for g, e in pairs)
+        c = spec.c
+
+        def phi(t):
+            try:
+                return c / math.expm1(t)
+            except OverflowError:
+                return 0.0
+        return phi, math.log1p(g1 * c), math.log1p(c)
+    return (lambda t: 1.0 / t), g1, 1.0
 
 
-_INTERIOR_SOLVERS = {
-    Regime.HIGH_DEGENERACY: lambda spec: 0.0,
-    Regime.PROPORTIONAL: lambda spec: math.log1p(spec.c),
-    Regime.LOW_DEGENERACY: lambda spec: 1.0,
-}
+def _boundary_root(spec: EnsembleSpec, phi, t_lo: float, t_hi: float):
+    """(lam, t_1, x) at the boundary maximum: the nested solve."""
+    weights = spec.weights
+    gaps = [float(e - spec.energies[0]) for e in spec.energies]
 
-_BOUNDARY_SOLVERS = {
-    Regime.HIGH_DEGENERACY: solve_regime1_multipliers,
-    Regime.PROPORTIONAL: solve_regime2_multipliers,
-    Regime.LOW_DEGENERACY: solve_regime3_multipliers,
-}
+    def fractions(lam):
+        def excess(t1):
+            return sum(g * phi(t1 + lam * d) for g, d in zip(weights, gaps)) - 1.0
+
+        t1 = _falling_root(excess, t_lo, t_hi, excess(t_lo), excess(t_hi))
+        return t1, tuple(g * phi(t1 + lam * d) for g, d in zip(weights, gaps))
+
+    # E(lam) - E, written as sum (eps_i - eps_1) x_i - (E - eps_1) given
+    # sum x_i = 1, so nothing cancels when E is close to eps_1
+    target = float(spec.energy_cap - spec.energies[0])
+
+    def surplus(lam):
+        return sum(d * v for d, v in zip(gaps, fractions(lam)[1])) - target
+
+    lo, f_lo = 0.0, surplus(0.0)
+    hi = 1.0
+    for _ in range(_BRACKET_GROWTH_CAP):
+        f_hi = surplus(hi)
+        if f_hi < 0.0:
+            break
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+    else:
+        raise SolverError(f"no bracket for lam: E({hi}) still above "
+                          f"{float(spec.energy_cap)}")
+    lam = _falling_root(surplus, lo, hi, f_lo, f_hi)
+    return (lam, *fractions(lam))
 
 
 def solve(spec: EnsembleSpec) -> MaxEntSolution:
     """Limiting distribution x* and multipliers for a validated spec."""
     kind = classify_maximum(spec)
+    phi, t_lo, t_hi = _stationarity(spec)
     if kind is MaximumKind.INTERIOR:
-        x = spec.weights
-        lam, nu = 0.0, _INTERIOR_SOLVERS[spec.regime](spec)
+        # lam = 0 puts t_1 at the bracket's upper end, phi(t_i) = 1
+        x, lam, nu = spec.weights, 0.0, t_hi
         residual_norm = abs(sum(x) - 1.0)
         residual_energy = None
     else:
-        lam, nu = _BOUNDARY_SOLVERS[spec.regime](spec)
-        x = x_star_from_multipliers(spec, lam, nu)
+        lam, t1, x = _boundary_root(spec, phi, t_lo, t_hi)
+        nu = t1 - lam * spec.energies_float[0]
         residual_norm = abs(sum(x) - 1.0)
-        residual_energy = abs(_dot(spec.energies_float, x)
+        residual_energy = abs(sum(e * v for e, v in zip(spec.energies_float, x))
                               - float(spec.energy_cap))
         if residual_norm > RESIDUAL_TOL or residual_energy > RESIDUAL_TOL:
             raise SolverError(

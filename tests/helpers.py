@@ -35,7 +35,7 @@ from occens import (
 )
 from occens.core import WEIGHT_SUM_TOL, EnsembleSpec
 from occens.entropy import _require_interior, log_multiplicity
-from occens.maxent import RESIDUAL_TOL, _BRACKET_GROWTH_CAP, _bisect_monotone
+from occens.maxent import RESIDUAL_TOL
 
 TWO_LEVEL_ENERGIES = ["1", "2"]
 TWO_LEVEL_WEIGHTS = [0.5, 0.5]
@@ -474,7 +474,29 @@ def reference_layer_decomposition(dist):
 # The NumPy multiplier solver, kept as the oracle for `solve`.  It reads
 # the spec's float vectors as arrays (_ArraySpec); apart from the _ref
 # prefix, that view and the threshold energy written out as the np.dot it
-# was, the code below is the solver as it was.
+# was, the code below is the solver as it was, with its bisection.
+
+_BISECT_MAX_ITER = 300
+_BRACKET_GROWTH_CAP = 200
+
+
+def _bisect_monotone(f, target, lo, hi, increasing, xtol=1e-13):
+    """Solve f(x) = target for monotone f on a valid bracket [lo, hi]."""
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == target:
+            return mid
+        if (fm > target) == increasing:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < xtol * max(1.0, abs(lo), abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
 
 class _ArraySpec:
     """A spec whose float vectors are NumPy arrays."""

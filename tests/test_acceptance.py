@@ -23,7 +23,6 @@ from occens import (
     predict_boundary,
     predict_interior,
     solve,
-    solve_regime1_multipliers,
 )
 from occens.entropy import limit_entropy, limit_entropy_hessian_diag
 from occens.core import Regime
@@ -98,7 +97,7 @@ def test_criterion_3_closed_form_two_level():
     for regime in REGIMES:
         sol = solve(two_level_spec(regime))
         gaps.append(float(np.max(np.abs(np.subtract(sol.x_star, [0.6, 0.4])))))
-    lam, _ = solve_regime1_multipliers(two_level_spec("high_degeneracy"))
+    lam = solve(two_level_spec("high_degeneracy")).lam
     lam_gap = abs(lam - math.log(1.5))
     report(3, max(gaps) < 1e-10 and lam_gap < 1e-10,
            f"x* gap {max(gaps):.2e} (< 1e-10) across regimes; "

@@ -445,14 +445,37 @@ def assert_config_error(capsys, code):
     ("solve", {"weights": [True, 0.4, 0.3]}),
     ("solve", {"energy_cap": True}),
     ("solve", {"regime": "high_degeneracy", "p": True}),
+    # exact rationals with no float, and integers past the float range
+    ("solve", {"energy_cap": "1e400"}),
+    ("solve", {"energies": ["1", "2", "1e400"]}),
+    ("entropy-probe", {"N_list": [10], "x_probe": [0.5, 10**400, 0.5]}),
+    ("lln-sweep", {"N_list": [10], "xi_list": [[10**400, 1, 2]]}),
 ], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in",
         "energies-int", "energies-str", "energies-null", "weights-null",
         "energy_cap-null", "c-list", "p-str", "p-list", "fallback-str",
         "fallback-int", "energies-overflow", "c-bool", "weights-bool",
-        "energy_cap-bool", "p-bool"])
+        "energy_cap-bool", "p-bool", "energy_cap-str-overflow",
+        "energies-str-overflow", "x_probe-int-overflow",
+        "xi_list-int-overflow"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
     assert_config_error(capsys, main([command, "--config", config]))
+
+
+@pytest.mark.parametrize("payload", [
+    {**M3_CONFIG, "energy_cap": "1000001/1000000", "regime": "low_degeneracy"},
+    {"energies": ["5/8", "1", "13/8", "53/8"],
+     "weights": [0.000998, 0.0565, 0.941504, 0.000998],
+     "energy_cap": "625001/1000000", "regime": "proportional", "c": 1.58e-5},
+], ids=["low-cap-near-eps1", "proportional-small-c-tiny-weights"])
+def test_solve_with_cap_near_eps1(tmp_path, capsys, payload):
+    # both exited 1 (residuals above 1e-10) under the per-regime solvers
+    config = write_config(tmp_path, payload)
+    assert main(["solve", "--config", config]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "boundary"
+    assert report["residual_norm"] <= 1e-10
+    assert report["residual_energy"] <= 1e-10
 
 
 @pytest.mark.parametrize("command, extra, flags, named", [

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -124,9 +125,11 @@ class TestRegimeExponent:
             _schedule_spec("proportional", c=c)
 
     def test_integer_exponent_kept_exact(self):
-        spec = _schedule_spec("high_degeneracy", p=1000)
-        assert spec.p == 1000 and isinstance(spec.p, int)
-        assert spec.schedule(3) == 3**1000  # an exact integer, no float
+        spec = _schedule_spec("high_degeneracy", p=3)
+        assert spec.p == 3 and isinstance(spec.p, int)
+        n = 10**6 + 1
+        # an exact integer, past 2**53 where the float power rounds
+        assert spec.schedule(n) == n**3 != math.ceil(float(n)**3)
 
     def test_overflowing_exponent_solves_but_cannot_sweep(self, tmp_path,
                                                           capsys):
@@ -142,6 +145,23 @@ class TestRegimeExponent:
         # G(10) = 10**1000 has no float, so no degeneracy split exists
         assert main(["lln-sweep", "--config", str(path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+    def test_huge_integer_exponent_fails_before_the_power(self, tmp_path,
+                                                          capsys):
+        from occens.cli import main
+
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "energies": ["1", "2", "3"], "weights": [0.25, 0.45, 0.3],
+            "energy_cap": "17/10", "regime": "high_degeneracy", "p": 10**7,
+            "N_list": [10]}))
+        start = time.perf_counter()
+        # 10**(10**7) would take some 33 Mbit and seconds to build
+        assert main(["lln-sweep", "--config", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+        with pytest.raises(OverflowError, match="float range"):
+            _schedule_spec("high_degeneracy", p=10**7).schedule(10)
 
 
 class TestDegeneracies:

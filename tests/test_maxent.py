@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 from occens import (
     MaximumKind,
     Regime,
+    SolverError,
     classify_maximum,
     make_spec,
     solve,
-    solve_regime1_multipliers,
-    solve_regime2_multipliers,
-    solve_regime3_multipliers,
     threshold_energy,
 )
 from occens.core import EnsembleSpec
 from occens.entropy import limit_entropy
-from occens.maxent import _be_newton, _be_nu_for_lam, x_star_from_multipliers
+from occens.maxent import RESIDUAL_TOL
 
 from helpers import (kkt_stationarity_residual, oracle_grid_maximize,
                      random_spec, reference_solve, two_level_spec)
@@ -64,7 +62,8 @@ class TestClosedFormTwoLevel:
         assert np.allclose(sol.x_star, [0.6, 0.4], atol=1e-10)
 
     def test_regime1_multipliers(self):
-        lam, nu = solve_regime1_multipliers(two_level_spec("high_degeneracy"))
+        sol = solve(two_level_spec("high_degeneracy"))
+        lam, nu = sol.lam, sol.nu
         assert lam == pytest.approx(math.log(1.5), abs=1e-10)
         # nu = ln(g1 e^-lam + g2 e^-2lam) = ln(5/9)
         assert nu == pytest.approx(math.log(5.0 / 9.0), abs=1e-10)
@@ -72,18 +71,20 @@ class TestClosedFormTwoLevel:
 
     def test_regime2_multiplier_identity(self):
         spec = two_level_spec("proportional")
-        lam, nu = solve_regime2_multipliers(spec)
+        sol = solve(spec)
+        lam, nu = sol.lam, sol.nu
         # stationarity: 1 + g_i c / x_i = exp(lam*eps_i + nu)
         for eps, x, g in [(1.0, 0.6, 0.5), (2.0, 0.4, 0.5)]:
             assert 1.0 + g / x == pytest.approx(math.exp(lam * eps + nu), abs=1e-10)
 
     def test_regime3_multipliers_positive_denominators(self):
         spec = two_level_spec("low_degeneracy")
-        lam, nu = solve_regime3_multipliers(spec)
+        sol = solve(spec)
+        lam, nu = sol.lam, sol.nu
         assert lam > 0
         for eps in spec.energies_float:
             assert lam * eps + nu > 0
-        x = x_star_from_multipliers(spec, lam, nu)
+        x = [g / (lam * e + nu) for g, e in zip(spec.weights, spec.energies_float)]
         assert np.allclose(x, [0.6, 0.4], atol=1e-10)
 
 
@@ -127,56 +128,31 @@ class TestSolverContracts:
 
     def test_solver_equation_satisfied_at_returned_lambda(self):
         spec = two_level_spec("high_degeneracy")
-        lam, nu = solve_regime1_multipliers(spec)
-        x = x_star_from_multipliers(spec, lam, nu)
+        sol = solve(spec)
+        x = [g * math.exp(-(sol.lam * e + sol.nu))
+             for g, e in zip(spec.weights, spec.energies_float)]
         assert float(np.dot(spec.energies_float, x)) == pytest.approx(
             float(spec.energy_cap), abs=1e-10)
-
-    def test_boundary_solvers_reject_interior_specs(self):
-        for fn, regime, kwargs in [
-            (solve_regime1_multipliers, "high_degeneracy", {}),
-            (solve_regime2_multipliers, "proportional", {"c": 1.0}),
-            (solve_regime3_multipliers, "low_degeneracy", {}),
-        ]:
-            with pytest.raises(ValueError, match="not a boundary"):
-                fn(two_level_spec(regime, energy_cap=3, **kwargs))
 
 
 class TestMultiplierBehaviour:
     def test_lambda_vanishes_at_threshold(self):
-        lam_near, _ = solve_regime1_multipliers(
-            two_level_spec("high_degeneracy", energy_cap="1499/1000"))
+        lam_near = solve(
+            two_level_spec("high_degeneracy", energy_cap="1499/1000")).lam
         assert 0 < lam_near < 5e-3
 
-    @pytest.mark.parametrize("solver,regime,kwargs", [
-        (solve_regime1_multipliers, "high_degeneracy", {}),
-        (solve_regime3_multipliers, "low_degeneracy", {}),
-    ])
-    def test_lambda_decreasing_in_cap(self, solver, regime, kwargs):
+    @pytest.mark.parametrize("regime", ["high_degeneracy", "low_degeneracy"])
+    def test_lambda_decreasing_in_cap(self, regime):
         caps = [Fraction(num, 100) for num in range(105, 150, 5)]
-        lams = [solver(two_level_spec(regime, energy_cap=cap, **kwargs))[0]
+        lams = [solve(two_level_spec(regime, energy_cap=cap)).lam
                 for cap in caps]
         assert all(b < a for a, b in zip(lams, lams[1:]))
 
     def test_regime3_lambda_grows_near_floor(self):
-        lam_far, _ = solve_regime3_multipliers(
-            two_level_spec("low_degeneracy", energy_cap="14/10"))
-        lam_near, _ = solve_regime3_multipliers(
-            two_level_spec("low_degeneracy", energy_cap="101/100"))
+        lam_far = solve(two_level_spec("low_degeneracy", energy_cap="14/10")).lam
+        lam_near = solve(two_level_spec("low_degeneracy",
+                                        energy_cap="101/100")).lam
         assert lam_near > lam_far
-
-    def test_regime2_unique_from_random_starts(self):
-        spec = make_spec(["1", "2", "3"], [0.25, 0.45, 0.3], "8/5",
-                         "proportional", c=1.3)
-        reference = solve_regime2_multipliers(spec)
-        rng = np.random.default_rng(31)
-        eps1 = float(spec.energies[0])
-        for _ in range(20):
-            lam0 = float(rng.uniform(0.01, 5.0))
-            nu0 = -lam0 * eps1 + float(rng.uniform(0.1, 3.0))
-            lam, nu = solve_regime2_multipliers(spec, initial=(lam0, nu0))
-            assert lam == pytest.approx(reference[0], abs=1e-8)
-            assert nu == pytest.approx(reference[1], abs=1e-8)
 
     def test_regime2_approaches_regime1_for_large_c(self):
         energies, weights, cap = ["1", "2", "3"], [0.2, 0.5, 0.3], "8/5"
@@ -236,18 +212,90 @@ class TestGridOracle:
        regime=st.sampled_from([r for r, _ in REGIMES]),
        m=st.integers(2, 6), boundary=st.booleans())
 def test_solve_matches_numpy_reference(seed, regime, m, boundary):
-    # The plain-Python solver differs from the NumPy one it replaced only by
-    # the rounding of exp/log, sums and the closed-form 2x2 Newton step.
+    # The NumPy solver ran per-regime bisection and Newton paths; the one
+    # nested solve agrees with it to the reference's own error.
     spec = random_spec(np.random.default_rng(seed), regime, m, boundary)
     got, want = solve(spec), reference_solve(spec)
     assert got.kind is want.kind
     assert np.max(np.abs(np.subtract(got.x_star, want.x_star))) <= 1e-12
     assert got.lam == pytest.approx(want.lam, rel=1e-10)
     assert got.nu == pytest.approx(want.nu, rel=1e-10)
-    if regime == "proportional" and want.kind is MaximumKind.BOUNDARY:
-        # The nested bisection would hide a wrong 2x2 step, so Newton must
-        # converge on its own from the solver's start.
-        lam0, _ = solve_regime1_multipliers(spec)
-        newton = _be_newton(spec, lam0, _be_nu_for_lam(spec, lam0))
-        assert newton is not None
-        assert newton == pytest.approx((want.lam, want.nu), rel=1e-10)
+
+
+def extreme_spec(rng, regime, m, near, log10_c):
+    """A valid spec at the edge of the admitted inputs: up to 10 levels with
+    denominators up to 12, weights down to 1e-3, c from 1e-6 to 1e6, and a
+    cap 1e-6 above eps_1 (near="floor") or below the interior threshold."""
+    q = int(rng.integers(1, 13))
+    numerators = np.sort(rng.choice(np.arange(1, 25), size=m, replace=False))
+    energies = [Fraction(int(v), q) for v in numerators]
+    weights = 1e-3 + (1.0 - 1e-3 * m) * rng.dirichlet(np.full(m, 0.3))
+    kwargs = {"c": 10.0 ** log10_c} if regime == "proportional" else {}
+    probe = make_spec(energies, weights, float(energies[-1]) + 1.0, regime,
+                      **kwargs)
+    cap = (float(energies[0]) + 1e-6 if near == "floor"
+           else threshold_energy(probe) - 1e-6)
+    return make_spec(energies, weights, cap, regime, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from([r for r, _ in REGIMES]),
+       m=st.integers(2, 10), near=st.sampled_from(["floor", "threshold"]),
+       log10_c=st.floats(-6.0, 6.0))
+def test_extreme_specs_solve_or_underflow(seed, regime, m, near, log10_c):
+    spec = extreme_spec(np.random.default_rng(seed), regime, m, near, log10_c)
+    assert classify_maximum(spec) is MaximumKind.BOUNDARY
+    try:
+        sol = solve(spec)
+    except SolverError as exc:
+        # x_i = g_i*phi(t_i) > 0 in exact arithmetic: only underflow to 0.0
+        # can leave the positive simplex
+        assert "positive simplex" in str(exc)
+        return
+    assert sol.residual_norm <= RESIDUAL_TOL
+    assert sol.residual_energy <= RESIDUAL_TOL
+    assert kkt_stationarity_residual(spec, sol) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from([r for r, _ in REGIMES]),
+       m=st.integers(2, 6))
+def test_boundary_x_star_matches_50_digit_solve(seed, regime, m):
+    mpmath = pytest.importorskip("mpmath")
+    spec = random_spec(np.random.default_rng(seed), regime, m, boundary=True)
+    sol = solve(spec)
+    with mpmath.workdps(50):
+        eps = [mpmath.mpf(e.numerator) / e.denominator for e in spec.energies]
+        cap = mpmath.mpf(spec.energy_cap.numerator) / spec.energy_cap.denominator
+        phi = {"high_degeneracy": lambda t: mpmath.exp(-t),
+               "proportional": lambda t: spec.c / mpmath.expm1(t),
+               "low_degeneracy": lambda t: 1 / t}[regime]
+
+        def x_of(lam, nu):
+            return [g * phi(lam * e + nu) for g, e in zip(spec.weights, eps)]
+
+        # Newton in 50 digits from the returned multipliers; the maximum is
+        # unique, so the root it reaches is the exact one
+        lam, nu = mpmath.findroot(
+            lambda lam, nu: [sum(x_of(lam, nu)) - 1,
+                             mpmath.fdot(eps, x_of(lam, nu)) - cap],
+            (mpmath.mpf(sol.lam), mpmath.mpf(sol.nu)))
+        exact = x_of(lam, nu)
+    assert max(abs(float(w - v)) for w, v in zip(exact, sol.x_star)) <= 1e-14
+
+
+@pytest.mark.parametrize("energies, weights, cap, regime, c", [
+    (["1", "2", "3"], [0.3, 0.4, 0.3], "1000001/1000000", "low_degeneracy",
+     None),
+    (["5/8", "1", "13/8", "53/8"], [0.000998, 0.0565, 0.941504, 0.000998],
+     "625001/1000000", "proportional", 1.58e-5),
+], ids=["low-cap-near-eps1", "proportional-small-c-tiny-weights"])
+def test_cap_near_eps1_solves(energies, weights, cap, regime, c):
+    # both left residuals above 1e-10 under the per-regime solvers
+    spec = make_spec(energies, weights, cap, regime, c=c)
+    sol = solve(spec)
+    assert sol.residual_norm <= RESIDUAL_TOL
+    assert sol.residual_energy <= RESIDUAL_TOL
+    assert kkt_stationarity_residual(spec, sol) < 1e-8
