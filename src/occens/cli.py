@@ -1,10 +1,12 @@
 """Command-line driver for solve / sweep / verification workflows.
 
-Experiment configs are flat JSON files; energies (and the energy cap) may
-be given as exact rational strings like "3/2" to keep the constraint
-lattice exact.  Results are persisted as JSON (solve) or CSV with a
-`# schema=1` first line.  Exit status: 0 success, 1 numeric failure,
-2 config error.
+Every command reads one flat JSON config, whose keys are those of
+CONFIG_KEYS: the table gives what each value must be and its default, and
+the whole config is checked against it before any command runs.  Energies
+(and the energy cap) may be exact rational strings like "3/2" to keep the
+constraint lattice exact.  Results are persisted as JSON (solve) or CSV
+with a `# schema=1` first line.  Exit status: 0 success, 1 numeric
+failure, 2 config error.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .core import (
+    DEFAULT_STATE_BUDGET,
     WEIGHT_SUM_TOL,
     EnumerationBudgetError,
+    Regime,
     SolverError,
     SpecValidationError,
     has_finite_float,
@@ -39,95 +43,116 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit status 2)."""
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
-    return config
-
-
 def _require(config: dict, key: str):
-    if key not in config:
+    if config.get(key) is None:
         raise ConfigError(f"config key {key!r} is required")
     return config[key]
 
 
-def _spec_from_config(config: dict):
-    for key in ("energies", "weights"):
-        if not isinstance(_require(config, key), list):
-            raise ConfigError(f"{key} must be a list, got {config[key]!r}")
-    for key in ("c", "p"):
-        value = config.get(key)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, (int, float))):
-            raise ConfigError(f"{key} must be a number, got {value!r}")
-    for key in ("energies", "weights", "energy_cap"):
-        value = config.get(key)
-        if any(isinstance(v, bool)
-               for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{key} must be numbers or strings, not "
-                              f"booleans, got {value!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_exact(value) -> bool:
+    """A number or a rational string: what make_spec reads as a Fraction."""
+    return _is_number(value) or isinstance(value, str)
+
+
+def _is_vector(value, m: int) -> bool:
+    """m numbers that each have a finite float."""
+    return (isinstance(value, list) and len(value) == m
+            and all(map(_is_number, value))
+            and all(map(has_finite_float, value)))
+
+
+def _at_least(minimum: int, default=None):
+    return (f"an integer >= {minimum}",
+            lambda v, m: _is_int(v) and v >= minimum, default)
+
+
+# Every config key: (what its value must be, its test of a value v for a spec
+# of m levels, its default).  A default of ... marks a key every command
+# needs; None leaves the key unset: c and p then default by regime, the chain
+# fields from (N, m), and N_list, x_probe and N are required by the commands
+# that read them.  The spec keys come first, in make_spec's order.
+_REGIMES = tuple(regime.value for regime in Regime)
+_EXACT_LIST = ("a list of numbers or rational strings",
+               lambda v, m: isinstance(v, list) and all(map(_is_exact, v)), ...)
+_NUMBER = ("a number, or null", lambda v, m: v is None or _is_number(v), None)
+CHAIN_KEYS = {"steps": _at_least(1), "burn_in": _at_least(0),
+              "thinning": _at_least(1), "seed": _at_least(0)}
+CONFIG_KEYS = {
+    "energies": _EXACT_LIST,
+    "weights": _EXACT_LIST,
+    "energy_cap": ("a number or a rational string", lambda v, m: _is_exact(v), ...),
+    "regime": (f"one of {', '.join(_REGIMES)}", lambda v, m: v in _REGIMES, ...),
+    "c": _NUMBER,
+    "p": _NUMBER,
+    "N_list": ("a strictly increasing nonempty list of positive integers",
+               lambda v, m: isinstance(v, list) and v and all(map(_is_int, v))
+               and v[0] >= 1 and all(a < b for a, b in zip(v, v[1:])), None),
+    "xi_list": ("a list of lists of m finite numbers", lambda v, m:
+                isinstance(v, list) and all(_is_vector(x, m) for x in v), []),
+    "x_probe": ("a point of the simplex: m finite numbers >= 0 summing to 1",
+                lambda v, m: _is_vector(v, m) and all(x >= 0 for x in v)
+                and abs(math.fsum(v) - 1.0) <= WEIGHT_SUM_TOL, None),
+    "budget": _at_least(1, DEFAULT_STATE_BUDGET),
+    "seed": _at_least(0, 0),
+    "sampler_fallback": ("true or false", lambda v, m: isinstance(v, bool), False),
+    "chain": (f"an object with keys among {', '.join(CHAIN_KEYS)}", lambda v, m:
+              isinstance(v, dict) and _check(CHAIN_KEYS, v, m, "chain."), {}),
+    "N": _at_least(1),
+    "count": _at_least(1, 1000),
+    "method": ("exact or metropolis",
+               lambda v, m: v in ("exact", "metropolis"), "exact"),
+}
+_SPEC_KEYS = list(CONFIG_KEYS)[:6]
+
+
+def _check(table: dict, values: dict, m: int, prefix: str = "") -> bool:
+    """True if values holds the table's required keys and no others, each
+    passing its test; else the config error naming the first that does not."""
+    unknown = [prefix + key for key in sorted(set(values) - set(table))]
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}; the keys are "
+                          f"{[prefix + key for key in table]}")
+    for key, (what, test, default) in table.items():
+        if key not in values:
+            if default is ...:
+                raise ConfigError(f"config key {key!r} is required")
+        elif not test(values[key], m):
+            raise ConfigError(f"{prefix}{key} must be {what}, "
+                              f"got {values[key]!r}")
+    return True
+
+
+def _read_config(args):
+    """The spec and the config, its defaults filled in, from --config; the
+    --seed and --budget flags replace the config's values before the check."""
     try:
-        return make_spec(
-            energies=config["energies"],
-            weights=config["weights"],
-            energy_cap=_require(config, "energy_cap"),
-            regime=_require(config, "regime"),
-            c=config.get("c"),
-            p=config.get("p"),
-        )
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
+    config.update({flag: getattr(args, flag) for flag in ("seed", "budget")
+                   if getattr(args, flag) is not None})
+    energies = config.get("energies")
+    _check(CONFIG_KEYS, config,
+           len(energies) if isinstance(energies, list) else 0)
+    config = {**{key: default for key, (_, _, default)
+                 in CONFIG_KEYS.items()}, **config}
+    try:
+        spec = make_spec(**{key: config[key] for key in _SPEC_KEYS})
     except (SpecValidationError, ValueError, TypeError,
             ArithmeticError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
-
-
-def _integer(name: str, value, minimum: int) -> int:
-    """value if it is an integer >= minimum (a boolean is not), else a
-    config error."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, "
-                          f"got {value!r}")
-    return value
-
-
-def _vector(name: str, value, m: int) -> tuple[float, ...]:
-    """value as m finite floats; booleans and strings are config errors."""
-    if (not isinstance(value, list) or len(value) != m
-            or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   for v in value)
-            or not all(map(has_finite_float, value))):
-        raise ConfigError(f"{name} must be a list of {m} finite numbers, "
-                          f"got {value!r}")
-    return tuple(float(v) for v in value)
-
-
-def _n_list(config: dict) -> list[int]:
-    ns = _require(config, "N_list")
-    if (not isinstance(ns, list) or not ns
-            or any(isinstance(n, bool) or not isinstance(n, int) or n < 1
-                   for n in ns)):
-        raise ConfigError("N_list must be a nonempty list of positive integers")
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError("N_list must be strictly increasing")
-    return ns
-
-
-def _budget(args, config: dict) -> int:
-    from .ensemble import DEFAULT_STATE_BUDGET
-    budget = (args.budget if args.budget is not None
-              else config.get("budget", DEFAULT_STATE_BUDGET))
-    return _integer("budget", budget, 1)
-
-
-def _seed(args, config: dict) -> int:
-    return _integer("seed", args.seed if args.seed is not None
-                    else config.get("seed", 0), 0)
+    return spec, config
 
 
 def _format_cell(value) -> str:
@@ -192,54 +217,36 @@ def _run_row(item):
     return _row(item)
 
 
-def _chain_config(config: dict, args):
+def _chain_config(config: dict):
+    """The chain block's settings; its seed defaults to the run seed."""
     from .sampler import ChainConfig
-    chain = config.get("chain", {})
-    if not isinstance(chain, dict):
-        raise ConfigError("chain must be a JSON object")
-    minimum = {"steps": 1, "burn_in": 0, "thinning": 1}
-    fields = {key: chain.get(key) for key in minimum}
-    for key, value in fields.items():
-        if value is not None:
-            _integer(f"chain.{key}", value, minimum[key])
-    seed = (_integer("chain.seed", chain["seed"], 0) if "seed" in chain
-            else _seed(args, config))
-    return ChainConfig(seed=seed, **fields)
+    return ChainConfig(**{"steps": None, "seed": config["seed"],
+                          **config["chain"]})
 
 
-def _fallback_chain(config: dict, args):
-    """The chain config for rows past the budget, or None when the config
-    does not set sampler_fallback."""
-    fallback = config.get("sampler_fallback", False)
-    if not isinstance(fallback, bool):
-        raise ConfigError(f"sampler_fallback must be true or false, "
-                          f"got {fallback!r}")
-    return _chain_config(config, args) if fallback else None
-
-
-def _run_chain(spec, n: int, cfg):
-    from .sampler import metropolis_chain
+def _draw(sampler, *args):
+    """sampler(*args); its ValueError (settings it cannot run) a config error."""
     try:
-        return metropolis_chain(spec, n, cfg)
+        return sampler(*args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _distribution(spec, n: int, budget: int, chain_cfg):
+def _distribution(spec, n: int, config: dict):
     """The enumerated distribution at N; past the budget, chain draws when
-    chain_cfg is given, else the budget error."""
+    the config sets sampler_fallback, else the budget error."""
     from .ensemble import build_distribution, draws_distribution
+    from .sampler import metropolis_chain
     try:
-        return build_distribution(spec, n, budget=budget)
+        return build_distribution(spec, n, budget=config["budget"])
     except EnumerationBudgetError:
-        if chain_cfg is None:
+        if not config["sampler_fallback"]:
             raise
-        return draws_distribution(spec, n, _run_chain(spec, n, chain_cfg))
+        draws = _draw(metropolis_chain, spec, n, _chain_config(config))
+        return draws_distribution(spec, n, draws)
 
 
-def cmd_solve(args) -> int:
-    config = _load_config(args.config)
-    spec = _spec_from_config(config)
+def cmd_solve(args, spec, config) -> int:
     sol = solve(spec)
     report = {
         "regime": sol.regime.value,
@@ -254,26 +261,19 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def cmd_lln_sweep(args) -> int:
+def cmd_lln_sweep(args, spec, config) -> int:
     import numpy as np
 
     from .ensemble import exact_mean, mgf
 
-    config = _load_config(args.config)
-    spec = _spec_from_config(config)
-    ns = _n_list(config)
-    xi_list = config.get("xi_list", [])
-    if not isinstance(xi_list, list):
-        raise ConfigError("xi_list must be a list of probes")
-    probes = [np.array(_vector("xi probe", xi, spec.m)) for xi in xi_list]
+    ns = _require(config, "N_list")
+    probes = [np.array(xi, dtype=float) for xi in config["xi_list"]]
     sol = solve(spec)
     x_star = np.array(sol.x_star)
-    budget = _budget(args, config)
-    chain_cfg = _fallback_chain(config, args)
 
     def one(n):
         start = time.perf_counter()
-        dist = _distribution(spec, n, budget, chain_cfg)
+        dist = _distribution(spec, n, config)
         mean_err = float(np.max(np.abs(exact_mean(dist) - x_star)))
         mgf_errs = [abs(mgf(dist, xi) - math.exp(float(xi @ x_star)))
                     for xi in probes]
@@ -286,25 +286,22 @@ def cmd_lln_sweep(args) -> int:
     comments = ["columns: max-norm |exact_mean - x_star|, then "
                 "|mgf(xi) - exp(xi.x_star)| per probe; wall_time_s varies "
                 "between runs"]
-    if chain_cfg is not None:
+    if config["sampler_fallback"]:
         comments.append("sampler fallback enabled for N beyond the budget")
     comments += [f"xi_{k}={probes[k].tolist()}" for k in range(len(probes))]
     _write_csv(args.out, comments, header, rows)
     return 0
 
 
-def cmd_fluct_check(args) -> int:
+def cmd_fluct_check(args, spec, config) -> int:
     from .fluctuations import (
         empirical_fluctuations,
         predict_boundary,
         predict_interior,
     )
 
-    config = _load_config(args.config)
-    spec = _spec_from_config(config)
-    ns = _n_list(config)
+    ns = _require(config, "N_list")
     kind = classify_maximum(spec)
-    budget = _budget(args, config)
     sol = solve(spec)
     m = spec.m
     if kind is MaximumKind.BOUNDARY:
@@ -314,10 +311,8 @@ def cmd_fluct_check(args) -> int:
                 f"boundary fluctuation runs need every N divisible by "
                 f"q={spec.q}; offending N: {bad}")
 
-    chain_cfg = _fallback_chain(config, args)
-
     def empirical(n):
-        dist = _distribution(spec, n, budget, chain_cfg)
+        dist = _distribution(spec, n, config)
         return empirical_fluctuations(dist, sol, spec)
 
     if kind is MaximumKind.INTERIOR:
@@ -358,24 +353,19 @@ def cmd_fluct_check(args) -> int:
                   + ["wall_time_s"])
         comments = ["boundary: adjacent layer-mass ratios vs "
                     "exp(layer_log_ratio); in-plane sqrt(h(N))-scaled covariance"]
-    if chain_cfg is not None:
+    if config["sampler_fallback"]:
         comments.append("sampler fallback enabled for N beyond the budget")
     rows = _map_ordered(one, ns, args.jobs)
     _write_csv(args.out, comments, header, rows)
     return 0
 
 
-def cmd_entropy_probe(args) -> int:
-    config = _load_config(args.config)
-    spec = _spec_from_config(config)
-    ns = _n_list(config)
-    x = _vector("x_probe", _require(config, "x_probe"), spec.m)
-    if min(x) < 0.0 or abs(math.fsum(x) - 1.0) > WEIGHT_SUM_TOL:
-        raise ConfigError(f"x_probe {list(x)} is not a point of the simplex: "
-                          f"it needs x_i >= 0 summing to 1")
+def cmd_entropy_probe(args, spec, config) -> int:
+    ns = _require(config, "N_list")
+    x = [float(v) for v in _require(config, "x_probe")]
     for n in ns:
         if max(abs(v * n - round(v * n)) for v in x) > 1e-9:
-            raise ConfigError(f"x_probe {list(x)} not representable at N={n}")
+            raise ConfigError(f"x_probe {x} not representable at N={n}")
 
     def one(n):
         start = time.perf_counter()
@@ -384,36 +374,27 @@ def cmd_entropy_probe(args) -> int:
 
     rows = _map_ordered(one, ns, args.jobs)
     _write_csv(args.out,
-               [f"x_probe={list(x)}",
+               [f"x_probe={x}",
                 "columns: h(N) and |S/h - s_l| offset-differenced at x_ref=g"],
                ["N", "h", "approx_error", "wall_time_s"], rows)
     return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, spec, config) -> int:
     from .ensemble import build_distribution
-    from .sampler import exact_sample
+    from .sampler import exact_sample, metropolis_chain
 
-    config = _load_config(args.config)
-    spec = _spec_from_config(config)
-    n = _integer("N", config.get("N"), 1)
-    method = config.get("method", "exact")
-    seed = _seed(args, config)
-    budget = _budget(args, config)
-    if method == "exact":
-        count = _integer("count", config.get("count", 1000), 1)
-        dist = build_distribution(spec, n, budget=budget)
-        draws = exact_sample(dist, count, seed)
-        comments = [f"method=exact count={count} seed={seed}"]
-    elif method == "metropolis":
-        chain = config.get("chain")
-        if not isinstance(chain, dict) or "steps" not in chain:
-            raise ConfigError("metropolis sampling needs chain:{steps,...}")
-        cfg = _chain_config(config, args)
-        draws = _run_chain(spec, n, cfg)
-        comments = [f"method=metropolis steps={cfg.steps} seed={cfg.seed}"]
+    n = _require(config, "N")
+    if config["method"] == "exact":
+        dist = build_distribution(spec, n, budget=config["budget"])
+        draws = _draw(exact_sample, dist, config["count"], config["seed"])
+        comments = [f"method=exact count={config['count']} seed={config['seed']}"]
     else:
-        raise ConfigError(f"unknown sampling method {method!r}")
+        if "steps" not in config["chain"]:
+            raise ConfigError("metropolis sampling needs chain:{steps,...}")
+        cfg = _chain_config(config)
+        draws = _draw(metropolis_chain, spec, n, cfg)
+        comments = [f"method=metropolis steps={cfg.steps} seed={cfg.seed}"]
     header = [f"N{k + 1}" for k in range(spec.m)]
     _write_csv(args.out, comments, header, draws.tolist())
     return 0
@@ -455,15 +436,14 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.handler(args)
+        return args.handler(args, *_read_config(args))
     except (ConfigError, SpecValidationError) as exc:
-        json.dump({"error": "config", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        error, status, detail = "config", 2, str(exc)
     except (SolverError, EnumerationBudgetError, ArithmeticError) as exc:
-        json.dump({"error": "numeric", "detail": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
+        error, status, detail = "numeric", 1, str(exc)
+    json.dump({"error": error, "detail": detail}, sys.stderr)
+    sys.stderr.write("\n")
+    return status
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 WEIGHT_SUM_TOL = 1e-12
+DEFAULT_STATE_BUDGET = 10_000_000
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -170,6 +171,10 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
     if value is None or not low < value < high:
         violations.append(f"{spec.regime.value} regime requires {name} in "
                           f"({low}, {high}), got {value!r}")
+    elif name == "c" and value < sys.float_info.min:
+        # a subnormal c underflows phi(t) = c/(e^t - 1) in the solver
+        violations.append(f"c must be at least {sys.float_info.min!r}, the "
+                          f"least normal float, got {value!r}")
     if violations:
         raise SpecValidationError(violations)
     return spec
@@ -210,6 +215,14 @@ def degeneracies_for(spec: EnsembleSpec, n: int) -> DegeneracyAssignment:
     target = [w * total for w in spec.weights]
     base = [math.floor(t) for t in target]
     short = total - sum(base)
+    if not 0 <= short <= m:
+        # the targets w*G(N) are floats: past 2**53, or sooner when the
+        # weights sum to 1 only within WEIGHT_SUM_TOL, their floors can
+        # miss G(N) by more than the m units the rounding hands out
+        raise SpecValidationError(
+            [f"degeneracy split of G(N)={total} at N={n} lost its sum to "
+             f"float rounding (the floors of w*G(N) sum to {sum(base)}); "
+             f"G(N) is too large for the weights"])
     # Stable sort on descending remainder keeps rounding deterministic.
     order = sorted(range(m), key=lambda i: base[i] - target[i])
     for i in order[:short]:

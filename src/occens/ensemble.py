@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnsembleSpec, EnumerationBudgetError, degeneracies_for
+from .core import (
+    DEFAULT_STATE_BUDGET,
+    EnsembleSpec,
+    EnumerationBudgetError,
+    degeneracies_for,
+)
 from .entropy import log_multiplicity
-
-DEFAULT_STATE_BUDGET = 10_000_000
 
 PMF_SUM_TOL = 1e-12
 

@@ -15,6 +15,7 @@ those of the same loop written over NumPy scalars with np.exp acceptance
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ from .core import EnsembleSpec, degeneracies_for
 from .ensemble import Distribution
 from .entropy import level_log_weights
 
-# Draws are turned into Python scalars this many steps at a time, so those
-# scalars take memory for one block; the draw arrays take 16 bytes a step.
+# Draws are made and turned into Python scalars this many steps at a time,
+# so the chain's memory is one block of draws plus the states it keeps.
 _BLOCK = 1 << 16
 # The chain accepts when u < np.exp(dS).  It tests log(u) < dS instead,
 # which rounds differently only within a few ulps of log(u) (|log u| <= 37
@@ -55,6 +56,8 @@ class ChainConfig:
                 f"burn_in={burn_in}")
         if thinning < 1:
             raise ValueError(f"thinning must be >= 1, got {thinning}")
+        if steps > sys.maxsize:  # more steps than a chain can index
+            raise ValueError(f"steps must be <= {sys.maxsize}, got {steps}")
         return steps, burn_in, thinning
 
 
@@ -100,19 +103,25 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
             j += 1
         moves.append((logw[i], logw[j], i, j, e[j] - e[i]))
 
-    rng = np.random.default_rng(cfg.seed)
-    pair_draws = rng.integers(0, m * (m - 1), size=steps)
-    accept_draws = rng.random(steps)
+    # The seed's stream holds every pair draw, then every accept uniform.
+    # Both are drawn a block at a time: a discarded pass over the pair draws
+    # moves `uniforms` to where the uniforms start, and `pairs` replays them.
+    uniforms = np.random.default_rng(cfg.seed)
+    for start in range(0, steps, _BLOCK):
+        uniforms.integers(0, m * (m - 1), size=min(_BLOCK, steps - start))
+    pairs = np.random.default_rng(cfg.seed)
     state = [n] + [0] * (m - 1)
     energy = n * e[0]
     kept = []
     next_keep = burn_in
     tie = _LOG_TIE
     for start in range(0, steps, _BLOCK):
-        stop = min(start + _BLOCK, steps)
+        size = min(_BLOCK, steps - start)
+        accept_draws = uniforms.random(size)
         with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
-            log_u = np.log(accept_draws[start:stop])
-        block = zip(range(start, stop), pair_draws[start:stop].tolist(),
+            log_u = np.log(accept_draws)
+        block = zip(range(start, start + size),
+                    pairs.integers(0, m * (m - 1), size=size).tolist(),
                     log_u.tolist())
         for step, pair, lu in block:
             wi, wj, i, j, de = moves[pair]
@@ -126,7 +135,7 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
                     accept = False
                 else:  # too close to call in log space
                     accept = (delta >= 0.0
-                              or accept_draws[step] < np.exp(delta))
+                              or accept_draws[step - start] < np.exp(delta))
                 if accept:
                     state[i] = ni - 1
                     state[j] = nj + 1

@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import occens
-from occens.cli import main
+from occens.cli import CHAIN_KEYS, CONFIG_KEYS, main
 
 BOUNDARY_CONFIG = {
     "energies": ["1", "2"],
@@ -66,6 +71,18 @@ class TestSolveCommand:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"{", b"[1, 2]"],
+                             ids=["directory", "not-utf8", "not-json",
+                                  "not-object"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, content):
+        # a directory and non-UTF-8 bytes escaped as tracebacks
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert_config_error(capsys, main(["solve", "--config", str(path)]))
 
     def test_output_file(self, tmp_path):
         config = write_config(tmp_path, BOUNDARY_CONFIG)
@@ -450,13 +467,26 @@ def assert_config_error(capsys, code):
     ("solve", {"energies": ["1", "2", "1e400"]}),
     ("entropy-probe", {"N_list": [10], "x_probe": [0.5, 10**400, 0.5]}),
     ("lln-sweep", {"N_list": [10], "xi_list": [[10**400, 1, 2]]}),
+    # a subnormal c raised ZeroDivisionError (exit 1) or left residuals
+    ("solve", {"c": 5e-324}),
+    ("solve", {"c": 1e-320}),
+    # every key is checked whichever command runs
+    ("solve", {"N_list": "x"}),
+    ("lln-sweep", {"N_list": [10], "chain": {"steps": 0}}),
+    # more draws than an array can hold: count escaped as a ValueError
+    # traceback, and steps must stay an error now that the chain draws a
+    # block at a time
+    ("sample", {"N": 10, "count": 10**400}),
+    ("sample", {"N": 10, "method": "metropolis", "chain": {"steps": 10**400}}),
 ], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in",
         "energies-int", "energies-str", "energies-null", "weights-null",
         "energy_cap-null", "c-list", "p-str", "p-list", "fallback-str",
         "fallback-int", "energies-overflow", "c-bool", "weights-bool",
         "energy_cap-bool", "p-bool", "energy_cap-str-overflow",
         "energies-str-overflow", "x_probe-int-overflow",
-        "xi_list-int-overflow"])
+        "xi_list-int-overflow", "c-min-subnormal", "c-subnormal",
+        "N_list-unread", "chain-without-fallback", "count-overflow",
+        "chain.steps-overflow"])
 def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
     assert_config_error(capsys, main([command, "--config", config]))
@@ -486,8 +516,9 @@ def test_solve_with_cap_near_eps1(tmp_path, capsys, payload):
     ("lln-sweep", {"N_list": [True, 2]}, [], "N_list must be"),
     ("sample", {"N": True}, [], "N must be"),
     ("sample", {"N": 10, "count": True}, [], "count must be"),
+    ("sample", {"N": 10}, ["--seed", "-1"], "seed must be"),
 ], ids=["budget-flag-0", "budget-0", "budget-bool", "jobs-0", "N_list-bool",
-        "N-bool", "count-bool"])
+        "N-bool", "count-bool", "seed-flag-negative"])
 def test_budget_jobs_and_booleans_rejected(tmp_path, capsys, command, extra,
                                            flags, named):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
@@ -512,3 +543,122 @@ def test_probe_above_energy_cap_accepted(tmp_path):
     assert main(["entropy-probe", "--config", config,
                  "--out", str(tmp_path / "probe.csv")]) == 0
 
+
+
+def test_least_normal_c_solves(tmp_path, capsys):
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, "c": sys.float_info.min})
+    assert main(["solve", "--config", config]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["residual_norm"] <= 1e-10
+    assert report["residual_energy"] <= 1e-10
+
+
+@pytest.mark.parametrize("command", ["lln-sweep", "fluct-check",
+                                     "entropy-probe"])
+def test_degeneracy_split_past_float_precision(tmp_path, capsys, command):
+    # G(106) = ceil(106**8) = 1.6e16: the floors of w*G(N) sum to G(N) + 3,
+    # which escaped as a ValueError traceback
+    config = write_config(tmp_path, {
+        **M3_CONFIG, "regime": "high_degeneracy", "p": 8, "N_list": [106],
+        "x_probe": [0.5, 0.5, 0.0]})
+    detail = assert_config_error(capsys, main([command, "--config", config]))
+    assert "G(N)=15938480745308416 at N=106" in detail
+
+
+@pytest.mark.parametrize("command, extra, unknown", [
+    ("lln-sweep", {"N_list": [10], "budgte": 5, "sampler_fallbak": True,
+                   "xi_lst": [[0.5, 0.0, 0.0]]},
+     ["budgte", "sampler_fallbak", "xi_lst"]),
+    ("lln-sweep", {"N_list": [10], "sampler_fallback": True,
+                   "chain": {"steps": 20_000, "burnin": 10, "thining": 3}},
+     ["chain.burnin", "chain.thining"]),
+    ("sample", {"N": 5, "cout": 5, "sed": 3}, ["cout", "sed"]),
+], ids=["sweep-keys", "chain-keys", "sample-keys"])
+def test_misspelt_key_is_config_error(tmp_path, capsys, command, extra,
+                                      unknown):
+    # each of these exited 0 with the key's default in place of its value
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
+    detail = assert_config_error(capsys, main([command, "--config", config]))
+    assert all(repr(key) in detail for key in unknown)
+
+
+EVERY_KEY = {
+    **M3_CONFIG, "regime": "high_degeneracy", "c": 1.0, "p": 2,
+    "N_list": [10, 20], "xi_list": [[0.1, 0.2, 0.3]],
+    "x_probe": [0.5, 0.3, 0.2], "budget": 50, "seed": 3,
+    "sampler_fallback": True,
+    "chain": {"steps": 4000, "burn_in": 100, "thinning": 10, "seed": 4},
+    "N": 10, "count": 20, "method": "metropolis"}
+
+
+@pytest.mark.parametrize("command", ["solve", "lln-sweep", "fluct-check",
+                                     "entropy-probe", "sample"])
+def test_config_with_every_key_runs(tmp_path, capsys, command):
+    # one config serves all five commands; N=20 is past the budget, so the
+    # fallback chain runs too
+    assert set(EVERY_KEY) == set(CONFIG_KEYS)
+    assert set(EVERY_KEY["chain"]) == set(CHAIN_KEYS)
+    config = write_config(tmp_path, EVERY_KEY)
+    assert main([command, "--config", config,
+                 "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+
+
+def test_chain_seed_above_seed_flag(tmp_path):
+    chain = {"steps": 3000, "burn_in": 0, "thinning": 100}
+    outputs = []
+    for extra, flags in [({"seed": 4}, []), ({"seed": 4}, ["--seed", "4"]),
+                         ({"seed": 5}, []), ({"seed": 5}, ["--seed", "4"]),
+                         ({"seed": 4, "chain": {**chain, "seed": 9}},
+                          ["--seed", "5"]),
+                         ({"seed": 6, "chain": {**chain, "seed": 9}}, [])]:
+        config = write_config(tmp_path, {
+            **BOUNDARY_CONFIG, "N": 30, "method": "metropolis",
+            "chain": chain, **extra})
+        out = tmp_path / "chain.csv"
+        assert main(["sample", "--config", config, "--out", str(out),
+                     *flags]) == 0
+        outputs.append([ln for ln in out.read_text().splitlines()
+                        if not ln.startswith("# generated=")])
+    assert outputs[0] == outputs[1] == outputs[3] != outputs[2]
+    assert outputs[4] == outputs[5] != outputs[0]
+
+
+# JSON values: null, booleans, strings, floats with NaN and +-inf, small
+# integers, an integer past the float range, and lists and objects of these.
+JSON_VALUES = st.recursive(
+    st.one_of(st.sampled_from([None, True, False, "", "3/2", math.nan,
+                               math.inf, -math.inf, 10**400]),
+              st.text(max_size=4), st.floats(), st.integers(-3, 25)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3)),
+    max_leaves=6)
+FUZZ_BASE = {
+    **M3_PROPORTIONAL, "N_list": [5, 10, 20], "x_probe": [0.4, 0.4, 0.2],
+    "xi_list": [[0.5, 0.0, -0.5]], "N": 10, "count": 5, "budget": 100,
+    "sampler_fallback": True,
+    "chain": {"steps": 600, "burn_in": 100, "thinning": 10}}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["solve", "lln-sweep", "fluct-check", "entropy-probe",
+                        "sample"]),
+       st.sampled_from(["exact", "metropolis"]),
+       st.sampled_from([*CONFIG_KEYS, *(f"chain.{k}" for k in CHAIN_KEYS)]),
+       JSON_VALUES)
+def test_any_single_key_value_exits_0_1_or_2(command, method, key, value):
+    config = {**FUZZ_BASE, "method": method}
+    if key.startswith("chain."):
+        config["chain"] = {**config["chain"], key[len("chain."):]: value}
+    else:
+        config[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stderr(err):
+            status = main([command, "--config", str(path),
+                           "--out", str(Path(tmp) / "out")])
+    assert status in (0, 1, 2)
+    if status:
+        assert json.loads(err.getvalue())["error"] in ("config", "numeric")

@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from occens import (
@@ -292,3 +292,21 @@ def test_degeneracies_match_numpy_reference(spec, n):
         assert str(err.value) == str(exc)
         return
     assert degeneracies_for(spec, n).per_level == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_specs(), st.floats(1.5, 40.0), st.integers(2, 10**6))
+def test_degeneracies_past_float_precision(spec, p, n):
+    # Past G(N) = 2**40 the float targets w*G(N) can lose the integer sum,
+    # which raised a ValueError from DegeneracyAssignment.  It is a config
+    # error now; any split returned sums to G(N) with every G_i >= 1, and is
+    # the reference's where that can split (in int64).
+    spec = make_spec(spec.energies, spec.weights, spec.energy_cap,
+                     "high_degeneracy", p=p)
+    assume(40 * math.log(2) < p * math.log(n) < 700)
+    try:
+        got = degeneracies_for(spec, n)
+    except SpecValidationError:
+        return
+    if got.total < 2**62:
+        assert got.per_level == reference_degeneracies_for(spec, n)

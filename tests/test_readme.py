@@ -1,4 +1,5 @@
-"""The README's code blocks run as written."""
+"""The README's code blocks run as written, and its config table lists the
+CLI's config keys."""
 
 import os
 import re
@@ -7,6 +8,7 @@ import sys
 from pathlib import Path
 
 import occens
+from occens.cli import CHAIN_KEYS, CONFIG_KEYS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +22,10 @@ def test_library_example_runs():
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+def test_config_table_names_every_key():
+    table = README.read_text().split("| key | what it must be | default |")[1]
+    rows = re.findall(r"^\| `([^`]+)` \|", table.split("\n\n")[0], flags=re.M)
+    assert sorted(rows) == sorted([*CONFIG_KEYS,
+                                   *(f"chain.{key}" for key in CHAIN_KEYS)])

@@ -49,6 +49,8 @@ class TestChainConfig:
             ChainConfig(steps=10, seed=1, burn_in=10).resolve(6, 2)
         with pytest.raises(ValueError, match="thinning"):
             ChainConfig(steps=10, seed=1, burn_in=0, thinning=0).resolve(6, 2)
+        with pytest.raises(ValueError, match="steps must be <="):
+            ChainConfig(steps=2**63, seed=1).resolve(6, 2)
 
 
 class TestExactSample:
@@ -181,6 +183,38 @@ class TestMetropolis:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_matches_reference_across_blocks(self, m):
+        # the draws are made a block at a time; past two blocks the chain
+        # must still make the reference's one-shot draws
+        spec = make_spec([str(k + 1) for k in range(m)], [1 / m] * m,
+                         (m + 1) / 2, "proportional", c=1.0)
+        cfg = ChainConfig(steps=2 * sampler._BLOCK + 4321, seed=11,
+                          burn_in=5, thinning=97)
+        assert np.array_equal(metropolis_chain(spec, 40, cfg),
+                              reference_metropolis_chain(spec, 40, cfg))
+
+    def test_memory_does_not_grow_with_steps(self, monkeypatch):
+        # The draws for all steps took 16 bytes a step (66.6 MB at 4e6
+        # steps).  A small block shows the same at steps tracemalloc can
+        # afford; no move fits under this cap, so the loop allocates little.
+        monkeypatch.setattr(sampler, "_BLOCK", 1 << 10)
+        spec = make_spec(["1", "2"], [0.5, 0.5], "1000001/1000000",
+                         "proportional", c=1.0)
+        # a first call allocates some 1 MB once; keep it out of the peaks
+        metropolis_chain(spec, 100, ChainConfig(steps=10, seed=1, burn_in=0))
+        peaks = []
+        for steps in (25_000, 100_000):
+            cfg = ChainConfig(steps=steps, seed=1, burn_in=0,
+                              thinning=steps // 10)
+            tracemalloc.start()
+            try:
+                metropolis_chain(spec, 100, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 @st.composite
