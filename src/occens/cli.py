@@ -31,7 +31,7 @@ from .core import (
     make_spec,
 )
 from .entropy import approximation_error, scaling_factor
-from .maxent import MaximumKind, classify_maximum, solve
+from .maxent import MaximumKind, solve
 
 # The array side (ensemble, fluctuations, sampler) and NumPy are imported
 # inside the commands that use them, so `solve` and `entropy-probe` run on
@@ -168,8 +168,11 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
 def _write_csv(out: str | None, comments: list[str], header: list[str],
@@ -261,123 +264,115 @@ def cmd_solve(args, spec, config) -> int:
     return 0
 
 
-def cmd_lln_sweep(args, spec, config) -> int:
+def _sweep(setup):
+    """A per-N command: setup(spec, config, ns) gives the columns between N
+    and wall_time_s, a row(n) giving their cells, and the comment lines."""
+    def command(args, spec, config) -> int:
+        ns = _require(config, "N_list")
+        columns, row, comments = setup(spec, config, ns)
+
+        def timed(n):
+            start = time.perf_counter()
+            return [n, *row(n), time.perf_counter() - start]
+
+        _write_csv(args.out, comments, ["N", *columns, "wall_time_s"],
+                   _map_ordered(timed, ns, args.jobs))
+        return 0
+    return command
+
+
+@_sweep
+def cmd_lln_sweep(spec, config, ns):
     import numpy as np
 
     from .ensemble import exact_mean, mgf
 
-    ns = _require(config, "N_list")
     probes = [np.array(xi, dtype=float) for xi in config["xi_list"]]
-    sol = solve(spec)
-    x_star = np.array(sol.x_star)
+    x_star = np.array(solve(spec).x_star)
 
-    def one(n):
-        start = time.perf_counter()
+    def row(n):
         dist = _distribution(spec, n, config)
         mean_err = float(np.max(np.abs(exact_mean(dist) - x_star)))
-        mgf_errs = [abs(mgf(dist, xi) - math.exp(float(xi @ x_star)))
-                    for xi in probes]
-        return [n, mean_err, *mgf_errs, time.perf_counter() - start]
+        return [mean_err, *(abs(mgf(dist, xi) - math.exp(float(xi @ x_star)))
+                            for xi in probes)]
 
-    rows = _map_ordered(one, ns, args.jobs)
-    header = (["N", "mean_abs_err"]
-              + [f"mgf_abs_err_{k}" for k in range(len(probes))]
-              + ["wall_time_s"])
     comments = ["columns: max-norm |exact_mean - x_star|, then "
                 "|mgf(xi) - exp(xi.x_star)| per probe; wall_time_s varies "
                 "between runs"]
     if config["sampler_fallback"]:
         comments.append("sampler fallback enabled for N beyond the budget")
-    comments += [f"xi_{k}={probes[k].tolist()}" for k in range(len(probes))]
-    _write_csv(args.out, comments, header, rows)
-    return 0
+    comments += [f"xi_{k}={xi.tolist()}" for k, xi in enumerate(probes)]
+    columns = ["mean_abs_err", *(f"mgf_abs_err_{k}" for k in range(len(probes)))]
+    return columns, row, comments
 
 
-def cmd_fluct_check(args, spec, config) -> int:
+# Per maximum kind: the covariance columns' infix and the CSV comment.
+_FLUCT_LABELS = {
+    MaximumKind.INTERIOR: ("", "interior: covariance of sqrt(h(N))*(X - x_star), "
+                               "reduced coordinates"),
+    MaximumKind.BOUNDARY: ("inplane_", "boundary: adjacent layer-mass ratios vs "
+                                       "exp(layer_log_ratio); in-plane "
+                                       "sqrt(h(N))-scaled covariance"),
+}
+
+
+@_sweep
+def cmd_fluct_check(spec, config, ns):
     from .fluctuations import (
         empirical_fluctuations,
         predict_boundary,
         predict_interior,
     )
 
-    ns = _require(config, "N_list")
-    kind = classify_maximum(spec)
     sol = solve(spec)
-    m = spec.m
-    if kind is MaximumKind.BOUNDARY:
+    boundary = sol.kind is MaximumKind.BOUNDARY
+    if boundary:
         bad = [n for n in ns if n % spec.q != 0]
         if bad:
             raise ConfigError(
                 f"boundary fluctuation runs need every N divisible by "
                 f"q={spec.q}; offending N: {bad}")
+    # the Gaussian block: all m-1 reduced coordinates at an interior
+    # maximum, the m-2 in-plane ones at a boundary maximum
+    k = spec.m - 1 - boundary
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    infix, comment = _FLUCT_LABELS[sol.kind]
+    interior = None if boundary else predict_interior(spec)
 
-    def empirical(n):
-        dist = _distribution(spec, n, config)
-        return empirical_fluctuations(dist, sol, spec)
+    def row(n):
+        pred = predict_boundary(spec, n) if boundary else interior
+        got = empirical_fluctuations(_distribution(spec, n, config), sol, spec)
+        covs = (got.scaled_covariance, pred.covariance)
+        cells = [float(cov[i, j]) for cov in covs for i, j in pairs]
+        if not boundary:
+            return cells
+        masses = got.layer_masses
+        ratios = [float(masses[a + 1] / masses[a]) if masses.size > a + 1
+                  else math.nan for a in (0, 1)]
+        return [*ratios, math.exp(pred.layer_log_ratio), *cells]
 
-    if kind is MaximumKind.INTERIOR:
-        pred = predict_interior(spec)
-        pairs = [(i, j) for i in range(m - 1) for j in range(i, m - 1)]
-
-        def one(n):
-            start = time.perf_counter()
-            cov = empirical(n).scaled_covariance
-            emp = [float(cov[i, j]) for i, j in pairs]
-            prd = [float(pred.covariance[i, j]) for i, j in pairs]
-            return [n, *emp, *prd, time.perf_counter() - start]
-
-        header = (["N"]
-                  + [f"emp_cov_{i}_{j}" for i, j in pairs]
-                  + [f"pred_cov_{i}_{j}" for i, j in pairs]
-                  + ["wall_time_s"])
-        comments = ["interior: covariance of sqrt(h(N))*(X - x_star), "
-                    "reduced coordinates"]
-    else:
-        pairs = [(i, j) for i in range(m - 2) for j in range(i, m - 2)]
-
-        def one(n):
-            start = time.perf_counter()
-            pred = predict_boundary(spec, n)
-            got = empirical(n)
-            masses, cov = got.layer_masses, got.scaled_covariance
-            ratio10 = float(masses[1] / masses[0]) if masses.size > 1 else math.nan
-            ratio21 = float(masses[2] / masses[1]) if masses.size > 2 else math.nan
-            emp = [float(cov[i, j]) for i, j in pairs]
-            prd = [float(pred.covariance[i, j]) for i, j in pairs]
-            return [n, ratio10, ratio21, math.exp(pred.layer_log_ratio),
-                    *emp, *prd, time.perf_counter() - start]
-
-        header = (["N", "ratio_1_0", "ratio_2_1", "pred_ratio"]
-                  + [f"emp_inplane_cov_{i}_{j}" for i, j in pairs]
-                  + [f"pred_inplane_cov_{i}_{j}" for i, j in pairs]
-                  + ["wall_time_s"])
-        comments = ["boundary: adjacent layer-mass ratios vs "
-                    "exp(layer_log_ratio); in-plane sqrt(h(N))-scaled covariance"]
+    columns = ((["ratio_1_0", "ratio_2_1", "pred_ratio"] if boundary else [])
+               + [f"{side}_{infix}cov_{i}_{j}" for side in ("emp", "pred")
+                  for i, j in pairs])
+    comments = [comment]
     if config["sampler_fallback"]:
         comments.append("sampler fallback enabled for N beyond the budget")
-    rows = _map_ordered(one, ns, args.jobs)
-    _write_csv(args.out, comments, header, rows)
-    return 0
+    return columns, row, comments
 
 
-def cmd_entropy_probe(args, spec, config) -> int:
-    ns = _require(config, "N_list")
+@_sweep
+def cmd_entropy_probe(spec, config, ns):
     x = [float(v) for v in _require(config, "x_probe")]
     for n in ns:
         if max(abs(v * n - round(v * n)) for v in x) > 1e-9:
             raise ConfigError(f"x_probe {x} not representable at N={n}")
 
-    def one(n):
-        start = time.perf_counter()
-        err = approximation_error(spec, n, x)
-        return [n, scaling_factor(spec, n), err, time.perf_counter() - start]
+    def row(n):
+        return [scaling_factor(spec, n), approximation_error(spec, n, x)]
 
-    rows = _map_ordered(one, ns, args.jobs)
-    _write_csv(args.out,
-               [f"x_probe={x}",
-                "columns: h(N) and |S/h - s_l| offset-differenced at x_ref=g"],
-               ["N", "h", "approx_error", "wall_time_s"], rows)
-    return 0
+    return ["h", "approx_error"], row, [
+        f"x_probe={x}",
+        "columns: h(N) and |S/h - s_l| offset-differenced at x_ref=g"]
 
 
 def cmd_sample(args, spec, config) -> int:

@@ -162,15 +162,15 @@ def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
                            spec: EnsembleSpec) -> FluctuationSummary:
     """Scaled empirical moments matching the prediction conventions."""
     m = spec.m
-    x_red = dist.fractions()[:, : m - 1]
-    center = sol.x_star[: m - 1]
     scale = math.sqrt(scaling_factor(spec, dist.n))
+    # no name holds the fractions, so only the m-1 scaled reduced
+    # coordinates stay in memory
+    y = scale * (dist.fractions()[:, : m - 1] - sol.x_star[: m - 1])
     if sol.kind is MaximumKind.INTERIOR:
-        cov = weighted_covariance(scale * (x_red - center), dist.pmf)
+        cov = weighted_covariance(y, dist.pmf)
         return FluctuationSummary(kind=sol.kind, scaled_covariance=cov)
     layers = layer_decomposition(dist)
-    y_hat = scale * (x_red - center) @ rotation_basis(spec)[:, 1:]
-    cov = weighted_covariance(y_hat, dist.pmf)
+    cov = weighted_covariance(y @ rotation_basis(spec)[:, 1:], dist.pmf)
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
                               layer_slacks=layers.slacks,
                               layer_masses=layers.masses)

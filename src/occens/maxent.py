@@ -109,8 +109,8 @@ def _stationarity(spec: EnsembleSpec):
         def phi(t):
             try:
                 return c / math.expm1(t)
-            except OverflowError:
-                return 0.0
+            except OverflowError:  # c/(e^t - 1) = c*e^-t/(1 - e^-t)
+                return c * math.exp(-t) / -math.expm1(-t)
         return phi, math.log1p(g1 * c), math.log1p(c)
     return (lambda t: 1.0 / t), g1, 1.0
 

@@ -441,15 +441,17 @@ def reference_degeneracies_for(spec, n):
         raise SpecValidationError(
             [f"schedule yields G(N)={total} < m={m} at N={n}"])
     target = np.array(spec.weights) * total
-    base = np.floor(target).astype(np.int64)
-    short = total - int(base.sum())
-    order = np.argsort(-(target - base), kind="stable")
-    base[order[:short]] += 1
-    while np.any(base == 0):
+    floors = np.floor(target)
+    # Python ints: past G(N) = 2**63 an int64 cast of the floors wraps
+    base = [int(v) for v in floors]
+    short = total - sum(base)
+    for i in np.argsort(floors - target, kind="stable")[:short]:
+        base[i] += 1
+    while 0 in base:
         base[int(np.argmax(base))] -= 1
         base[int(np.argmin(base))] += 1
-    assignment = DegeneracyAssignment(total=total, per_level=tuple(int(v) for v in base))
-    drift = np.max(np.abs(assignment.as_array - target))
+    assignment = DegeneracyAssignment(total=total, per_level=tuple(base))
+    drift = max(abs(b - t) for b, t in zip(base, target.tolist()))
     if drift > 1.0 + 1e-9:
         raise SpecValidationError(
             [f"degeneracy rounding drift {drift:.3f} exceeds 1 at N={n}; "

@@ -154,15 +154,6 @@ class TestLlnSweep:
 
         assert normalize(out1) == normalize(out2)
 
-    def test_jobs_preserve_row_order(self, tmp_path):
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        config = self.config(tmp_path)
-        main(["lln-sweep", "--config", config, "--out", str(out1)])
-        main(["lln-sweep", "--config", config, "--out", str(out2), "--jobs", "3"])
-        _, _, rows1 = read_csv(out1)
-        _, _, rows2 = read_csv(out2)
-        assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
-
     def test_budget_exceeded_exit_1(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["lln-sweep", "--config", self.config(tmp_path),
@@ -429,6 +420,69 @@ print('exports', len(occens.__all__))
 M3_PROPORTIONAL = {**M3_CONFIG, "regime": "proportional", "c": 1.0}
 
 
+# Every per-N command, with fluct-check at both kinds of maximum.
+SWEEPS = {
+    "lln-sweep": ("lln-sweep", {
+        "energies": ["1", "2"], "weights": [0.5, 0.5], "energy_cap": "7/5",
+        "regime": "proportional", "c": 1.0, "N_list": [16, 32, 64],
+        "xi_list": [[0.0, 0.0], [0.5, 0.0]]}),
+    "fluct-check-interior": ("fluct-check", {
+        **M3_PROPORTIONAL, "energy_cap": "5/2", "N_list": [10, 20, 30]}),
+    "fluct-check-boundary": ("fluct-check", {
+        **M3_PROPORTIONAL, "N_list": [10, 20, 30]}),
+    "entropy-probe": ("entropy-probe", {
+        **M3_PROPORTIONAL, "N_list": [10, 20, 30], "x_probe": [0.5, 0.3, 0.2]}),
+}
+
+
+@pytest.mark.parametrize("command, payload", SWEEPS.values(), ids=SWEEPS)
+def test_jobs_preserve_row_order(tmp_path, command, payload):
+    config = write_config(tmp_path, payload)
+    outputs = []
+    for jobs in ("1", "3"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main([command, "--config", config, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        comments, header, rows = read_csv(out)
+        assert header[-1] == "wall_time_s"
+        assert [int(r[0]) for r in rows] == payload["N_list"]
+        outputs.append(([c for c in comments if "generated=" not in c],
+                        header, [r[:-1] for r in rows]))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("m, boundary, columns", [
+    (2, False, ["emp_cov_0_0", "pred_cov_0_0"]),
+    (2, True, ["ratio_1_0", "ratio_2_1", "pred_ratio"]),
+    (3, False, ["emp_cov_0_0", "emp_cov_0_1", "emp_cov_1_1",
+                "pred_cov_0_0", "pred_cov_0_1", "pred_cov_1_1"]),
+    (3, True, ["ratio_1_0", "ratio_2_1", "pred_ratio",
+               "emp_inplane_cov_0_0", "pred_inplane_cov_0_0"]),
+    (4, False, [f"{side}_cov_{p}" for side in ("emp", "pred")
+                for p in ("0_0", "0_1", "0_2", "1_1", "1_2", "2_2")]),
+    (4, True, ["ratio_1_0", "ratio_2_1", "pred_ratio",
+               "emp_inplane_cov_0_0", "emp_inplane_cov_0_1",
+               "emp_inplane_cov_1_1", "pred_inplane_cov_0_0",
+               "pred_inplane_cov_0_1", "pred_inplane_cov_1_1"]),
+], ids=["m2-interior", "m2-boundary", "m3-interior", "m3-boundary",
+        "m4-interior", "m4-boundary"])
+def test_fluct_check_header(tmp_path, capsys, m, boundary, columns):
+    # the weights' mean energy is (m+1)/2 at m = 2, 3 and 3 at m = 4
+    mean = {2: 1.5, 3: 2.0, 4: 3.0}[m]
+    config = write_config(tmp_path, {
+        "energies": [str(e) for e in range(1, m + 1)],
+        "weights": {2: [0.5, 0.5], 3: [0.3, 0.4, 0.3],
+                    4: [0.1, 0.2, 0.3, 0.4]}[m],
+        "energy_cap": mean - 0.25 if boundary else mean + 0.25,
+        "regime": "high_degeneracy", "N_list": [4, 8]})
+    out = tmp_path / "fl.csv"
+    assert main(["fluct-check", "--config", config, "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    _, header, rows = read_csv(out)
+    assert header == ["N", *columns, "wall_time_s"]
+    assert all(len(r) == len(header) for r in rows)
+
+
 def assert_config_error(capsys, code):
     assert code == 2
     err = capsys.readouterr().err
@@ -601,6 +655,19 @@ def test_config_with_every_key_runs(tmp_path, capsys, command):
     config = write_config(tmp_path, EVERY_KEY)
     assert main([command, "--config", config,
                  "--out", str(tmp_path / "out")]) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "lln-sweep", "fluct-check",
+                                     "entropy-probe", "sample"])
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_config_error(tmp_path, capsys, command, target):
+    # both escaped as FileNotFoundError/IsADirectoryError tracebacks, exit 1
+    config = write_config(tmp_path, EVERY_KEY)
+    out = tmp_path / "missing" / "out" if target == "missing-directory" \
+        else tmp_path
+    detail = assert_config_error(capsys, main([command, "--config", config,
+                                               "--out", str(out)]))
+    assert str(out) in detail
 
 
 def test_chain_seed_above_seed_flag(tmp_path):

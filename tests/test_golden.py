@@ -1,0 +1,110 @@
+"""Sweep CSVs stay byte-identical to the committed golden files.
+
+Each case runs one per-N command in-process and compares its output with
+tests/golden/<case>.csv byte for byte, apart from the `# generated=` line
+and the `wall_time_s` cells, which change between runs.  The cases cover
+fluct-check at m = 2, 3, 4 at interior and boundary maxima, with exact and
+chain-fallback rows, lln-sweep with mgf probes and entropy-probe, each at
+N <= 200.
+
+After a declared change of output bytes, rewrite the golden files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from occens.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+M2 = {"energies": ["1", "2"], "weights": [0.5, 0.5]}
+M3 = {"energies": ["1", "2", "3"], "weights": [0.3, 0.4, 0.3]}
+M4 = {"energies": ["1", "2", "3", "4"], "weights": [0.1, 0.2, 0.3, 0.4]}
+PROPORTIONAL = {"regime": "proportional", "c": 1.0}
+HIGH = {"regime": "high_degeneracy"}
+LOW = {"regime": "low_degeneracy"}
+CHAIN = {"sampler_fallback": True, "chain": {"steps": 20_000, "seed": 3}}
+
+# case: (command, config).  A fallback case's budget lets its first row
+# enumerate and sends the later ones to the chain.
+CASES = {
+    "fluct_m2_interior_high": ("fluct-check", {
+        **M2, **HIGH, "energy_cap": "2", "N_list": [32, 64, 128]}),
+    "fluct_m2_boundary_high": ("fluct-check", {
+        **M2, **HIGH, "energy_cap": "7/5", "N_list": [64, 128, 200]}),
+    "fluct_m2_boundary_q2_low": ("fluct-check", {
+        "energies": ["1/2", "1"], "weights": [0.5, 0.5], **LOW,
+        "energy_cap": "7/10", "N_list": [10, 50, 100]}),
+    "fluct_m3_interior_proportional": ("fluct-check", {
+        **M3, **PROPORTIONAL, "energy_cap": "5/2", "N_list": [20, 60, 120]}),
+    "fluct_m3_boundary_low": ("fluct-check", {
+        **M3, **LOW, "energy_cap": "8/5", "N_list": [50, 100, 200]}),
+    "fluct_m3_boundary_high_fallback": ("fluct-check", {
+        **M3, **HIGH, "energy_cap": "8/5", "N_list": [10, 40], "budget": 300,
+        **CHAIN}),
+    "fluct_m3_interior_low_fallback": ("fluct-check", {
+        **M3, **LOW, "energy_cap": "5/2", "N_list": [10, 40], "budget": 300,
+        **CHAIN}),
+    "fluct_m4_interior_proportional": ("fluct-check", {
+        **M4, **PROPORTIONAL, "energy_cap": "7/2", "N_list": [10, 20, 40]}),
+    "fluct_m4_boundary_high": ("fluct-check", {
+        **M4, **HIGH, "energy_cap": "5/2", "N_list": [10, 20, 40]}),
+    "fluct_m4_boundary_proportional_fallback": ("fluct-check", {
+        **M4, **PROPORTIONAL, "energy_cap": "5/2", "N_list": [10, 30],
+        "budget": 1000, **CHAIN}),
+    "lln_m3_proportional_xi": ("lln-sweep", {
+        **M3, **PROPORTIONAL, "energy_cap": "8/5", "N_list": [20, 80, 200],
+        "xi_list": [[0.5, 0.0, -0.5], [0.0, 0.25, 0.0]]}),
+    "lln_m3_high_fallback": ("lln-sweep", {
+        **M3, **HIGH, "energy_cap": "5/2", "N_list": [10, 40], "budget": 300,
+        "xi_list": [[0.5, 0.0, -0.5]], **CHAIN}),
+    "entropy_m3_low": ("entropy-probe", {
+        **M3, **LOW, "energy_cap": "8/5", "N_list": [10, 100, 200],
+        "x_probe": [0.5, 0.3, 0.2]}),
+    "entropy_m2_high": ("entropy-probe", {
+        **M2, **HIGH, "energy_cap": "7/5", "N_list": [10, 20, 200],
+        "x_probe": [0.6, 0.4]}),
+}
+
+
+def run_case(name: str, tmp: Path) -> str:
+    command, config = CASES[name]
+    path, out = tmp / f"{name}.json", tmp / f"{name}.csv"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def normalise(text: str) -> list[str]:
+    """The CSV's lines without `# generated=` and with wall_time_s blanked."""
+    lines = [ln for ln in text.split("\n") if not ln.startswith("# generated=")]
+    header = next(ln for ln in lines if not ln.startswith("#")).split(",")
+    col = header.index("wall_time_s")
+    start = lines.index(",".join(header)) + 1
+    for k in range(start, len(lines)):
+        if lines[k]:
+            cells = lines[k].split(",")
+            cells[col] = ""
+            lines[k] = ",".join(cells)
+    return lines
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(name, tmp_path):
+    want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
+    assert normalise(run_case(name, tmp_path)) == normalise(want)
+
+
+if __name__ == "__main__":
+    import tempfile
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            (GOLDEN / f"{case}.csv").write_text(run_case(case, Path(tmp)),
+                                                encoding="utf-8")
+            print(f"wrote {case}.csv", file=sys.stderr)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -299,3 +300,16 @@ def test_cap_near_eps1_solves(energies, weights, cap, regime, c):
     assert sol.residual_norm <= RESIDUAL_TOL
     assert sol.residual_energy <= RESIDUAL_TOL
     assert kkt_stationarity_residual(spec, sol) < 1e-8
+
+
+@pytest.mark.parametrize("c", [1e308, 1.7e308, sys.float_info.max])
+def test_proportional_c_near_float_max_solves(c):
+    # e^t - 1 overflows for t > 709.78, where phi = c/(e^t - 1) was taken as
+    # 0.0 although c*e^-t is not small: these raised SolverError
+    energies, weights, cap = ["1", "2", "3"], [0.3, 0.4, 0.3], "8/5"
+    sol = solve(make_spec(energies, weights, cap, "proportional", c=c))
+    assert sol.residual_norm <= RESIDUAL_TOL
+    assert sol.residual_energy <= RESIDUAL_TOL
+    # c -> infinity is the high-degeneracy law
+    limit = solve(make_spec(energies, weights, cap, "high_degeneracy")).x_star
+    assert np.max(np.abs(np.subtract(sol.x_star, limit))) <= 1e-12
