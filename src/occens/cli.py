@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -156,11 +157,32 @@ def _read_config(args):
 
 
 def _format_cell(value) -> str:
+    # the exact types first: the ABC checks below cost more than the repr
+    if type(value) is int:
+        return str(value)
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, numbers.Real):
         return repr(float(value))
     return str(value)
+
+
+def _check_out(out: str | None) -> None:
+    """Fail on an --out that cannot be written before any work is done; a
+    file that is there is neither truncated nor removed, and one that was
+    not is removed again."""
+    if out is None:
+        return
+    existed = os.path.lexists(out)
+    try:
+        with open(out, "a", encoding="utf-8"):
+            pass
+        if not existed:
+            os.remove(out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
 def _write_lines(out: str | None, lines: list[str]) -> None:
@@ -181,7 +203,7 @@ def _write_csv(out: str | None, comments: list[str], header: list[str],
              f"# generated={datetime.now(timezone.utc).isoformat()}"]
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
-    lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_format_cell, row)) for row in rows)
     _write_lines(out, lines)
 
 
@@ -239,12 +261,12 @@ def _distribution(spec, n: int, config: dict):
     """The enumerated distribution at N; past the budget, chain draws when
     the config sets sampler_fallback, else the budget error."""
     from .ensemble import build_distribution, draws_distribution
-    from .sampler import metropolis_chain
     try:
         return build_distribution(spec, n, budget=config["budget"])
     except EnumerationBudgetError:
         if not config["sampler_fallback"]:
             raise
+        from .sampler import metropolis_chain
         draws = _draw(metropolis_chain, spec, n, _chain_config(config))
         return draws_distribution(spec, n, draws)
 
@@ -431,7 +453,9 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.handler(args, *_read_config(args))
+        spec, config = _read_config(args)
+        _check_out(args.out)
+        return args.handler(args, spec, config)
     except (ConfigError, SpecValidationError) as exc:
         error, status, detail = "config", 2, str(exc)
     except (SolverError, EnumerationBudgetError, ArithmeticError) as exc:

@@ -30,13 +30,15 @@ def enumerate_states(spec: EnsembleSpec, n: int,
                      budget: int = DEFAULT_STATE_BUDGET) -> np.ndarray:
     """All compositions of N over m levels obeying the integer energy cap.
 
-    Returns an (S, m) int64 array in lexicographic row order.  Levels are
-    filled left to right for all viable prefixes at once; since energies
-    increase with the level index, a prefix is viable iff routing every
-    remaining particle to the cheapest remaining level stays under the cap,
-    a closed-form lower bound on the next coordinate.  Every viable prefix
-    has a completion, so the budget is checked against the prefix count at
-    each level and against the exact S before the (S, m) allocation.
+    Returns an (S, m) int64 array in lexicographic row order, laid out
+    column-major: it is the transpose of an (m, S) buffer, so each level's
+    counts are one contiguous column.  Levels are filled left to right for
+    all viable prefixes at once; since energies increase with the level
+    index, a prefix is viable iff routing every remaining particle to the
+    cheapest remaining level stays under the cap, a closed-form lower bound
+    on the next coordinate.  Every viable prefix has a completion, so the
+    budget is checked against the prefix count at each level and against
+    the exact S before the (m, S) allocation.
     """
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
@@ -73,12 +75,12 @@ def enumerate_states(spec: EnsembleSpec, n: int,
             used = np.repeat(used, width) + e[level] * k
             remaining = rest
     # the last two levels in closed form: k at level m-2, the rest at m-1
-    out = np.empty((total, m), dtype=np.int64)
+    out = np.empty((m, total), dtype=np.int64)
     for j, col in enumerate(prefix):
-        out[:, j] = np.repeat(col, width)
-    np.subtract(np.repeat(remaining, width), rest, out=out[:, m - 2])
-    out[:, m - 1] = rest
-    return out
+        out[j] = np.repeat(col, width)
+    np.subtract(np.repeat(remaining, width), rest, out=out[m - 2])
+    out[m - 1] = rest
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,8 @@ class Distribution:
 
     spec: EnsembleSpec
     n: int
-    counts: np.ndarray  # (S, m) int64; lexicographic when enumerated
+    counts: np.ndarray  # (S, m) int64, column-major: one contiguous column
+    #                     per level; lexicographic rows when enumerated
     pmf: np.ndarray     # (S,)
 
     @property
@@ -109,13 +112,13 @@ def build_distribution(spec: EnsembleSpec, n: int,
     if counts.shape[0] == 0:
         raise ValueError(f"empty support at N={n}; spec admits no states")
     deg = degeneracies_for(spec, n)
-    log_weights = np.asarray(log_multiplicity(counts, deg.as_array), dtype=float)
-    shift = float(log_weights.max())
+    # log-weights, then weights, then the pmf, in one buffer
+    pmf = log_multiplicity(counts, deg.as_array)
     # One exp pass: dividing by the sum normalizes to rounding, where
     # exp(lw - log Z) would inherit half an ulp of a large log Z.
-    weights = np.exp(log_weights - shift)
-    total_weight = float(weights.sum())
-    pmf = weights / total_weight
+    np.subtract(pmf, pmf.max(), out=pmf)
+    np.exp(pmf, out=pmf)
+    np.divide(pmf, pmf.sum(), out=pmf)
     total = float(pmf.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise ArithmeticError(f"pmf sums to {total!r}; log-sum-exp unstable")
@@ -126,12 +129,13 @@ def build_distribution(spec: EnsembleSpec, n: int,
 
 def draws_distribution(spec: EnsembleSpec, n: int,
                        draws: np.ndarray) -> Distribution:
-    """K chain draws as a distribution, each row weighted 1/K (draws are
-    frozen, not copied)."""
-    pmf = np.full(draws.shape[0], 1.0 / draws.shape[0])
-    for arr in (draws, pmf):
+    """K chain draws as a distribution, each row weighted 1/K; the draws
+    are copied into the column-major layout of an enumerated support."""
+    counts = np.asfortranarray(draws, dtype=np.int64)
+    pmf = np.full(counts.shape[0], 1.0 / counts.shape[0])
+    for arr in (counts, pmf):
         arr.setflags(write=False)
-    return Distribution(spec=spec, n=n, counts=draws, pmf=pmf)
+    return Distribution(spec=spec, n=n, counts=counts, pmf=pmf)
 
 
 def exact_mean(dist: Distribution) -> np.ndarray:
@@ -140,15 +144,18 @@ def exact_mean(dist: Distribution) -> np.ndarray:
 
 
 def weighted_covariance(y: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """Symmetrized covariance of the rows of y under pmf."""
-    centered = y - pmf @ y
-    cov = (centered * pmf[:, None]).T @ centered
+    """Symmetrized covariance under pmf of k variables, given as the k rows
+    of a (k, S) array y (one value per state in each row)."""
+    centered = y - (y @ pmf)[:, None]
+    cov = np.empty((len(y), len(y)))
+    for i, row in enumerate(centered):  # one weighted row at a time
+        cov[i] = centered @ (row * pmf)
     return 0.5 * (cov + cov.T)
 
 
 def exact_covariance(dist: Distribution) -> np.ndarray:
     """Covariance matrix of X_N; symmetric positive semidefinite."""
-    return weighted_covariance(dist.fractions(), dist.pmf)
+    return weighted_covariance(dist.fractions().T, dist.pmf)
 
 
 def mgf(dist: Distribution, xi) -> float:
@@ -156,7 +163,9 @@ def mgf(dist: Distribution, xi) -> float:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dist.spec.m,):
         raise ValueError(f"xi must have shape ({dist.spec.m},), got {xi.shape}")
-    a = dist.fractions() @ xi
+    # row-major fractions: on a column-major operand BLAS adds each row's m
+    # products in another order, and the mgf would move by rounding
+    a = np.divide(dist.counts, dist.n, order="C") @ xi
     shift = float(a.max())
     return float(math.exp(shift) * (dist.pmf * np.exp(a - shift)).sum())
 
@@ -176,16 +185,20 @@ class LayerDecomposition:
 
 def layer_decomposition(dist: Distribution) -> LayerDecomposition:
     """Group states by exact integer energy slack."""
-    e = np.array(dist.spec.energy_units, dtype=np.int64)
-    cap = dist.spec.energy_cap_units(dist.n)
-    slack = cap - dist.counts @ e
-    # a stable sort keeps each layer's states in row order
-    order = np.argsort(slack, kind="stable")
-    sorted_slack = slack[order]
-    starts = np.flatnonzero(np.diff(sorted_slack)) + 1
+    slack = np.full(dist.size, dist.spec.energy_cap_units(dist.n),
+                    dtype=np.int64)
+    for e, col in zip(dist.spec.energy_units, dist.counts.T):
+        slack -= e * col
+    # A stable sort keeps each layer's states in row order.  It sorts the
+    # offset from the smallest slack in its narrowest unsigned type, which
+    # NumPy radix-sorts at 8 and 16 bits; the permutation is the same.
+    key = slack - slack.min()
+    key = key.astype(np.min_scalar_type(key.max()))
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order])) + 1
     masses = np.array([float(p.sum())
                        for p in np.split(dist.pmf[order], starts)])
     masses.setflags(write=False)
     return LayerDecomposition(
-        slacks=tuple(sorted_slack[np.r_[0, starts]].tolist()), masses=masses)
+        slacks=tuple(slack[order[np.r_[0, starts]]].tolist()), masses=masses)
 

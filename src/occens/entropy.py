@@ -60,12 +60,24 @@ def log_multiplicity(counts, degs):
     if counts.shape[-1:] != degs.shape or counts.min(initial=0) < 0:
         raise ValueError(f"counts must be nonnegative with {degs.size} levels")
     table = level_log_weights(degs, int(counts.max(initial=0)))
-    terms = [table[i, counts[..., i]] for i in range(degs.size)]
+    # a view of an (S, m) array held column-major: each gather reads one
+    # contiguous column
+    rows = counts.reshape(-1, degs.size)
+    # The sum's buffer comes before the per-level terms, so that freeing
+    # them can return their memory instead of leaving it below a live array.
+    total = np.empty(rows.shape[0])
+    terms = [np.take(table[i], rows[:, i]) for i in range(degs.size)]
+    spare = np.empty_like(total)
     for r in range(len(terms)):
         for i in range(r % 2, len(terms) - 1, 2):
-            terms[i], terms[i + 1] = (np.minimum(terms[i], terms[i + 1]),
-                                      np.maximum(terms[i], terms[i + 1]))
-    return sum(terms[1:], terms[0])
+            lo, hi = terms[i], terms[i + 1]
+            np.minimum(lo, hi, out=spare)
+            np.maximum(lo, hi, out=hi)
+            terms[i], spare = spare, lo
+    np.copyto(total, terms[0])
+    for term in terms[1:]:
+        total += term
+    return total.reshape(counts.shape[:-1])[()]  # a scalar for one vector
 
 
 def limit_entropy(spec: EnsembleSpec, x):

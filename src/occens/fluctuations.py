@@ -161,16 +161,17 @@ class FluctuationSummary:
 def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
                            spec: EnsembleSpec) -> FluctuationSummary:
     """Scaled empirical moments matching the prediction conventions."""
-    m = spec.m
-    scale = math.sqrt(scaling_factor(spec, dist.n))
-    # no name holds the fractions, so only the m-1 scaled reduced
-    # coordinates stay in memory
-    y = scale * (dist.fractions()[:, : m - 1] - sol.x_star[: m - 1])
+    k = spec.m - 1
+    # the k scaled reduced coordinates, one row per level, built in place
+    # from the first k count columns
+    y = dist.counts.T[:k] / dist.n
+    y -= np.array(sol.x_star[:k])[:, None]
+    y *= math.sqrt(scaling_factor(spec, dist.n))
     if sol.kind is MaximumKind.INTERIOR:
         cov = weighted_covariance(y, dist.pmf)
         return FluctuationSummary(kind=sol.kind, scaled_covariance=cov)
     layers = layer_decomposition(dist)
-    cov = weighted_covariance(y @ rotation_basis(spec)[:, 1:], dist.pmf)
+    cov = weighted_covariance(rotation_basis(spec)[:, 1:].T @ y, dist.pmf)
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
                               layer_slacks=layers.slacks,
                               layer_masses=layers.masses)

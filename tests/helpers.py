@@ -473,6 +473,15 @@ def reference_layer_decomposition(dist):
                               masses=masses)
 
 
+def reference_weighted_covariance(y, pmf):
+    """Symmetrized covariance of the rows of an (S, k) array y under pmf:
+    the row-major formula, kept as the oracle for `weighted_covariance`,
+    which reads the transposed (k, S) array."""
+    centered = y - pmf @ y
+    cov = (centered * pmf[:, None]).T @ centered
+    return 0.5 * (cov + cov.T)
+
+
 # The NumPy multiplier solver, kept as the oracle for `solve`.  It reads
 # the spec's float vectors as arrays (_ArraySpec); apart from the _ref
 # prefix, that view and the threshold energy written out as the np.dot it

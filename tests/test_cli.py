@@ -376,8 +376,9 @@ class TestSample:
 def test_commands_import_only_what_they_use(tmp_path):
     # NumPy is imported only by code that holds arrays over states: the
     # package, the CLI, `solve` and `entropy-probe` load none of it (nor
-    # SciPy, which no command needs), and a sweep at --jobs 1 loads no
-    # process-pool machinery.  Every exported name still imports lazily.
+    # SciPy, which no command needs), and an exact sweep at --jobs 1 loads
+    # neither process-pool machinery nor the sampler, which only the
+    # fallback needs.  Every exported name still imports lazily.
     env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
     solve_config = write_config(tmp_path, BOUNDARY_CONFIG, "solve.json")
     probe_config = write_config(tmp_path, {
@@ -400,7 +401,8 @@ print('solve', loaded('numpy', 'scipy'))
 assert main(['entropy-probe', '--config', {probe_config!r}, '--out', {str(probe_out)!r}]) == 0
 print('entropy-probe', loaded('numpy', 'scipy'))
 assert main(['lln-sweep', '--config', {sweep_config!r}, '--out', {str(tmp_path / 'sweep.csv')!r}, '--jobs', '1']) == 0
-print('lln-sweep', loaded('scipy', 'multiprocessing', 'concurrent'))
+print('lln-sweep', loaded('scipy', 'multiprocessing', 'concurrent'),
+      'occens.sampler' in sys.modules)
 for name in occens.__all__:
     exec(f'from occens import {{name}}')
     assert name in dir(occens), name
@@ -411,7 +413,7 @@ print('exports', len(occens.__all__))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "import occens []", "import occens.cli []", "solve []",
-        "entropy-probe []", "lln-sweep []",
+        "entropy-probe []", "lln-sweep [] False",
         f"exports {len(occens.__all__)}"]
     _, header, rows = read_csv(probe_out)
     assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0
@@ -729,3 +731,53 @@ def test_any_single_key_value_exits_0_1_or_2(command, method, key, value):
     assert status in (0, 1, 2)
     if status:
         assert json.loads(err.getvalue())["error"] in ("config", "numeric")
+
+
+def test_unwritable_out_fails_before_any_row(tmp_path, capsys, monkeypatch):
+    # the boundary sweep that enumerated for 0.6 s before it found the
+    # missing directory now fails before a distribution is built
+    import occens.ensemble
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row ran before --out was checked")
+
+    monkeypatch.setattr(occens.ensemble, "build_distribution", no_rows)
+    config = write_config(tmp_path, {**M3_PROPORTIONAL,
+                                     "N_list": [500, 1000, 2000, 3000]})
+    out = tmp_path / "missing" / "x.csv"
+    detail = assert_config_error(capsys, main(["fluct-check", "--config", config,
+                                               "--out", str(out)]))
+    assert str(out) in detail
+
+
+def test_out_checked_without_touching_it(tmp_path, capsys):
+    # a run that fails after the check leaves a file that was there as it
+    # was, and creates none that was not
+    config = write_config(tmp_path, {**BOUNDARY_CONFIG, "N_list": [40]})
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text("earlier results\n", encoding="utf-8")
+    for out in (kept, fresh):
+        assert main(["lln-sweep", "--config", config, "--out", str(out),
+                     "--budget", "2"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+    assert kept.read_text(encoding="utf-8") == "earlier results\n"
+    assert not fresh.exists()
+
+
+def _abc_format_cell(value) -> str:
+    # the cell format through the number ABCs alone
+    import numbers
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
+    return str(value)
+
+
+@pytest.mark.parametrize("value", [
+    0, -7, 2**70, True, False, 0.1, -0.0, 1e300, 5e-324, math.inf, math.nan,
+    np.int64(-3), np.int32(12), np.float64(0.30000000000000004),
+    np.float32(0.1), "x", None])
+def test_cell_format_unchanged(value):
+    from occens.cli import _format_cell
+    assert _format_cell(value) == _abc_format_cell(value)

@@ -7,16 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occens import (
+    ChainConfig,
+    Distribution,
     EnumerationBudgetError,
+    MaximumKind,
     SpecValidationError,
     build_distribution,
     degeneracies_for,
+    draws_distribution,
+    empirical_fluctuations,
     enumerate_states,
     exact_covariance,
     exact_mean,
     layer_decomposition,
     make_spec,
+    metropolis_chain,
     mgf,
+    rotation_basis,
+    scaling_factor,
+    solve,
 )
 from occens.entropy import log_multiplicity
 
@@ -28,6 +37,7 @@ from helpers import (
     reference_enumerate_states,
     reference_layer_decomposition,
     reference_log_multiplicity,
+    reference_weighted_covariance,
     two_level_spec,
 )
 
@@ -150,7 +160,7 @@ def capped_supports(draw):
 def test_enumeration_matches_reference(case):
     spec, n, degs = case
     states = enumerate_states(spec, n)
-    assert states.dtype == np.int64 and states.flags.c_contiguous
+    assert states.dtype == np.int64 and states.T.flags.c_contiguous
     assert np.array_equal(states, reference_enumerate_states(spec, n))
     assert states.shape[0] == brute_force_state_count(spec, n)
     assert np.array_equal(log_multiplicity(states, degs),
@@ -275,3 +285,61 @@ def test_layers_match_unique_grouping(seed, regime, m, n):
     got, want = layer_decomposition(dist), reference_layer_decomposition(dist)
     assert got.slacks == want.slacks
     assert np.array_equal(got.masses, want.masses)
+
+
+def assert_covariance_close(got, y, pmf):
+    # within 1e-12 of the row-major formula, relative to the second moments
+    # sqrt(E[y_i^2] E[y_j^2]) of the two variables; this scale stays away
+    # from zero when the variance is itself a rounding error (all draws equal)
+    want = reference_weighted_covariance(y, pmf)
+    scale = np.sqrt(pmf @ (y * y))
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.outer(scale, scale))
+
+
+LAYOUT_MAX_N = {2: 80, 3: 40, 4: 24, 5: 14}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(["high_degeneracy", "proportional",
+                               "low_degeneracy"]),
+       m=st.integers(2, 5), boundary=st.booleans(), chain=st.booleans(),
+       data=st.data())
+def test_column_layout_keeps_estimators(seed, regime, m, boundary, chain,
+                                        data):
+    # Enumerated rows and chain draws hold one contiguous column per level.
+    # Mean, mgf and layers give the bits of a row-major copy of the counts;
+    # the covariances move by rounding only, as their sums over the (k, S)
+    # rows run in another order than the row-major formula's.
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, regime, m, boundary)
+    n = data.draw(st.integers(1, LAYOUT_MAX_N[m]), label="n")
+    try:
+        if chain:
+            cfg = ChainConfig(steps=3000, seed=seed, burn_in=0, thinning=7)
+            dist = draws_distribution(spec, n, metropolis_chain(spec, n, cfg))
+        else:
+            dist = build_distribution(spec, n)
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    assert dist.counts.dtype == np.int64 and dist.counts.T.flags.c_contiguous
+    rows = Distribution(spec=spec, n=n, counts=np.ascontiguousarray(dist.counts),
+                        pmf=dist.pmf)
+    assert rows.counts.flags.c_contiguous
+    assert np.array_equal(exact_mean(dist), exact_mean(rows))
+    xi = rng.normal(size=m)
+    assert mgf(dist, xi) == mgf(rows, xi)
+    got, want = layer_decomposition(dist), reference_layer_decomposition(rows)
+    assert got.slacks == want.slacks
+    assert np.array_equal(got.masses, want.masses)
+
+    fractions = rows.fractions()
+    assert_covariance_close(exact_covariance(dist), fractions, dist.pmf)
+    sol = solve(spec)
+    y = (math.sqrt(scaling_factor(spec, n))
+         * (fractions[:, : m - 1] - sol.x_star[: m - 1]))
+    if sol.kind is MaximumKind.BOUNDARY:
+        y = y @ rotation_basis(spec)[:, 1:]
+    summary = empirical_fluctuations(dist, sol, spec)
+    assert_covariance_close(summary.scaled_covariance, y, dist.pmf)
