@@ -5,13 +5,14 @@ CONFIG_KEYS: the table gives what each value must be and its default, and
 the whole config is checked against it before any command runs.  Energies
 (and the energy cap) may be exact rational strings like "3/2" to keep the
 constraint lattice exact.  Results are persisted as JSON (solve) or CSV
-with a `# schema=1` first line.  Exit status: 0 success, 1 numeric
-failure, 2 config error.
+with a `# schema=1` first line.  Exit status: 0 success, 1 numeric failure
+or failed allocation, 2 config error, found before any row or draw runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import numbers
@@ -28,6 +29,7 @@ from .core import (
     Regime,
     SolverError,
     SpecValidationError,
+    degeneracies_for,
     has_finite_float,
     make_spec,
 )
@@ -42,12 +44,6 @@ CSV_SCHEMA_LINE = "# schema=1"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit status 2)."""
-
-
-def _require(config: dict, key: str):
-    if config.get(key) is None:
-        raise ConfigError(f"config key {key!r} is required")
-    return config[key]
 
 
 def _is_int(value) -> bool:
@@ -73,6 +69,18 @@ def _is_vector(value, m: int) -> bool:
 def _at_least(minimum: int, default=None):
     return (f"an integer >= {minimum}",
             lambda v, m: _is_int(v) and v >= minimum, default)
+
+
+def _check_chain(chain: dict, m: int) -> bool:
+    """The chain block's keys, then burn_in < steps <= sys.maxsize (the most
+    steps a chain indexes) for those given; ChainConfig.resolve fills in
+    the rest without conflict."""
+    _check(CHAIN_KEYS, chain, m, "chain.")
+    steps = chain.get("steps", sys.maxsize)
+    if not chain.get("burn_in", -1) < steps <= sys.maxsize:
+        raise ConfigError(f"chain needs burn_in < steps <= {sys.maxsize}, "
+                          f"got {chain}")
+    return True
 
 
 # Every config key: (what its value must be, its test of a value v for a spec
@@ -105,25 +113,29 @@ CONFIG_KEYS = {
     "seed": _at_least(0, 0),
     "sampler_fallback": ("true or false", lambda v, m: isinstance(v, bool), False),
     "chain": (f"an object with keys among {', '.join(CHAIN_KEYS)}", lambda v, m:
-              isinstance(v, dict) and _check(CHAIN_KEYS, v, m, "chain."), {}),
+              isinstance(v, dict) and _check_chain(v, m), {}),
     "N": _at_least(1),
-    "count": _at_least(1, 1000),
+    "count": ("an integer >= 1 whose count*m int64 draws fit one array",
+              lambda v, m: _is_int(v) and v >= 1 and v * m * 8 <= sys.maxsize,
+              1000),
     "method": ("exact or metropolis",
                lambda v, m: v in ("exact", "metropolis"), "exact"),
 }
 _SPEC_KEYS = list(CONFIG_KEYS)[:6]
 
 
-def _check(table: dict, values: dict, m: int, prefix: str = "") -> bool:
-    """True if values holds the table's required keys and no others, each
-    passing its test; else the config error naming the first that does not."""
+def _check(table: dict, values: dict, m: int, prefix: str = "",
+           required=()) -> bool:
+    """True if values holds the keys defaulting to ..., those `required`
+    and no others, each passing its test; else the config error naming the
+    first that does not."""
     unknown = [prefix + key for key in sorted(set(values) - set(table))]
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown}; the keys are "
                           f"{[prefix + key for key in table]}")
     for key, (what, test, default) in table.items():
         if key not in values:
-            if default is ...:
+            if default is ... or key in required:
                 raise ConfigError(f"config key {key!r} is required")
         elif not test(values[key], m):
             raise ConfigError(f"{prefix}{key} must be {what}, "
@@ -145,13 +157,13 @@ def _read_config(args):
                    if getattr(args, flag) is not None})
     energies = config.get("energies")
     _check(CONFIG_KEYS, config,
-           len(energies) if isinstance(energies, list) else 0)
+           len(energies) if isinstance(energies, list) else 0,
+           required=args.required)
     config = {**{key: default for key, (_, _, default)
                  in CONFIG_KEYS.items()}, **config}
     try:
         spec = make_spec(**{key: config[key] for key in _SPEC_KEYS})
-    except (SpecValidationError, ValueError, TypeError,
-            ArithmeticError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
     return spec, config
 
@@ -249,14 +261,6 @@ def _chain_config(config: dict):
                           **config["chain"]})
 
 
-def _draw(sampler, *args):
-    """sampler(*args); its ValueError (settings it cannot run) a config error."""
-    try:
-        return sampler(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _distribution(spec, n: int, config: dict):
     """The enumerated distribution at N; past the budget, chain draws when
     the config sets sampler_fallback, else the budget error."""
@@ -267,30 +271,25 @@ def _distribution(spec, n: int, config: dict):
         if not config["sampler_fallback"]:
             raise
         from .sampler import metropolis_chain
-        draws = _draw(metropolis_chain, spec, n, _chain_config(config))
+        draws = metropolis_chain(spec, n, _chain_config(config))
         return draws_distribution(spec, n, draws)
 
 
 def cmd_solve(args, spec, config) -> int:
-    sol = solve(spec)
-    report = {
-        "regime": sol.regime.value,
-        "kind": sol.kind.value,
-        "x_star": list(sol.x_star),
-        "lam": sol.lam,
-        "nu": sol.nu,
-        "residual_norm": sol.residual_norm,
-        "residual_energy": sol.residual_energy,
-    }
+    # the enums are str subclasses, so they are written as their values
+    report = dataclasses.asdict(solve(spec))
     _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
     return 0
 
 
 def _sweep(setup):
     """A per-N command: setup(spec, config, ns) gives the columns between N
-    and wall_time_s, a row(n) giving their cells, and the comment lines."""
+    and wall_time_s, a row(n) giving their cells, and the comment lines;
+    each N's degeneracy split and setup's checks run before any row."""
     def command(args, spec, config) -> int:
-        ns = _require(config, "N_list")
+        ns = config["N_list"]
+        for n in ns:
+            degeneracies_for(spec, n)
         columns, row, comments = setup(spec, config, ns)
 
         def timed(n):
@@ -384,7 +383,10 @@ def cmd_fluct_check(spec, config, ns):
 
 @_sweep
 def cmd_entropy_probe(spec, config, ns):
-    x = [float(v) for v in _require(config, "x_probe")]
+    x = [float(v) for v in config["x_probe"]]
+    if spec.regime is Regime.LOW_DEGENERACY and 0.0 in x:  # g_i ln x_i
+        raise ConfigError(f"x_probe {x} has a zero coordinate, at level "
+                          f"{x.index(0.0) + 1}, where s_l is -inf")
     for n in ns:
         if max(abs(v * n - round(v * n)) for v in x) > 1e-9:
             raise ConfigError(f"x_probe {x} not representable at N={n}")
@@ -401,17 +403,17 @@ def cmd_sample(args, spec, config) -> int:
     from .ensemble import build_distribution
     from .sampler import exact_sample, metropolis_chain
 
-    n = _require(config, "N")
+    n = config["N"]
+    degeneracies_for(spec, n)
     if config["method"] == "exact":
         dist = build_distribution(spec, n, budget=config["budget"])
-        draws = _draw(exact_sample, dist, config["count"], config["seed"])
+        draws = exact_sample(dist, config["count"], config["seed"])
         comments = [f"method=exact count={config['count']} seed={config['seed']}"]
     else:
-        if "steps" not in config["chain"]:
-            raise ConfigError("metropolis sampling needs chain:{steps,...}")
         cfg = _chain_config(config)
-        draws = _draw(metropolis_chain, spec, n, cfg)
-        comments = [f"method=metropolis steps={cfg.steps} seed={cfg.seed}"]
+        steps = cfg.resolve(n, spec.m)[0]
+        draws = metropolis_chain(spec, n, cfg)
+        comments = [f"method=metropolis steps={steps} seed={cfg.seed}"]
     header = [f"N{k + 1}" for k in range(spec.m)]
     _write_csv(args.out, comments, header, draws.tolist())
     return 0
@@ -423,17 +425,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="occupancy-ensemble solver and verification workflows")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # command: (help, handler, the config keys it needs beyond the spec)
     specs = {
-        "solve": ("solve the limiting maximum-entropy problem", cmd_solve),
-        "lln-sweep": ("mean/mgf convergence sweep over N_list", cmd_lln_sweep),
+        "solve": ("solve the limiting maximum-entropy problem", cmd_solve, ()),
+        "lln-sweep": ("mean/mgf convergence sweep over N_list", cmd_lln_sweep,
+                      ("N_list",)),
         "fluct-check": ("fluctuation predictions vs exact enumeration",
-                        cmd_fluct_check),
+                        cmd_fluct_check, ("N_list",)),
         "entropy-probe": ("limit-entropy approximation error sweep",
-                          cmd_entropy_probe),
+                          cmd_entropy_probe, ("N_list", "x_probe")),
         "sample": ("draw occupancies (exact inverse-CDF or Metropolis)",
-                   cmd_sample),
+                   cmd_sample, ("N",)),
     }
-    for name, (help_text, handler) in specs.items():
+    for name, (help_text, handler, required) in specs.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to JSON config")
         cmd.add_argument("--out", default=None, help="output path (default stdout)")
@@ -444,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="override the config seed")
         cmd.add_argument("--budget", type=int, default=None,
                          help="enumeration state budget")
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, required=required)
     return parser
 
 
@@ -460,6 +464,8 @@ def main(argv=None) -> int:
         error, status, detail = "config", 2, str(exc)
     except (SolverError, EnumerationBudgetError, ArithmeticError) as exc:
         error, status, detail = "numeric", 1, str(exc)
+    except MemoryError as exc:
+        error, status, detail = "memory", 1, str(exc) or "allocation failed"
     json.dump({"error": error, "detail": detail}, sys.stderr)
     sys.stderr.write("\n")
     return status

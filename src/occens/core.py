@@ -37,11 +37,6 @@ class SpecValidationError(ValueError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
-    def __reduce__(self):
-        # Rebuild from the list, not the joined message, when the error is
-        # pickled back from a worker process.
-        return type(self), (self.violations,)
-
 
 class EnumerationBudgetError(RuntimeError):
     """State space too large to enumerate; use the sampler module."""
@@ -186,14 +181,6 @@ class DegeneracyAssignment:
 
     total: int
     per_level: tuple[int, ...]
-
-    def __post_init__(self):
-        if sum(self.per_level) != self.total:
-            raise ValueError(
-                f"per-level degeneracies {self.per_level} sum to "
-                f"{sum(self.per_level)}, expected {self.total}")
-        if any(g < 1 for g in self.per_level):
-            raise ValueError(f"every level needs G_i >= 1, got {self.per_level}")
 
     @property
     def as_array(self):

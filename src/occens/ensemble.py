@@ -109,8 +109,6 @@ def build_distribution(spec: EnsembleSpec, n: int,
                        budget: int = DEFAULT_STATE_BUDGET) -> Distribution:
     """Enumerate the support and normalize exp(S) into a pmf."""
     counts = enumerate_states(spec, n, budget=budget)
-    if counts.shape[0] == 0:
-        raise ValueError(f"empty support at N={n}; spec admits no states")
     deg = degeneracies_for(spec, n)
     # log-weights, then weights, then the pmf, in one buffer
     pmf = log_multiplicity(counts, deg.as_array)

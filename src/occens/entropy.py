@@ -17,6 +17,7 @@ table functions, which read whole arrays of states, import NumPy.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import EnsembleSpec, Regime, degeneracies_for
 
@@ -36,6 +37,8 @@ def level_log_weights(degs, n: int):
         raise ValueError(f"n must be nonnegative, got {n}")
     if np.any(degs < 1):
         raise ValueError(f"degeneracies must be >= 1, got {degs}")
+    if degs.size * (n + 1) * 8 > sys.maxsize:  # more than one array holds
+        raise MemoryError(f"no array holds {degs.size} x {n + 1} log-weights")
     j = np.arange(1, n + 1, dtype=np.float64)
     table = np.zeros((degs.size, n + 1))
     np.cumsum(np.log1p((degs[:, None] - 1) / j), axis=1, out=table[:, 1:])
@@ -87,16 +90,18 @@ def limit_entropy(spec: EnsembleSpec, x):
     proportional:    s(x) = sum (x_i + g_i c) ln(x_i + g_i c) - x_i ln x_i
     low_degeneracy:  s(x) = sum g_i ln x_i + g_i
 
-    Summands with x_i = 0 contribute 0.  The Hessian is diagonal in full
-    coordinates and strictly negative on the open simplex.
+    A summand at x_i = 0 is its limit there, g_i c ln(g_i c) or 0, save the
+    divergent low_degeneracy one, taken as 0.  The Hessian is diagonal in
+    full coordinates and strictly negative on the open simplex.
     """
     g = spec.weights
     if spec.regime is Regime.HIGH_DEGENERACY:
         terms = (v * math.log(gi / v) + v if v > 0.0 else 0.0
                  for v, gi in zip(x, g))
     elif spec.regime is Regime.PROPORTIONAL:
-        terms = ((v + gi * spec.c) * math.log(v + gi * spec.c)
-                 - v * math.log(v) if v > 0.0 else 0.0 for v, gi in zip(x, g))
+        gc = [gi * spec.c for gi in g]
+        terms = ((v + a) * math.log(v + a) - v * math.log(v) if v > 0.0
+                 else a * math.log(a) for v, a in zip(x, gc))
     else:
         terms = (gi * math.log(v) + gi if v > 0.0 else 0.0
                  for v, gi in zip(x, g))

@@ -77,8 +77,6 @@ def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
     over canonical directions.
     """
     m = spec.m
-    if m < 2:
-        raise ValueError("rotation basis needs m >= 2")
     w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
     norm = float(np.linalg.norm(w))
     if norm < 1e-12:

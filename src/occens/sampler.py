@@ -45,10 +45,17 @@ class ChainConfig:
     thinning: int | None = None
 
     def resolve(self, n: int, m: int) -> tuple[int, int, int]:
-        # Moves displace one ball, so decorrelation scales with N; the
-        # default run is at least twice the default burn-in.
-        steps = max(200_000, 20 * n * m) if self.steps is None else self.steps
-        burn_in = 10 * n * m if self.burn_in is None else self.burn_in
+        # Moves displace one ball, so decorrelation scales with N.  A missing
+        # field never contradicts a given one, and default steps stop at
+        # sys.maxsize, the most a chain indexes.
+        steps, burn_in = self.steps, self.burn_in
+        if steps is None:
+            steps = max(200_000, 20 * n * m)
+            if burn_in is not None and burn_in >= steps:
+                steps = 2 * burn_in
+            steps = min(steps, sys.maxsize)
+        if burn_in is None:
+            burn_in = 10 * n * m if 10 * n * m < steps else steps // 2
         thinning = n if self.thinning is None else self.thinning
         if not 0 <= burn_in < steps:
             raise ValueError(
@@ -67,8 +74,6 @@ def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
     Returns a (count, m) int64 array of occupancy rows; deterministic for a
     fixed seed.
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(dist.pmf)
     cdf[-1] = 1.0  # close the tiny rounding gap at the top

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -271,6 +272,23 @@ def chain_marginal(chain, states):
     for row in chain:
         freq[index[tuple(int(v) for v in row)]] += 1
     return freq / freq.sum()
+
+
+def reference_resolve(cfg, n: int, m: int) -> tuple[int, int, int]:
+    """ChainConfig.resolve as it was when each default ignored the given
+    fields and a conflict raised; kept as the oracle for the chain rule."""
+    steps = max(200_000, 20 * n * m) if cfg.steps is None else cfg.steps
+    burn_in = 10 * n * m if cfg.burn_in is None else cfg.burn_in
+    thinning = n if cfg.thinning is None else cfg.thinning
+    if not 0 <= burn_in < steps:
+        raise ValueError(
+            f"need steps > burn_in >= 0, got steps={steps}, "
+            f"burn_in={burn_in}")
+    if thinning < 1:
+        raise ValueError(f"thinning must be >= 1, got {thinning}")
+    if steps > sys.maxsize:  # more steps than a chain can index
+        raise ValueError(f"steps must be <= {sys.maxsize}, got {steps}")
+    return steps, burn_in, thinning
 
 
 def default_chain(steps, seed, burn_in=None, thinning=None):
@@ -782,19 +800,22 @@ def _ref_solve(spec) -> MaxEntSolution:
 # Test-only oracles over the limit entropy.
 
 def _rows_limit_entropy(spec, x):
-    """s_l over the rows of x, vectorized; zero components contribute 0."""
+    """s_l over the rows of x, vectorized; a zero component contributes its
+    limit, g_i c ln(g_i c) for proportional and 0 otherwise."""
     x = np.asarray(x, dtype=float)
     g = np.array(spec.weights)
     positive = x > 0.0
     xs = np.where(positive, x, 1.0)  # placeholder keeps logs finite
+    at_zero = 0.0
     if spec.regime is Regime.HIGH_DEGENERACY:
         terms = xs * np.log(g / xs) + xs
     elif spec.regime is Regime.PROPORTIONAL:
         gc = g * spec.c
         terms = (xs + gc) * np.log(xs + gc) - xs * np.log(xs)
+        at_zero = gc * np.log(gc)
     else:
         terms = g * np.log(xs) + g
-    return np.where(positive, terms, 0.0).sum(axis=-1)
+    return np.where(positive, terms, at_zero).sum(axis=-1)
 
 
 def kkt_stationarity_residual(spec: EnsembleSpec,

@@ -493,7 +493,7 @@ def assert_config_error(capsys, code):
     return json.loads(err)["detail"]
 
 
-@pytest.mark.parametrize("command, extra", [
+MALFORMED = [
     ("entropy-probe", {"N_list": [10], "x_probe": [0.5, "a", 0.5]}),
     ("lln-sweep", {"N_list": [10], "xi_list": [["a", 1, 2]]}),
     ("lln-sweep", {"N_list": [10], "budget": "x"}),
@@ -534,15 +534,19 @@ def assert_config_error(capsys, code):
     # block at a time
     ("sample", {"N": 10, "count": 10**400}),
     ("sample", {"N": 10, "method": "metropolis", "chain": {"steps": 10**400}}),
-], ids=["x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in",
-        "energies-int", "energies-str", "energies-null", "weights-null",
-        "energy_cap-null", "c-list", "p-str", "p-list", "fallback-str",
-        "fallback-int", "energies-overflow", "c-bool", "weights-bool",
-        "energy_cap-bool", "p-bool", "energy_cap-str-overflow",
-        "energies-str-overflow", "x_probe-int-overflow",
-        "xi_list-int-overflow", "c-min-subnormal", "c-subnormal",
-        "N_list-unread", "chain-without-fallback", "count-overflow",
-        "chain.steps-overflow"])
+]
+MALFORMED_IDS = [
+    "x_probe", "xi_list", "budget", "seed", "chain.steps", "chain.burn_in",
+    "energies-int", "energies-str", "energies-null", "weights-null",
+    "energy_cap-null", "c-list", "p-str", "p-list", "fallback-str",
+    "fallback-int", "energies-overflow", "c-bool", "weights-bool",
+    "energy_cap-bool", "p-bool", "energy_cap-str-overflow",
+    "energies-str-overflow", "x_probe-int-overflow", "xi_list-int-overflow",
+    "c-min-subnormal", "c-subnormal", "N_list-unread",
+    "chain-without-fallback", "count-overflow", "chain.steps-overflow"]
+
+
+@pytest.mark.parametrize("command, extra", MALFORMED, ids=MALFORMED_IDS)
 def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
     assert_config_error(capsys, main([command, "--config", config]))
@@ -564,7 +568,7 @@ def test_solve_with_cap_near_eps1(tmp_path, capsys, payload):
     assert report["residual_energy"] <= 1e-10
 
 
-@pytest.mark.parametrize("command, extra, flags, named", [
+REJECTED = [
     ("lln-sweep", {"N_list": [10]}, ["--budget", "0"], "budget must be"),
     ("lln-sweep", {"N_list": [10], "budget": 0}, [], "budget must be"),
     ("lln-sweep", {"N_list": [10], "budget": True}, [], "budget must be"),
@@ -573,8 +577,13 @@ def test_solve_with_cap_near_eps1(tmp_path, capsys, payload):
     ("sample", {"N": True}, [], "N must be"),
     ("sample", {"N": 10, "count": True}, [], "count must be"),
     ("sample", {"N": 10}, ["--seed", "-1"], "seed must be"),
-], ids=["budget-flag-0", "budget-0", "budget-bool", "jobs-0", "N_list-bool",
-        "N-bool", "count-bool", "seed-flag-negative"])
+]
+REJECTED_IDS = ["budget-flag-0", "budget-0", "budget-bool", "jobs-0",
+                "N_list-bool", "N-bool", "count-bool", "seed-flag-negative"]
+
+
+@pytest.mark.parametrize("command, extra, flags, named", REJECTED,
+                         ids=REJECTED_IDS)
 def test_budget_jobs_and_booleans_rejected(tmp_path, capsys, command, extra,
                                            flags, named):
     config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
@@ -762,6 +771,103 @@ def test_out_checked_without_touching_it(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
     assert kept.read_text(encoding="utf-8") == "earlier results\n"
     assert not fresh.exists()
+
+
+# Config errors the checks before the first row or draw must find: every
+# exit-2 case above, and those that depend on N or on the command.
+EARLY_CONFIG_ERRORS = [
+    *((command, extra, []) for command, extra in MALFORMED),
+    *((command, extra, flags) for command, extra, flags, _ in REJECTED),
+    ("lln-sweep", {"N_list": [10, 20], "sampler_fallback": True,
+                   "chain": {"steps": 100, "burn_in": 100}}, []),
+    ("sample", {"N": 10, "method": "metropolis",
+                "chain": {"burn_in": sys.maxsize}}, []),
+    ("sample", {"N": 10, "count": sys.maxsize // 24 + 1}, []),
+    # the split at N=106 loses its sum; rows 10 and 50 would run first
+    ("lln-sweep", {"regime": "high_degeneracy", "p": 8,
+                   "N_list": [10, 50, 106]}, []),
+    ("sample", {"regime": "low_degeneracy", "N": 1}, []),
+    ("fluct-check", {"energies": ["1/2", "1"], "weights": [0.5, 0.5],
+                     "energy_cap": "7/10", "regime": "low_degeneracy",
+                     "N_list": [10, 15]}, []),
+    ("entropy-probe", {"N_list": [10, 20], "x_probe": [0.55, 0.25, 0.2]}, []),
+    ("entropy-probe", {"regime": "low_degeneracy", "N_list": [10, 20],
+                       "x_probe": [0.5, 0.5, 0.0]}, []),
+    ("fluct-check", {"N_list": [10, 20]}, ["--out", "{tmp}/missing/x.csv"]),
+]
+EARLY_IDS = [*MALFORMED_IDS, *REJECTED_IDS, "chain.burn_in-reaches-steps",
+             "chain.burn_in-overflow", "count-past-one-array", "split-at-N106",
+             "sample-split-at-N1", "boundary-N-not-divisible",
+             "x_probe-unrepresentable", "x_probe-zero-low", "out-unwritable"]
+
+
+@pytest.mark.parametrize("command, extra, flags", EARLY_CONFIG_ERRORS,
+                         ids=EARLY_IDS)
+def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                      extra, flags):
+    import occens.ensemble
+    import occens.sampler
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    for module, name in [(occens.ensemble, "build_distribution"),
+                         (occens.sampler, "metropolis_chain"),
+                         (occens.sampler, "exact_sample"),
+                         (occens.cli, "approximation_error")]:
+        monkeypatch.setattr(module, name, no_work)
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    assert_config_error(capsys, main([command, "--config", config, *flags]))
+
+
+def test_low_degeneracy_zero_probe_named(tmp_path, capsys):
+    # s_l = sum g_i ln x_i + g_i is -inf at x_3 = 0; the error column grew
+    # from 0.76 to 2.42 as N grew
+    config = write_config(tmp_path, {
+        **M3_CONFIG, "regime": "low_degeneracy", "N_list": [100, 1000],
+        "x_probe": [0.4, 0.6, 0.0]})
+    detail = assert_config_error(capsys, main(["entropy-probe", "--config",
+                                               config]))
+    assert "zero coordinate, at level 3" in detail
+
+
+def test_failed_allocation_is_json(tmp_path, capsys, monkeypatch):
+    import occens.sampler
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(occens.sampler, "exact_sample", no_memory)
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, "N": 10,
+                                     "count": 10**12})
+    assert main(["sample", "--config", config]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "memory",
+                               "detail": "Unable to allocate 7.28 TiB"}
+
+
+@pytest.mark.parametrize("command, extra, kept", [
+    # the default burn-in 10*N*m = 150000 reached the given steps and
+    # exited 2; the burn-in is now half the steps
+    ("sample", {"N": 5000, "method": "metropolis",
+                "chain": {"steps": 100_000}}, 10),
+    ("lln-sweep", {"N_list": [10, 5000], "budget": 100,
+                   "sampler_fallback": True, "chain": {"steps": 100_000}}, 2),
+    # metropolis sampling needed chain.steps; it now has the default
+    ("sample", {"N": 6, "method": "metropolis"}, 33304),
+], ids=["sample-steps-only", "fallback-steps-only", "sample-no-chain"])
+def test_partial_chain_block_runs(tmp_path, capsys, command, extra, kept):
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", config, "--out", str(out)]) == 0, \
+        capsys.readouterr().err
+    comments, _, rows = read_csv(out)
+    assert len(rows) == kept
+    if command == "sample":
+        steps = extra.get("chain", {}).get("steps", 200_000)
+        assert f"# method=metropolis steps={steps} seed=0" in comments
 
 
 def _abc_format_cell(value) -> str:

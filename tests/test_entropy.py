@@ -18,8 +18,9 @@ from occens import (
 from occens.entropy import log_multiplicity
 from occens.core import Regime
 
-from helpers import (Occupancy, central_diff, entropy_exact, entropy_spec,
-                     limit_entropy_grad, limit_entropy_rows, random_spec,
+from helpers import (Occupancy, _rows_limit_entropy, central_diff,
+                     entropy_exact, entropy_spec, limit_entropy_grad,
+                     limit_entropy_rows, random_spec,
                      reference_log_multiplicity, stirling_log_gamma,
                      two_level_spec)
 
@@ -178,6 +179,15 @@ class TestLimitEntropy:
         # only the occupied level contributes: 0.5*ln(1) + 0.5
         assert limit_entropy(spec, [1.0, 0.0]) == pytest.approx(0.5, abs=1e-15)
 
+    def test_proportional_zero_component_is_its_limit(self):
+        # (x + g c) ln(x + g c) - x ln x tends to g c ln(g c) as x -> 0
+        spec = entropy_spec(Regime.PROPORTIONAL, (0.3, 0.4, 0.3), c=1.0)
+        at_zero = limit_entropy(spec, [0.4, 0.6, 0.0])
+        assert at_zero == pytest.approx(
+            limit_entropy(spec, [0.4, 0.6 - 1e-12, 1e-12]), abs=1e-9)
+        assert at_zero == pytest.approx(_rows_limit_entropy(
+            spec, np.array([[0.4, 0.6, 0.0]]))[0], abs=1e-15)
+
     def test_proportional_at_weights(self):
         spec = entropy_spec(Regime.PROPORTIONAL, (0.5, 0.5), c=1.0)
         assert limit_entropy(spec, [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-12)
@@ -264,6 +274,15 @@ class TestApproximationError:
         spec = two_level_spec("proportional")
         assert (approximation_error(spec, 200, [0.6, 0.4])
                 < approximation_error(spec, 50, [0.6, 0.4]))
+
+    def test_decay_proportional_zero_coordinate(self):
+        # with the zero summand taken as 0 the error settled at
+        # -0.3 ln 0.3 = 0.3612 instead of decaying
+        spec = entropy_spec(Regime.PROPORTIONAL, (0.3, 0.4, 0.3), c=1.0)
+        errs = [approximation_error(spec, n, [0.4, 0.6, 0.0])
+                for n in (100, 10**4, 10**6)]
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] < 1e-5
 
     def test_decay_regime3(self):
         spec = two_level_spec("low_degeneracy")

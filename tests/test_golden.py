@@ -1,11 +1,12 @@
-"""Sweep CSVs stay byte-identical to the committed golden files.
+"""Command CSVs stay byte-identical to the committed golden files.
 
-Each case runs one per-N command in-process and compares its output with
+Each case runs one command in-process and compares its output with
 tests/golden/<case>.csv byte for byte, apart from the `# generated=` line
 and the `wall_time_s` cells, which change between runs.  The cases cover
 fluct-check at m = 2, 3, 4 at interior and boundary maxima, with exact and
 chain-fallback rows, lln-sweep with mgf probes and entropy-probe, each at
-N <= 200.
+N <= 200, and sample by both methods, with a full chain block and with
+steps alone.
 
 After a declared change of output bytes, rewrite the golden files with
 
@@ -69,6 +70,21 @@ CASES = {
     "entropy_m2_high": ("entropy-probe", {
         **M2, **HIGH, "energy_cap": "7/5", "N_list": [10, 20, 200],
         "x_probe": [0.6, 0.4]}),
+    "lln_m3_low_fallback_steps_only": ("lln-sweep", {
+        **M3, **LOW, "energy_cap": "5/2", "N_list": [10, 40], "budget": 300,
+        "sampler_fallback": True, "chain": {"steps": 20_000}}),
+    "sample_m2_exact": ("sample", {
+        **M2, **PROPORTIONAL, "energy_cap": "7/5", "N": 30, "count": 40,
+        "seed": 4}),
+    "sample_m3_exact_high": ("sample", {
+        **M3, **HIGH, "energy_cap": "8/5", "N": 50, "count": 50, "seed": 11,
+        "method": "exact"}),
+    "sample_m3_metropolis": ("sample", {
+        **M3, **HIGH, "energy_cap": "8/5", "N": 20, "method": "metropolis",
+        "chain": {"steps": 5000, "burn_in": 500, "thinning": 100, "seed": 7}}),
+    "sample_m3_metropolis_steps_only": ("sample", {
+        **M3, **PROPORTIONAL, "energy_cap": "5/2", "N": 20, "seed": 5,
+        "method": "metropolis", "chain": {"steps": 6000}}),
 }
 
 
@@ -84,6 +100,8 @@ def normalise(text: str) -> list[str]:
     """The CSV's lines without `# generated=` and with wall_time_s blanked."""
     lines = [ln for ln in text.split("\n") if not ln.startswith("# generated=")]
     header = next(ln for ln in lines if not ln.startswith("#")).split(",")
+    if "wall_time_s" not in header:  # sample draws are not timed
+        return lines
     col = header.index("wall_time_s")
     start = lines.index(",".join(header)) + 1
     for k in range(start, len(lines)):

@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from helpers import (
     enumerated_kernel,
     random_spec,
     reference_metropolis_chain,
+    reference_resolve,
     single_ball_moves,
     two_level_spec,
 )
@@ -51,6 +54,42 @@ class TestChainConfig:
             ChainConfig(steps=10, seed=1, burn_in=0, thinning=0).resolve(6, 2)
         with pytest.raises(ValueError, match="steps must be <="):
             ChainConfig(steps=2**63, seed=1).resolve(6, 2)
+
+    def test_missing_field_follows_given_one(self):
+        # the default burn-in 10*N*m = 150000 reaches the given steps
+        assert ChainConfig(steps=100_000, seed=1).resolve(5000, 3) == (
+            100_000, 50_000, 5000)
+        # the given burn-in reaches the default steps max(200000, 20*N*m)
+        assert ChainConfig(steps=None, seed=1, burn_in=300_000).resolve(
+            6, 2) == (600_000, 300_000, 6)
+        # past sys.maxsize the default steps stop there
+        huge = sys.maxsize // 20
+        assert ChainConfig(steps=None, seed=1).resolve(huge, 3) == (
+            sys.maxsize, sys.maxsize // 2, huge)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 10),
+           st.fixed_dictionaries({}, optional={
+               "steps": st.integers(1, 10**7),
+               "burn_in": st.integers(0, 10**7),
+               "thinning": st.integers(1, 10**7)}))
+    def test_chain_rule(self, n, m, fields):
+        cfg = ChainConfig(**{"steps": None, "seed": 0, **fields})
+        if fields.get("burn_in", -1) >= fields.get("steps", math.inf):
+            # the one conflict left, rejected by the config check
+            with pytest.raises(ValueError, match="steps > burn_in"):
+                cfg.resolve(n, m)
+            return
+        got = cfg.resolve(n, m)
+        steps, burn_in, thinning = got
+        assert steps > burn_in >= 0 and thinning >= 1
+        assert all(got[k] == fields[key] for k, key in enumerate(
+            ("steps", "burn_in", "thinning")) if key in fields)
+        try:
+            want = reference_resolve(cfg, n, m)
+        except ValueError:
+            return
+        assert got == want
 
 
 class TestExactSample:
