@@ -261,18 +261,21 @@ def _chain_config(config: dict):
                           **config["chain"]})
 
 
-def _distribution(spec, n: int, config: dict):
-    """The enumerated distribution at N; past the budget, chain draws when
-    the config sets sampler_fallback, else the budget error."""
-    from .ensemble import build_distribution, draws_distribution
+def _accumulate(spec, n: int, config: dict, acc) -> None:
+    """Add the enumerated support at N to acc; past the budget, chain draws
+    each weighted 1 when the config sets sampler_fallback, else the budget
+    error, raised before any block is weighed."""
+    from .ensemble import accumulate_support
     try:
-        return build_distribution(spec, n, budget=config["budget"])
+        accumulate_support(acc, budget=config["budget"])
     except EnumerationBudgetError:
         if not config["sampler_fallback"]:
             raise
+        import numpy as np
+
         from .sampler import metropolis_chain
         draws = metropolis_chain(spec, n, _chain_config(config))
-        return draws_distribution(spec, n, draws)
+        acc.add(draws, np.ones(draws.shape[0]))
 
 
 def cmd_solve(args, spec, config) -> int:
@@ -306,16 +309,19 @@ def _sweep(setup):
 def cmd_lln_sweep(spec, config, ns):
     import numpy as np
 
-    from .ensemble import exact_mean, mgf
+    from .ensemble import Accumulator
 
     probes = [np.array(xi, dtype=float) for xi in config["xi_list"]]
     x_star = np.array(solve(spec).x_star)
 
     def row(n):
-        dist = _distribution(spec, n, config)
-        mean_err = float(np.max(np.abs(exact_mean(dist) - x_star)))
-        return [mean_err, *(abs(mgf(dist, xi) - math.exp(float(xi @ x_star)))
-                            for xi in probes)]
+        # the coordinates are X - x*, so their mean is the error itself
+        acc = Accumulator(spec, n, centre=x_star, basis=np.eye(spec.m),
+                          probes=probes)
+        _accumulate(spec, n, config, acc)
+        mean_err = float(np.max(np.abs(acc.mean())))
+        return [mean_err, *(abs(acc.mgf(p) - math.exp(float(xi @ x_star)))
+                            for p, xi in enumerate(probes))]
 
     comments = ["columns: max-norm |exact_mean - x_star|, then "
                 "|mgf(xi) - exp(xi.x_star)| per probe; wall_time_s varies "
@@ -340,7 +346,8 @@ _FLUCT_LABELS = {
 @_sweep
 def cmd_fluct_check(spec, config, ns):
     from .fluctuations import (
-        empirical_fluctuations,
+        fluctuation_accumulator,
+        fluctuation_summary,
         predict_boundary,
         predict_interior,
     )
@@ -362,7 +369,9 @@ def cmd_fluct_check(spec, config, ns):
 
     def row(n):
         pred = predict_boundary(spec, n) if boundary else interior
-        got = empirical_fluctuations(_distribution(spec, n, config), sol, spec)
+        acc = fluctuation_accumulator(spec, n, sol)
+        _accumulate(spec, n, config, acc)
+        got = fluctuation_summary(acc, sol)
         covs = (got.scaled_covariance, pred.covariance)
         cells = [float(cov[i, j]) for cov in covs for i, j in pairs]
         if not boundary:

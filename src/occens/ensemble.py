@@ -1,11 +1,13 @@
 """Finite-N distributions over the occupancy lattice.
 
 Enumerates every count vector satisfying the particle-number and energy
-constraints, weights each state by exp(S) and normalizes through a
-max-shifted log-sum-exp.  The same record holds equally weighted chain
-draws past the enumeration budget, and one set of estimators serves both:
-moments, the moment generating function, and the decomposition of the
-support into exact energy-slack layers.
+constraints and weights each state by exp(S).  The sweeps stream the
+support through blocks of at most BLOCK_STATES states, split by the first
+level's count, and one Accumulator reads each block once: moments, the
+moment generating function and the decomposition of the support into exact
+energy-slack layers.  A Distribution record, the whole support with its
+pmf or equally weighted chain draws, enters the same Accumulator as one
+block, so one set of estimators serves every backend.
 """
 
 from __future__ import annotations
@@ -21,9 +23,98 @@ from .core import (
     EnumerationBudgetError,
     degeneracies_for,
 )
-from .entropy import log_multiplicity
+from .entropy import level_log_weights, log_multiplicity, table_log_multiplicity
 
 PMF_SUM_TOL = 1e-12
+# States per block of the streamed support; a first-level count n_1 whose
+# states alone are more than this is one block.
+BLOCK_STATES = 1 << 16
+
+
+def _widths(e, cap, level, used, remaining):
+    """Viable counts at `level` for each prefix: since energies increase with
+    the level index, counts[level] = k stays viable iff routing the rest to
+    level + 1 stays under the cap, a closed-form lower bound on k:
+    k >= (used + e[level+1]*remaining - cap) / (e[level+1] - e[level])."""
+    num = used + e[level + 1] * remaining - cap
+    k_min = np.maximum(-((-num) // (e[level + 1] - e[level])), 0)
+    return np.maximum(remaining - k_min + 1, 0)
+
+
+def _rest(width, out=None):
+    """Particles left after the level, one entry per child prefix: within
+    each prefix they run from remaining - k_min down to 0."""
+    ends = np.repeat(np.cumsum(width) - 1, width)
+    return np.subtract(ends, np.arange(ends.size, dtype=np.int64), out=out)
+
+
+def _first_counts(spec: EnsembleSpec, n: int, budget: int):
+    """The viable first-level counts n_1, ascending, and the number of
+    states with each, from the widths alone: no state is filled.  Every
+    viable prefix has a completion, so the budget is checked against the
+    prefix count at each level and against the exact S at the last."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    m = spec.m
+    if m == 1:
+        return np.array([n], dtype=np.int64), np.ones(1, dtype=np.int64)
+    cap, e = spec.energy_cap_units(n), spec.energy_units
+    if e[-1] * n >= 2**63:
+        raise OverflowError(f"N*q*eps_m = {e[-1] * n} overflows int64")
+    used = np.zeros(1, dtype=np.int64)
+    remaining = np.array([n], dtype=np.int64)
+    for level in range(m - 1):
+        width = _widths(e, cap, level, used, remaining)
+        total = int(width.sum())
+        if total > budget:
+            found = (f"exact state count {total}" if level == m - 2 else
+                     f"state count (at least {total} viable prefixes "
+                     f"of {level + 1} levels)")
+            raise EnumerationBudgetError(
+                f"{found} exceeds budget {budget}; use the sampler module")
+        if level == 0:
+            first = np.arange(n + 1 - total, n + 1, dtype=np.int64)
+            owner = np.arange(total)  # each prefix's index in `first`
+            sizes = np.ones(total, dtype=np.int64)
+        elif level == m - 2:
+            sizes = np.bincount(owner, weights=width).astype(np.int64)
+        else:
+            owner = np.repeat(owner, width)
+        if level < m - 2:
+            rest = _rest(width)
+            used = np.repeat(used, width) + e[level] * (
+                np.repeat(remaining, width) - rest)
+            remaining = rest
+    return first, sizes
+
+
+def _fill(spec: EnsembleSpec, n: int, first: np.ndarray) -> np.ndarray:
+    """Every state whose first count is in `first`, consecutive viable
+    values ascending, as an (S_b, m) int64 array in lexicographic row order
+    laid out column-major.  The levels after the first are filled for all
+    prefixes at once, the last two in closed form."""
+    m = spec.m
+    if m == 1:
+        return first.reshape(1, 1)
+    if m == 2:
+        return np.stack([first, n - first]).T
+    cap, e = spec.energy_cap_units(n), spec.energy_units
+    prefix, used, remaining = [first], e[0] * first, n - first
+    for level in range(1, m - 1):
+        width = _widths(e, cap, level, used, remaining)
+        if level == m - 2:
+            break
+        rest = _rest(width)
+        k = np.repeat(remaining, width) - rest
+        prefix = [np.repeat(col, width) for col in prefix] + [k]
+        used = np.repeat(used, width) + e[level] * k
+        remaining = rest
+    out = np.empty((m, int(width.sum())), dtype=np.int64)
+    for j, col in enumerate(prefix):
+        out[j] = np.repeat(col, width)
+    rest = _rest(width, out=out[m - 1])
+    np.subtract(np.repeat(remaining, width), rest, out=out[m - 2])
+    return out.T
 
 
 def enumerate_states(spec: EnsembleSpec, n: int,
@@ -32,63 +123,250 @@ def enumerate_states(spec: EnsembleSpec, n: int,
 
     Returns an (S, m) int64 array in lexicographic row order, laid out
     column-major: it is the transpose of an (m, S) buffer, so each level's
-    counts are one contiguous column.  Levels are filled left to right for
-    all viable prefixes at once; since energies increase with the level
-    index, a prefix is viable iff routing every remaining particle to the
-    cheapest remaining level stays under the cap, a closed-form lower bound
-    on the next coordinate.  Every viable prefix has a completion, so the
-    budget is checked against the prefix count at each level and against
-    the exact S before the (m, S) allocation.
+    counts are one contiguous column.  This is the one-block case of the
+    streamed support: the states are counted from the prefix widths alone,
+    and the budget checked, before any is filled.
     """
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    m = spec.m
-    if m == 1:
-        return np.array([[n]], dtype=np.int64)
-    cap = spec.energy_cap_units(n)
-    e = spec.energy_units
-    if e[-1] * n >= 2**63:
-        raise OverflowError(f"N*q*eps_m = {e[-1] * n} overflows int64")
-    prefix: list[np.ndarray] = []  # one column per filled level
-    remaining = np.array([n], dtype=np.int64)
-    used = np.zeros(1, dtype=np.int64)
-    for level in range(m - 1):
-        # counts[level] = k stays viable iff the rest fits at level + 1:
-        # k >= (used + e[level+1]*remaining - cap) / (e[level+1] - e[level])
-        num = used + e[level + 1] * remaining - cap
-        k_min = np.maximum(-((-num) // (e[level + 1] - e[level])), 0)
-        width = np.maximum(remaining - k_min + 1, 0)
-        total = int(width.sum())
-        if total > budget:
-            found = (f"exact state count {total}" if level == m - 2 else
-                     f"state count (at least {total} viable prefixes "
-                     f"of {level + 1} levels)")
-            raise EnumerationBudgetError(
-                f"{found} exceeds budget {budget}; use the sampler module")
-        # within each prefix, the particles left after this level run from
-        # remaining - k_min down to 0
-        rest = np.repeat(np.cumsum(width) - 1, width)
-        rest -= np.arange(total, dtype=np.int64)
-        if level < m - 2:
-            k = np.repeat(remaining, width) - rest
-            prefix = [np.repeat(col, width) for col in prefix] + [k]
-            used = np.repeat(used, width) + e[level] * k
-            remaining = rest
-    # the last two levels in closed form: k at level m-2, the rest at m-1
-    out = np.empty((m, total), dtype=np.int64)
-    for j, col in enumerate(prefix):
-        out[j] = np.repeat(col, width)
-    np.subtract(np.repeat(remaining, width), rest, out=out[m - 2])
-    out[m - 1] = rest
-    return out.T
+    return _fill(spec, n, _first_counts(spec, n, budget)[0])
+
+
+def _batches(first: np.ndarray, sizes: np.ndarray):
+    """Consecutive runs of `first` holding at most BLOCK_STATES states, or
+    one value that alone holds more."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < first.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, done + BLOCK_STATES, side="right"))
+        stop = max(stop, start + 1)
+        yield first[start:stop]
+        start = stop
+
+
+@dataclass(frozen=True)
+class LayerDecomposition:
+    """Support partitioned by exact energy slack, indexed from the boundary.
+
+    Layer k holds the states whose integer slack (cap minus used energy, in
+    1/q units per particle pair qE*N - sum q*eps_i*N_i) is the (k+1)-smallest
+    realized value; layer 0 carries the maximal-energy states.
+    """
+
+    slacks: tuple[int, ...]          # realized slack per layer, ascending
+    masses: np.ndarray               # (L,) total probability per layer
+
+
+class Accumulator:
+    """Weighted sums over blocks of states at one N, each block read once.
+
+    A block is an (S_b, m) array of counts with weights w*exp(shift), w >= 0.
+    The sums are held relative to the largest block shift so far; a block
+    that raises it rescales them first, and blocks combine in order.  Within
+    a block each sum is np.add.reduce over elementwise products, whose bits
+    do not depend on the host's BLAS.  With d = counts/N - centre and one
+    coordinate y_j = sum_i basis[i, j]*d_i per basis column, it keeps
+
+    - sum w, sum w*y and, with `covariance`, sum w*y*y^T;
+    - sum w*exp(xi.d - a) per probe xi, with its own running shift a;
+    - with `layers`, the mass at each realized energy slack, from one
+      np.bincount per block, merged into one sorted array of slacks.
+    """
+
+    def __init__(self, spec: EnsembleSpec, n: int, centre=None, basis=None,
+                 covariance: bool = False, probes=(), layers: bool = False):
+        m = spec.m
+        self.spec, self.n = spec, n
+        self.centre = np.zeros(m) if centre is None else np.array(
+            centre, dtype=float)
+        self.basis = np.zeros((m, 0)) if basis is None else np.array(
+            basis, dtype=float)
+        self.probes = [np.array(xi, dtype=float) for xi in probes]
+        k = self.basis.shape[1]
+        self.with_covariance = covariance
+        self.shift = -math.inf
+        # sum w, then per coordinate j: sum w*y_j and, with covariance,
+        # sum w*y_l*y_j for l <= j
+        self.moments = np.zeros(1 + k + (k * (k + 1) // 2 if covariance else 0))
+        self.block_totals: list[tuple[float, float]] = []  # (sum w, shift)
+        self.probe_sums = [0.0] * len(self.probes)
+        # each probe's shift as (block shift, largest xi.d in that block):
+        # differences of the large block shifts then cancel exactly before
+        # the small second parts are added
+        self.probe_shifts = [(-math.inf, 0.0)] * len(self.probes)
+        self.layer_mass = None
+        if layers:
+            # Every slack is congruent to the all-lowest state's, the
+            # largest, modulo the gcd d of the energy differences; key =
+            # slack // d indexes them.
+            e = spec.energy_units
+            self.step = math.gcd(*(x - e[0] for x in e[1:])) or 1
+            self.key_max, self.residue = divmod(
+                spec.energy_cap_units(n) - n * e[0], self.step)
+            self.key_coef = [(x - e[0]) // self.step for x in e[1:]]
+            self.layer_keys = np.zeros(0, dtype=np.int64)
+            self.layer_mass = np.zeros(0)
+
+    def _rebase(self, shift: float) -> float:
+        """The factor that takes a block at `shift` to the running shift,
+        after rescaling the sums if the block raises it."""
+        if shift <= self.shift:
+            return math.exp(shift - self.shift)
+        factor = math.exp(self.shift - shift)  # 0.0 before the first block
+        self.moments *= factor
+        if self.layer_mass is not None:
+            self.layer_mass *= factor
+        self.shift = shift
+        return 1.0
+
+    def _combination(self, counts: np.ndarray, coef: np.ndarray):
+        """sum_i coef_i*(counts_i/N - centre_i) over the nonzero coef_i."""
+        y = term = None
+        for i in np.flatnonzero(coef):
+            term = np.multiply(counts[:, i], coef[i] / self.n, out=term)
+            term -= coef[i] * self.centre[i]
+            if y is None:
+                y, term = term, None
+            else:
+                y += term
+        return np.zeros(counts.shape[0]) if y is None else y
+
+    def add(self, counts: np.ndarray, w: np.ndarray, shift: float = 0.0):
+        """Add one block: the rows of counts, weighted w*exp(shift)."""
+        scale = self._rebase(shift)
+        total = float(np.add.reduce(w))
+        self.block_totals.append((total, shift))
+        parts = [total]
+        weighted, product = [], None
+        for coef in self.basis.T:
+            y = self._combination(counts, coef)
+            # w*y in y's own buffer when no later product reads y
+            wy = np.multiply(w, y, out=None if self.with_covariance else y)
+            parts.append(np.add.reduce(wy))
+            if self.with_covariance:
+                weighted.append(wy)
+                for wl in weighted:
+                    product = np.multiply(wl, y, out=product)
+                    parts.append(np.add.reduce(product))
+            del y, wy  # before the next coordinate is built
+        self.moments += scale * np.array(parts)
+        for p, xi in enumerate(self.probes):
+            a = self._combination(counts, xi)
+            top = float(a.max())
+            a -= top
+            np.exp(a, out=a)
+            a *= w
+            self._add_probe(p, float(np.add.reduce(a)), shift, top)
+        if self.layer_mass is not None:
+            key = np.full(counts.shape[0], self.key_max, dtype=np.int64)
+            for c, col in zip(self.key_coef, counts.T[1:]):
+                key -= c * col
+            lo = int(key.min())
+            key -= lo
+            if key.max() < 2 * key.size:  # bin the keys' span directly
+                keys = np.flatnonzero(np.bincount(key))
+                mass = np.bincount(key, weights=w)[keys]
+            else:  # sparse keys, as when energy gaps are large: rank them
+                keys, key = np.unique(key, return_inverse=True)
+                mass = np.bincount(key, weights=w)
+            self._add_layers(keys + lo, scale * mass)
+
+    def _add_layers(self, keys: np.ndarray, mass: np.ndarray):
+        """Add masses at sorted distinct keys, inserting any not seen yet."""
+        at = np.searchsorted(self.layer_keys, keys)
+        new = at == self.layer_keys.size
+        new[~new] = self.layer_keys[at[~new]] != keys[~new]
+        if new.any():
+            self.layer_keys = np.insert(self.layer_keys, at[new], keys[new])
+            self.layer_mass = np.insert(self.layer_mass, at[new], 0.0)
+            at += np.cumsum(new) - new  # the new keys inserted before each
+        self.layer_mass[at] += mass
+
+    def _add_probe(self, p: int, value: float, shift: float, top: float):
+        base, high = self.probe_shifts[p]
+        gap = (shift - base) + (top - high)
+        if gap > 0.0:
+            self.probe_sums[p] *= math.exp(-gap)
+            self.probe_shifts[p] = (shift, top)
+        else:
+            value *= math.exp(gap)
+        self.probe_sums[p] += value
+
+    def total(self) -> float:
+        """sum w at the running shift, once the blocks' shares sum(w/W),
+        added by math.fsum, are checked to sum to 1 within PMF_SUM_TOL."""
+        total = float(self.moments[0])
+        share = math.fsum(t * math.exp(s - self.shift) / total
+                          for t, s in self.block_totals)
+        if not abs(share - 1.0) <= PMF_SUM_TOL:
+            raise ArithmeticError(f"pmf sums to {share!r}; log-sum-exp unstable")
+        return total
+
+    def _normalised(self):
+        k = self.basis.shape[1]
+        values = iter((self.moments[1:] / self.total()).tolist())
+        mean, second = np.empty(k), np.empty((k, k))
+        for j in range(k):
+            mean[j] = next(values)
+            if self.with_covariance:
+                for i in range(j + 1):
+                    second[i, j] = second[j, i] = next(values)
+        return mean, second
+
+    def mean(self) -> np.ndarray:
+        """Weighted mean of the coordinates y."""
+        return self._normalised()[0]
+
+    def covariance(self) -> np.ndarray:
+        """Weighted covariance of the coordinates y; symmetric."""
+        mean, second = self._normalised()
+        return second - np.multiply.outer(mean, mean)
+
+    def mgf(self, p: int) -> float:
+        """E[exp(xi . X_N)] for the p-th probe xi."""
+        base, high = self.probe_shifts[p]
+        offset = (math.fsum(self.probes[p] * self.centre)
+                  + (base - self.shift) + high)
+        return math.exp(offset) * self.probe_sums[p] / self.total()
+
+    def layers(self) -> LayerDecomposition:
+        """Mass of each realized energy slack, ascending."""
+        masses = self.layer_mass / self.total()
+        masses.setflags(write=False)
+        return LayerDecomposition(
+            slacks=tuple((self.residue + self.step * self.layer_keys).tolist()),
+            masses=masses)
+
+
+def accumulate_support(acc: Accumulator,
+                       budget: int = DEFAULT_STATE_BUDGET) -> None:
+    """Add the support of acc's spec at N to acc, weighted by exp(S).
+
+    The states are counted before any is filled, so a support past the
+    budget raises EnumerationBudgetError before any block is weighed.  The
+    log-weight table is built once; each block of at most BLOCK_STATES
+    states goes through the same gather and sorting network as
+    log_multiplicity and enters shifted by its largest log-weight.
+    """
+    spec, n = acc.spec, acc.n
+    first, sizes = _first_counts(spec, n, budget)
+    table = level_log_weights(degeneracies_for(spec, n).as_array, n)
+    for batch in _batches(first, sizes):
+        counts = _fill(spec, n, batch)
+        w = table_log_multiplicity(table, counts)
+        shift = float(w.max())
+        w -= shift
+        np.exp(w, out=w)
+        acc.add(counts, w, shift)
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """A pmf over occupancy rows: the enumerated support or chain draws.
+    """A pmf over occupancy rows: the whole enumerated support or chain
+    draws, held at once.
 
-    Every estimator below reads only counts and pmf, so exact enumeration
-    and equally weighted chain draws share one set of them.
+    `sample --method exact` reads the whole pmf; the estimators below pass
+    the record to an Accumulator as one block weighted by its pmf, so they
+    give what a streamed row gives, up to rounding.
     """
 
     spec: EnsembleSpec
@@ -136,24 +414,22 @@ def draws_distribution(spec: EnsembleSpec, n: int,
     return Distribution(spec=spec, n=n, counts=counts, pmf=pmf)
 
 
+def _one_block(dist: Distribution, **sums) -> Accumulator:
+    acc = Accumulator(dist.spec, dist.n, **sums)
+    acc.add(dist.counts, dist.pmf)
+    return acc
+
+
 def exact_mean(dist: Distribution) -> np.ndarray:
     """Mean of the fraction vector X_N = counts/N under the pmf."""
-    return (dist.pmf @ dist.counts) / dist.n
-
-
-def weighted_covariance(y: np.ndarray, pmf: np.ndarray) -> np.ndarray:
-    """Symmetrized covariance under pmf of k variables, given as the k rows
-    of a (k, S) array y (one value per state in each row)."""
-    centered = y - (y @ pmf)[:, None]
-    cov = np.empty((len(y), len(y)))
-    for i, row in enumerate(centered):  # one weighted row at a time
-        cov[i] = centered @ (row * pmf)
-    return 0.5 * (cov + cov.T)
+    return _one_block(dist, basis=np.eye(dist.spec.m)).mean()
 
 
 def exact_covariance(dist: Distribution) -> np.ndarray:
-    """Covariance matrix of X_N; symmetric positive semidefinite."""
-    return weighted_covariance(dist.fractions().T, dist.pmf)
+    """Covariance matrix of X_N; symmetric positive semidefinite.  The
+    second pass is centred at the mean from the first."""
+    return _one_block(dist, centre=exact_mean(dist), basis=np.eye(dist.spec.m),
+                      covariance=True).covariance()
 
 
 def mgf(dist: Distribution, xi) -> float:
@@ -161,42 +437,9 @@ def mgf(dist: Distribution, xi) -> float:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dist.spec.m,):
         raise ValueError(f"xi must have shape ({dist.spec.m},), got {xi.shape}")
-    # row-major fractions: on a column-major operand BLAS adds each row's m
-    # products in another order, and the mgf would move by rounding
-    a = np.divide(dist.counts, dist.n, order="C") @ xi
-    shift = float(a.max())
-    return float(math.exp(shift) * (dist.pmf * np.exp(a - shift)).sum())
-
-
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """Support partitioned by exact energy slack, indexed from the boundary.
-
-    Layer k holds the states whose integer slack (cap minus used energy, in
-    1/q units per particle pair qE*N - sum q*eps_i*N_i) is the (k+1)-smallest
-    realized value; layer 0 carries the maximal-energy states.
-    """
-
-    slacks: tuple[int, ...]          # realized slack per layer, ascending
-    masses: np.ndarray               # (L,) total probability per layer
+    return _one_block(dist, probes=[xi]).mgf(0)
 
 
 def layer_decomposition(dist: Distribution) -> LayerDecomposition:
     """Group states by exact integer energy slack."""
-    slack = np.full(dist.size, dist.spec.energy_cap_units(dist.n),
-                    dtype=np.int64)
-    for e, col in zip(dist.spec.energy_units, dist.counts.T):
-        slack -= e * col
-    # A stable sort keeps each layer's states in row order.  It sorts the
-    # offset from the smallest slack in its narrowest unsigned type, which
-    # NumPy radix-sorts at 8 and 16 bits; the permutation is the same.
-    key = slack - slack.min()
-    key = key.astype(np.min_scalar_type(key.max()))
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order])) + 1
-    masses = np.array([float(p.sum())
-                       for p in np.split(dist.pmf[order], starts)])
-    masses.setflags(write=False)
-    return LayerDecomposition(
-        slacks=tuple(slack[order[np.r_[0, starts]]].tolist()), masses=masses)
-
+    return _one_block(dist, layers=True).layers()

@@ -63,13 +63,21 @@ def log_multiplicity(counts, degs):
     if counts.shape[-1:] != degs.shape or counts.min(initial=0) < 0:
         raise ValueError(f"counts must be nonnegative with {degs.size} levels")
     table = level_log_weights(degs, int(counts.max(initial=0)))
-    # a view of an (S, m) array held column-major: each gather reads one
-    # contiguous column
-    rows = counts.reshape(-1, degs.size)
-    # The sum's buffer comes before the per-level terms, so that freeing
-    # them can return their memory instead of leaving it below a live array.
+    total = table_log_multiplicity(table, counts.reshape(-1, degs.size))
+    return total.reshape(counts.shape[:-1])[()]  # a scalar for one vector
+
+
+def table_log_multiplicity(table, rows):
+    """log_multiplicity of an (S, m) array of counts, each at most the
+    table's last column, read from a level_log_weights table built once."""
+    import numpy as np
+
+    # rows may be an (S, m) array held column-major: each gather then reads
+    # one contiguous column.  The sum's buffer comes before the per-level
+    # terms, so that freeing them can return their memory instead of
+    # leaving it below a live array.
     total = np.empty(rows.shape[0])
-    terms = [np.take(table[i], rows[:, i]) for i in range(degs.size)]
+    terms = [np.take(table[i], rows[:, i]) for i in range(len(table))]
     spare = np.empty_like(total)
     for r in range(len(terms)):
         for i in range(r % 2, len(terms) - 1, 2):
@@ -80,7 +88,7 @@ def log_multiplicity(counts, degs):
     np.copyto(total, terms[0])
     for term in terms[1:]:
         total += term
-    return total.reshape(counts.shape[:-1])[()]  # a scalar for one vector
+    return total
 
 
 def limit_entropy(spec: EnsembleSpec, x):

@@ -17,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .core import EnsembleSpec
-from .ensemble import Distribution, layer_decomposition, weighted_covariance
+from .ensemble import Accumulator, Distribution
 from .entropy import limit_entropy_hessian_diag, scaling_factor
 from .maxent import MaximumKind, MaxEntSolution, classify_maximum, solve
 
@@ -156,20 +156,35 @@ class FluctuationSummary:
     layer_masses: np.ndarray | None = None
 
 
-def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
-                           spec: EnsembleSpec) -> FluctuationSummary:
-    """Scaled empirical moments matching the prediction conventions."""
+def fluctuation_accumulator(spec: EnsembleSpec, n: int,
+                            sol: MaxEntSolution) -> Accumulator:
+    """Sums for the scaled moments at N, centred at x*: the k = m-1 reduced
+    coordinates sqrt(h(N))*(X - x*) at an interior maximum; at a boundary
+    maximum the m-2 in-plane rotated ones, and the slack layers."""
     k = spec.m - 1
-    # the k scaled reduced coordinates, one row per level, built in place
-    # from the first k count columns
-    y = dist.counts.T[:k] / dist.n
-    y -= np.array(sol.x_star[:k])[:, None]
-    y *= math.sqrt(scaling_factor(spec, dist.n))
+    boundary = sol.kind is MaximumKind.BOUNDARY
+    block = rotation_basis(spec)[:, 1:] if boundary else np.eye(k)
+    basis = np.zeros((spec.m, block.shape[1]))  # no row for x_m: reduced
+    basis[:k] = math.sqrt(scaling_factor(spec, n)) * block
+    return Accumulator(spec, n, centre=sol.x_star, basis=basis,
+                       covariance=True, layers=boundary)
+
+
+def fluctuation_summary(acc: Accumulator,
+                        sol: MaxEntSolution) -> FluctuationSummary:
+    """The scaled moments held by a fluctuation_accumulator."""
+    cov = acc.covariance()
     if sol.kind is MaximumKind.INTERIOR:
-        cov = weighted_covariance(y, dist.pmf)
         return FluctuationSummary(kind=sol.kind, scaled_covariance=cov)
-    layers = layer_decomposition(dist)
-    cov = weighted_covariance(rotation_basis(spec)[:, 1:].T @ y, dist.pmf)
+    layers = acc.layers()
     return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
                               layer_slacks=layers.slacks,
                               layer_masses=layers.masses)
+
+
+def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
+                           spec: EnsembleSpec) -> FluctuationSummary:
+    """Scaled empirical moments matching the prediction conventions."""
+    acc = fluctuation_accumulator(spec, dist.n, sol)
+    acc.add(dist.counts, dist.pmf)
+    return fluctuation_summary(acc, sol)

@@ -478,23 +478,25 @@ def reference_degeneracies_for(spec, n):
 
 
 def reference_layer_decomposition(dist):
-    """Grouping by np.unique over the sorted slack, kept as the oracle for
-    `layer_decomposition`."""
+    """Grouping by np.unique over the sorted slack, each layer's mass the
+    math.fsum of its states' pmf: the oracle for `layer_decomposition`.
+    Returns the decomposition and the number of states in each layer."""
     e = np.array(dist.spec.energy_units, dtype=np.int64)
     cap = dist.spec.energy_cap_units(dist.n)
     slack = cap - dist.counts @ e
     order = np.argsort(slack, kind="stable")
     values, starts = np.unique(slack[order], return_index=True)
     members = tuple(np.split(order, starts[1:]))
-    masses = np.array([float(dist.pmf[idx].sum()) for idx in members])
-    return LayerDecomposition(slacks=tuple(int(v) for v in values),
-                              masses=masses)
+    masses = np.array([math.fsum(dist.pmf[idx]) for idx in members])
+    layers = LayerDecomposition(slacks=tuple(int(v) for v in values),
+                                masses=masses)
+    return layers, np.array([idx.size for idx in members])
 
 
 def reference_weighted_covariance(y, pmf):
     """Symmetrized covariance of the rows of an (S, k) array y under pmf:
-    the row-major formula, kept as the oracle for `weighted_covariance`,
-    which reads the transposed (k, S) array."""
+    the row-major formula, kept as the oracle for the covariances the
+    Accumulator sums a coordinate at a time."""
     centered = y - pmf @ y
     cov = (centered * pmf[:, None]).T @ centered
     return 0.5 * (cov + cov.T)

@@ -750,13 +750,39 @@ def test_unwritable_out_fails_before_any_row(tmp_path, capsys, monkeypatch):
     def no_rows(*args, **kwargs):
         raise AssertionError("a row ran before --out was checked")
 
-    monkeypatch.setattr(occens.ensemble, "build_distribution", no_rows)
+    for name in ("build_distribution", "accumulate_support"):
+        monkeypatch.setattr(occens.ensemble, name, no_rows)
     config = write_config(tmp_path, {**M3_PROPORTIONAL,
                                      "N_list": [500, 1000, 2000, 3000]})
     out = tmp_path / "missing" / "x.csv"
     detail = assert_config_error(capsys, main(["fluct-check", "--config", config,
                                                "--out", str(out)]))
     assert str(out) in detail
+
+
+@pytest.mark.parametrize("budget", [10**6, 10**4],
+                         ids=["exact-count", "viable-prefixes"])
+def test_budget_error_falls_back_before_any_block(tmp_path, monkeypatch,
+                                                  budget):
+    # m=4 at N=200 has 1,373,701 states; at a budget of 1e4 the error names
+    # the viable prefixes of two levels instead.  Either comes before any
+    # block is weighed and sends the row to the chain.
+    import occens.ensemble
+
+    def weigh(*args):
+        raise AssertionError("a block was weighed")
+
+    monkeypatch.setattr(occens.ensemble, "table_log_multiplicity", weigh)
+    config = write_config(tmp_path, {
+        "energies": ["1", "2", "3", "4"], "weights": [0.25] * 4,
+        "energy_cap": 5, "regime": "proportional", "c": 1.0,
+        "N_list": [200], "budget": budget, "sampler_fallback": True,
+        "chain": {"steps": 20_000, "seed": 1}, "xi_list": [[0.5, 0, 0, 0]]})
+    out = tmp_path / "sweep.csv"
+    assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert len(rows) == 1
+    assert 0 < float(rows[0][header.index("mean_abs_err")]) < 0.5
 
 
 def test_out_checked_without_touching_it(tmp_path, capsys):
@@ -812,6 +838,7 @@ def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
         raise AssertionError("work started before the config was checked")
 
     for module, name in [(occens.ensemble, "build_distribution"),
+                         (occens.ensemble, "accumulate_support"),
                          (occens.sampler, "metropolis_chain"),
                          (occens.sampler, "exact_sample"),
                          (occens.cli, "approximation_error")]:

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,8 @@ from occens import (
     scaling_factor,
     solve,
 )
+from occens import ensemble
+from occens.ensemble import Accumulator, accumulate_support
 from occens.entropy import log_multiplicity
 
 from helpers import (
@@ -274,17 +278,26 @@ class TestDump:
                                "low_degeneracy"]),
        m=st.integers(2, 4), n=st.integers(1, 60))
 def test_layers_match_unique_grouping(seed, regime, m, n):
-    # Layer starts come from the sorted slack's steps instead of a second
-    # sort in np.unique, and masses sum slices of the sorted pmf instead of
-    # index gathers; the slacks and masses must not move a bit.
+    # Masses come from one np.bincount over the slack lattice instead of a
+    # sort; the slacks must be equal, the masses close to a math.fsum.
     spec = random_spec(np.random.default_rng(seed), regime, m, boundary=True)
     try:
         dist = build_distribution(spec, n)
     except SpecValidationError:  # G(N) < m at small N
         return
-    got, want = layer_decomposition(dist), reference_layer_decomposition(dist)
+    assert_layers_match(layer_decomposition(dist), dist)
+
+
+def assert_layers_match(got, dist):
+    """Slacks equal to the oracle's, and each mass within (c + 64) ulps of
+    the math.fsum of its c states' pmf: np.bincount adds a layer's states in
+    row order (c - 1 half-ulps), and the division by the pmf's pairwise
+    total and the pmf's own pairwise normalisation add under 64 ulps for
+    S < 2**24.  Subnormal masses may lose a further 2**-1074 per state."""
+    want, sizes = reference_layer_decomposition(dist)
     assert got.slacks == want.slacks
-    assert np.array_equal(got.masses, want.masses)
+    bound = (sizes + 64) * 2.0**-52 * want.masses + sizes * 2.0**-1074
+    assert np.all(np.abs(got.masses - want.masses) <= bound)
 
 
 def assert_covariance_close(got, y, pmf):
@@ -309,9 +322,10 @@ LAYOUT_MAX_N = {2: 80, 3: 40, 4: 24, 5: 14}
 def test_column_layout_keeps_estimators(seed, regime, m, boundary, chain,
                                         data):
     # Enumerated rows and chain draws hold one contiguous column per level.
-    # Mean, mgf and layers give the bits of a row-major copy of the counts;
-    # the covariances move by rounding only, as their sums over the (k, S)
-    # rows run in another order than the row-major formula's.
+    # Every estimator gives the bits of a row-major copy of the counts, as
+    # the Accumulator reads one column at a time either way; the
+    # covariances move by rounding only from the row-major formula, and the
+    # layer masses from a math.fsum per layer.
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, regime, m, boundary)
     n = data.draw(st.integers(1, LAYOUT_MAX_N[m]), label="n")
@@ -330,16 +344,173 @@ def test_column_layout_keeps_estimators(seed, regime, m, boundary, chain,
     assert np.array_equal(exact_mean(dist), exact_mean(rows))
     xi = rng.normal(size=m)
     assert mgf(dist, xi) == mgf(rows, xi)
-    got, want = layer_decomposition(dist), reference_layer_decomposition(rows)
-    assert got.slacks == want.slacks
-    assert np.array_equal(got.masses, want.masses)
+    got = layer_decomposition(dist)
+    assert got.slacks == layer_decomposition(rows).slacks
+    assert np.array_equal(got.masses, layer_decomposition(rows).masses)
+    assert_layers_match(got, rows)
 
     fractions = rows.fractions()
-    assert_covariance_close(exact_covariance(dist), fractions, dist.pmf)
+    cov = exact_covariance(dist)
+    assert np.array_equal(cov, exact_covariance(rows))
+    assert_covariance_close(cov, fractions, dist.pmf)
     sol = solve(spec)
     y = (math.sqrt(scaling_factor(spec, n))
          * (fractions[:, : m - 1] - sol.x_star[: m - 1]))
     if sol.kind is MaximumKind.BOUNDARY:
         y = y @ rotation_basis(spec)[:, 1:]
     summary = empirical_fluctuations(dist, sol, spec)
+    assert np.array_equal(summary.scaled_covariance,
+                          empirical_fluctuations(rows, sol, spec).scaled_covariance)
     assert_covariance_close(summary.scaled_covariance, y, dist.pmf)
+
+
+def blocked_sums(spec, n, block, centre, xi):
+    """An Accumulator over the support at N streamed in blocks of `block`
+    states: the mean and covariance of X - centre, one probe, the layers."""
+    acc = Accumulator(spec, n, centre=centre, basis=np.eye(spec.m),
+                      covariance=True, probes=[xi], layers=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "BLOCK_STATES", block)
+        accumulate_support(acc)
+    return acc
+
+
+BLOCK_MAX_N = {1: 30, 2: 80, 3: 40, 4: 20, 5: 12, 6: 9}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(["high_degeneracy", "proportional",
+                               "low_degeneracy"]),
+       m=st.integers(1, 6), boundary=st.booleans(), data=st.data())
+def test_blocks_match_one_block(seed, regime, m, boundary, data):
+    # Blocks of B states (B from 1 to S; one first count n_1 may hold more)
+    # against one block of the whole support.  The two runs take each
+    # weight exp(lw - shift) at another shift: the subtraction is exact
+    # within a factor 2 and else rounds by under |lw - shift| * 2**-53, so
+    # the weights differ by some ln(S) ulps where they carry mass, and the
+    # sums regroup.  1e-12 of each estimator's scale bounds both; the
+    # scales are sqrt(E[y_i^2] E[y_j^2]) for moments of y = X - centre, the
+    # value for the mgf and each mass, floored at 1e-300 for masses that
+    # underflow in one run only.
+    rng = np.random.default_rng(seed)
+    if m == 1:
+        spec = make_spec(["1"], [1.0], "3/2", regime,
+                         **({"c": 1.0} if regime == "proportional" else {}))
+    else:
+        spec = random_spec(rng, regime, m, boundary)
+    n = data.draw(st.integers(1, BLOCK_MAX_N[m]), label="n")
+    try:
+        size = enumerate_states(spec, n).shape[0]
+        whole = blocked_sums(spec, n, size, spec.weights, rng.normal(size=m))
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    block = data.draw(st.integers(1, size), label="block")
+    got = blocked_sums(spec, n, block, whole.centre, whole.probes[0])
+    if block < size:
+        assert len(got.block_totals) > 1
+    second = np.diag(whole.covariance()) + whole.mean() ** 2
+    scale = np.sqrt(np.multiply.outer(second, second))
+    assert np.all(np.abs(got.mean() - whole.mean()) <= 1e-12 * np.sqrt(second))
+    assert np.all(np.abs(got.covariance() - whole.covariance())
+                  <= 1e-12 * scale)
+    assert got.mgf(0) == pytest.approx(whole.mgf(0), rel=1e-12, abs=0)
+    layers, want = got.layers(), whole.layers()
+    assert layers.slacks == want.slacks
+    assert np.all(np.abs(layers.masses - want.masses)
+                  <= 1e-12 * want.masses + 1e-300)
+
+
+def test_blocks_partition_support_in_order():
+    # m=3 at N=40 has up to 41 states per first count: with B = 16 a block
+    # holds one first count that alone exceeds B, or several that fit
+    spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "5/2", "proportional",
+                     c=1.0)
+    first, sizes = ensemble._first_counts(spec, 40, 10**6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "BLOCK_STATES", 16)
+        blocks = [ensemble._fill(spec, 40, batch)
+                  for batch in ensemble._batches(first, sizes)]
+    assert max(len(b) for b in blocks) > 16
+    assert min(len(b) for b in blocks) < 16
+    assert all(len(b) <= 16 or len(np.unique(b[:, 0])) == 1 for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), enumerate_states(spec, 40))
+    assert sizes.sum() == len(enumerate_states(spec, 40))
+
+
+def test_block_memory_does_not_grow_with_support(monkeypatch):
+    # Boundary m=3 with every sum on: S grows about fourfold from N=800 to
+    # N=1600, while the traced peak stays that of a few blocks, under half
+    # of the support as one float column (8*S bytes).
+    spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5", "proportional",
+                     c=1.0)
+    monkeypatch.setattr(ensemble, "BLOCK_STATES", 4096)
+    peaks, sizes = [], []
+    for n in (800, 1600):
+        sizes.append(enumerate_states(spec, n).shape[0])
+        acc = Accumulator(spec, n, centre=spec.weights, basis=np.eye(3),
+                          covariance=True, probes=[[0.5, 0.0, -0.5]],
+                          layers=True)
+        tracemalloc.start()
+        accumulate_support(acc)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert sizes[1] > 3.5 * sizes[0]
+    assert peaks[1] < 1.2 * peaks[0]
+    assert peaks[1] < 4 * sizes[1]
+
+
+def test_sparse_slacks_hold_no_span_sized_array():
+    # Energies 1, 9999 and 10000 leave most slack steps unrealized: at
+    # N=1000 the span holds 5M steps for 125,251 states.  The layers are kept
+    # per realized slack; a mass and a count per step of the span would take
+    # 16 bytes a step, eight times the bound below.
+    spec = make_spec(["1", "9999", "10000"], [0.4, 0.3, 0.3], "5000",
+                     "proportional", c=1.0)
+    dist = build_distribution(spec, 60)
+    assert_layers_match(layer_decomposition(dist), dist)
+    acc = Accumulator(spec, 1000, layers=True)
+    tracemalloc.start()
+    accumulate_support(acc)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * acc.key_max
+    assert len(acc.layers().slacks) == len(np.unique(
+        spec.energy_cap_units(1000)
+        - enumerate_states(spec, 1000) @ np.array(spec.energy_units)))
+
+
+def test_estimators_hold_no_support_sized_copy():
+    # exact_mean once cast the (S, m) counts to float64 (40.8 MB at m=4,
+    # N=250) and mgf built a row-major (S, m) float array per probe
+    # (51.0 MB); each now holds at most two float columns at a time
+    spec = make_spec(["1", "2", "3", "4"], [0.1, 0.2, 0.3, 0.4], "5/2",
+                     "proportional", c=1.0)
+    dist = build_distribution(spec, 250)
+    column = dist.size * 8  # 1,337,532 states: 10.7 MB
+    for estimator, args in ((exact_mean, ()), (mgf, ([0.5, 0.0, -0.5, 0.25],))):
+        tracemalloc.start()
+        estimator(dist, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2.5 * column, estimator.__name__
+
+
+M4_SPEC = (["1", "2", "3", "4"], [0.25] * 4, 5, "proportional")
+
+
+@pytest.mark.parametrize("budget, message", [
+    (10**6, "exact state count 1373701 exceeds budget 1000000; "
+            "use the sampler module"),
+    (10**4, "state count (at least 20301 viable prefixes of 2 levels) "
+            "exceeds budget 10000; use the sampler module"),
+])
+def test_budget_raised_before_any_block(monkeypatch, budget, message):
+    def weigh(*args):
+        raise AssertionError("a block was weighed")
+
+    monkeypatch.setattr(ensemble, "table_log_multiplicity", weigh)
+    acc = Accumulator(make_spec(*M4_SPEC, c=1.0), 200, layers=True)
+    with pytest.raises(EnumerationBudgetError, match=re.escape(message)):
+        accumulate_support(acc, budget)
+    assert acc.block_totals == []
