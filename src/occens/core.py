@@ -81,6 +81,15 @@ class EnsembleSpec:
         return tuple(int(e * self.q) for e in self.energies)
 
     @cached_property
+    def lattice_step(self) -> int:
+        """Spacing, in 1/q units, of the total energies realized at fixed N:
+        moving a particle between levels changes the energy by a difference
+        of level energies, so every two realized totals differ by a
+        multiple of the gcd d of the differences; 1 when m = 1."""
+        e = self.energy_units
+        return math.gcd(*(x - e[0] for x in e[1:])) or 1
+
+    @cached_property
     def energies_float(self) -> tuple[float, ...]:
         return tuple(float(e) for e in self.energies)
 

@@ -5,9 +5,9 @@ constraints and weights each state by exp(S).  The sweeps stream the
 support through blocks of at most BLOCK_STATES states, split by the first
 level's count, and one Accumulator reads each block once: moments, the
 moment generating function and the decomposition of the support into exact
-energy-slack layers.  A Distribution record, the whole support with its
-pmf or equally weighted chain draws, enters the same Accumulator as one
-block, so one set of estimators serves every backend.
+energy-slack layers.  A Distribution record, the whole support weighed as
+one block and normalised, or equally weighted chain draws, enters the same
+Accumulator as one block, so one set of estimators serves every backend.
 """
 
 from __future__ import annotations
@@ -23,22 +23,12 @@ from .core import (
     EnumerationBudgetError,
     degeneracies_for,
 )
-from .entropy import level_log_weights, log_multiplicity, table_log_multiplicity
+from .entropy import level_log_weights, table_log_multiplicity
 
 PMF_SUM_TOL = 1e-12
 # States per block of the streamed support; a first-level count n_1 whose
 # states alone are more than this is one block.
 BLOCK_STATES = 1 << 16
-
-
-def _widths(e, cap, level, used, remaining):
-    """Viable counts at `level` for each prefix: since energies increase with
-    the level index, counts[level] = k stays viable iff routing the rest to
-    level + 1 stays under the cap, a closed-form lower bound on k:
-    k >= (used + e[level+1]*remaining - cap) / (e[level+1] - e[level])."""
-    num = used + e[level + 1] * remaining - cap
-    k_min = np.maximum(-((-num) // (e[level + 1] - e[level])), 0)
-    return np.maximum(remaining - k_min + 1, 0)
 
 
 def _rest(width, out=None):
@@ -48,67 +38,71 @@ def _rest(width, out=None):
     return np.subtract(ends, np.arange(ends.size, dtype=np.int64), out=out)
 
 
-def _first_counts(spec: EnsembleSpec, n: int, budget: int):
-    """The viable first-level counts n_1, ascending, and the number of
-    states with each, from the widths alone: no state is filled.  Every
-    viable prefix has a completion, so the budget is checked against the
-    prefix count at each level and against the exact S at the last."""
-    if n < 1:
-        raise ValueError(f"N must be >= 1, got {n}")
-    m = spec.m
-    if m == 1:
-        return np.array([n], dtype=np.int64), np.ones(1, dtype=np.int64)
-    cap, e = spec.energy_cap_units(n), spec.energy_units
-    if e[-1] * n >= 2**63:
-        raise OverflowError(f"N*q*eps_m = {e[-1] * n} overflows int64")
-    used = np.zeros(1, dtype=np.int64)
-    remaining = np.array([n], dtype=np.int64)
-    for level in range(m - 1):
-        width = _widths(e, cap, level, used, remaining)
-        total = int(width.sum())
-        if total > budget:
+def _walk(spec: EnsembleSpec, n: int, carry: list, budget: int | None = None):
+    """The viable prefixes that extend the counts in `carry` (one column per
+    level filled) through level m - 2, expanded one level at a time for all
+    prefixes at once.  Returns the carried columns, the particles left and
+    the widths (viable counts) at level m - 2, which sum to the number of
+    states.  Every viable prefix has a completion, so a budget is checked
+    against the prefix count at each level and against the exact S at the
+    last."""
+    cap, e, m = spec.energy_cap_units(n), spec.energy_units, spec.m
+    root = np.zeros(1, dtype=np.int64)
+    used = sum((e[j] * col for j, col in enumerate(carry)), root)
+    remaining = n - sum(carry, root)
+    for level in range(len(carry), m - 1):
+        # since energies increase with the level index, counts[level] = k
+        # stays viable iff routing the rest to level + 1 stays under the
+        # cap, a closed-form lower bound on k:
+        # k >= (used + e[level+1]*remaining - cap) / (e[level+1] - e[level])
+        num = used + e[level + 1] * remaining - cap
+        k_min = np.maximum(-((-num) // (e[level + 1] - e[level])), 0)
+        width = np.maximum(remaining - k_min + 1, 0)
+        if budget is not None and (total := int(width.sum())) > budget:
             found = (f"exact state count {total}" if level == m - 2 else
                      f"state count (at least {total} viable prefixes "
                      f"of {level + 1} levels)")
             raise EnumerationBudgetError(
                 f"{found} exceeds budget {budget}; use the sampler module")
-        if level == 0:
-            first = np.arange(n + 1 - total, n + 1, dtype=np.int64)
-            owner = np.arange(total)  # each prefix's index in `first`
-            sizes = np.ones(total, dtype=np.int64)
-        elif level == m - 2:
-            sizes = np.bincount(owner, weights=width).astype(np.int64)
-        else:
-            owner = np.repeat(owner, width)
-        if level < m - 2:
-            rest = _rest(width)
-            used = np.repeat(used, width) + e[level] * (
-                np.repeat(remaining, width) - rest)
-            remaining = rest
-    return first, sizes
+        if level == m - 2:
+            return carry, remaining, width
+        rest = _rest(width)
+        k = np.repeat(remaining, width) - rest
+        carry = [np.repeat(col, width) for col in carry] + [k]
+        used = np.repeat(used, width) + e[level] * k
+        remaining = rest
+
+
+def _first_counts(spec: EnsembleSpec, n: int, budget: int):
+    """The viable first-level counts n_1, ascending, and the number of
+    states with each, from the prefix widths alone: no state is filled."""
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    if spec.m == 1:
+        return np.array([n], dtype=np.int64), np.ones(1, dtype=np.int64)
+    if spec.energy_units[-1] * n >= 2**63:
+        raise OverflowError(
+            f"N*q*eps_m = {spec.energy_units[-1] * n} overflows int64")
+    carry, _, width = _walk(spec, n, [], budget)
+    if not carry:  # m = 2: one state per viable n_1
+        carry, width = [np.arange(n + 1 - width[0], n + 1)], np.ones(width[0])
+    # the viable n_1 are consecutive, each one run of final prefixes
+    low = int(carry[0][0])
+    sizes = np.bincount(carry[0] - low, weights=width).astype(np.int64)
+    return np.arange(low, low + sizes.size, dtype=np.int64), sizes
 
 
 def _fill(spec: EnsembleSpec, n: int, first: np.ndarray) -> np.ndarray:
     """Every state whose first count is in `first`, consecutive viable
     values ascending, as an (S_b, m) int64 array in lexicographic row order
-    laid out column-major.  The levels after the first are filled for all
-    prefixes at once, the last two in closed form."""
+    laid out column-major.  The walk fills the levels up to m - 2 for all
+    prefixes at once, and the last two follow in closed form."""
     m = spec.m
     if m == 1:
         return first.reshape(1, 1)
     if m == 2:
         return np.stack([first, n - first]).T
-    cap, e = spec.energy_cap_units(n), spec.energy_units
-    prefix, used, remaining = [first], e[0] * first, n - first
-    for level in range(1, m - 1):
-        width = _widths(e, cap, level, used, remaining)
-        if level == m - 2:
-            break
-        rest = _rest(width)
-        k = np.repeat(remaining, width) - rest
-        prefix = [np.repeat(col, width) for col in prefix] + [k]
-        used = np.repeat(used, width) + e[level] * k
-        remaining = rest
+    prefix, remaining, width = _walk(spec, n, [first])
     out = np.empty((m, int(width.sum())), dtype=np.int64)
     for j, col in enumerate(prefix):
         out[j] = np.repeat(col, width)
@@ -196,13 +190,11 @@ class Accumulator:
         self.layer_mass = None
         if layers:
             # Every slack is congruent to the all-lowest state's, the
-            # largest, modulo the gcd d of the energy differences; key =
-            # slack // d indexes them.
-            e = spec.energy_units
-            self.step = math.gcd(*(x - e[0] for x in e[1:])) or 1
+            # largest, modulo the lattice step d; key = slack // d.
+            e, d = spec.energy_units, spec.lattice_step
             self.key_max, self.residue = divmod(
-                spec.energy_cap_units(n) - n * e[0], self.step)
-            self.key_coef = [(x - e[0]) // self.step for x in e[1:]]
+                spec.energy_cap_units(n) - n * e[0], d)
+            self.key_coef = [(x - e[0]) // d for x in e[1:]]
             self.layer_keys = np.zeros(0, dtype=np.int64)
             self.layer_mass = np.zeros(0)
 
@@ -332,31 +324,36 @@ class Accumulator:
         """Mass of each realized energy slack, ascending."""
         masses = self.layer_mass / self.total()
         masses.setflags(write=False)
-        return LayerDecomposition(
-            slacks=tuple((self.residue + self.step * self.layer_keys).tolist()),
-            masses=masses)
+        slacks = self.residue + self.spec.lattice_step * self.layer_keys
+        return LayerDecomposition(slacks=tuple(slacks.tolist()), masses=masses)
 
 
-def accumulate_support(acc: Accumulator,
-                       budget: int = DEFAULT_STATE_BUDGET) -> None:
-    """Add the support of acc's spec at N to acc, weighted by exp(S).
-
-    The states are counted before any is filled, so a support past the
-    budget raises EnumerationBudgetError before any block is weighed.  The
-    log-weight table is built once; each block of at most BLOCK_STATES
-    states goes through the same gather and sorting network as
-    log_multiplicity and enters shifted by its largest log-weight.
-    """
-    spec, n = acc.spec, acc.n
+def _weighed_blocks(spec: EnsembleSpec, n: int, budget: int,
+                    whole: bool = False):
+    """The support at N as blocks (counts, w, shift) weighted w*exp(shift)
+    = exp(S): blocks of at most BLOCK_STATES states, or one block with
+    `whole`.  The states are counted before any is filled, so a support
+    past the budget raises EnumerationBudgetError before any block is
+    weighed.  The log-weight table is built once; each block goes through
+    the same gather and sorting network as log_multiplicity and is shifted
+    by its largest log-weight."""
     first, sizes = _first_counts(spec, n, budget)
     table = level_log_weights(degeneracies_for(spec, n).as_array, n)
-    for batch in _batches(first, sizes):
+    for batch in [first] if whole else _batches(first, sizes):
         counts = _fill(spec, n, batch)
         w = table_log_multiplicity(table, counts)
         shift = float(w.max())
         w -= shift
         np.exp(w, out=w)
-        acc.add(counts, w, shift)
+        yield counts, w, shift
+
+
+def accumulate_support(acc: Accumulator,
+                       budget: int = DEFAULT_STATE_BUDGET) -> None:
+    """Add the support of acc's spec at N to acc, weighted by exp(S), in
+    blocks of at most BLOCK_STATES states."""
+    for block in _weighed_blocks(acc.spec, acc.n, budget):
+        acc.add(*block)
 
 
 @dataclass(frozen=True)
@@ -385,15 +382,11 @@ class Distribution:
 
 def build_distribution(spec: EnsembleSpec, n: int,
                        budget: int = DEFAULT_STATE_BUDGET) -> Distribution:
-    """Enumerate the support and normalize exp(S) into a pmf."""
-    counts = enumerate_states(spec, n, budget=budget)
-    deg = degeneracies_for(spec, n)
-    # log-weights, then weights, then the pmf, in one buffer
-    pmf = log_multiplicity(counts, deg.as_array)
-    # One exp pass: dividing by the sum normalizes to rounding, where
-    # exp(lw - log Z) would inherit half an ulp of a large log Z.
-    np.subtract(pmf, pmf.max(), out=pmf)
-    np.exp(pmf, out=pmf)
+    """Enumerate the support and normalize exp(S) into a pmf: the streamed
+    support as one block, its weights divided by their sum in place."""
+    [(counts, pmf, _)] = _weighed_blocks(spec, n, budget, whole=True)
+    # Dividing by the sum normalizes to rounding, where exp(lw - log Z)
+    # would inherit half an ulp of a large log Z.
     np.divide(pmf, pmf.sum(), out=pmf)
     total = float(pmf.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -101,26 +100,13 @@ def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
     return basis
 
 
-def energy_lattice_step(spec: EnsembleSpec) -> int:
-    """Spacing (in 1/q units) between realized total energies at fixed N.
-
-    Single-particle moves change the total energy by differences of the
-    integer level energies, so realized layers are gcd-of-differences apart.
-    """
-    e = spec.energy_units
-    if len(e) < 2:
-        raise ValueError("energy lattice step needs m >= 2")
-    diffs = [e[i] - e[0] for i in range(1, len(e))]
-    return reduce(math.gcd, diffs)
-
-
 def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     """Boundary mixture: geometric layer law plus in-plane Gaussian block.
 
     The log-ratio between adjacent layer masses is the inter-layer step
     along the cap normal times the directional derivative of the scaled
     entropy there; through the stationarity conditions this collapses to
-    -lam * d/q * h(N)/N with d the energy lattice step.
+    -lam * d/q * h(N)/N with d = spec.lattice_step.
     """
     if classify_maximum(spec) is not MaximumKind.BOUNDARY:
         raise ValueError("wrong kind: interior instance; use predict_interior")
@@ -129,7 +115,7 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     w_norm = float(np.linalg.norm(w))
     # derivative of s_l along the inward normal; grad s_l(x*) = lam*eps + nu
     s_prime = -sol.lam * w_norm
-    step_v1 = energy_lattice_step(spec) / (spec.q * n * w_norm)
+    step_v1 = spec.lattice_step / (spec.q * n * w_norm)
     layer_log_ratio = scaling_factor(spec, n) * s_prime * step_v1
     if not layer_log_ratio < 0.0:
         raise ArithmeticError(

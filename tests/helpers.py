@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 
 from occens import (
-    ChainConfig,
     DegeneracyAssignment,
     EnumerationBudgetError,
     FluctuationPrediction,
@@ -289,10 +288,6 @@ def reference_resolve(cfg, n: int, m: int) -> tuple[int, int, int]:
     if steps > sys.maxsize:  # more steps than a chain can index
         raise ValueError(f"steps must be <= {sys.maxsize}, got {steps}")
     return steps, burn_in, thinning
-
-
-def default_chain(steps, seed, burn_in=None, thinning=None):
-    return ChainConfig(steps=steps, seed=seed, burn_in=burn_in, thinning=thinning)
 
 
 def reference_metropolis_chain(spec, n, cfg):

@@ -28,6 +28,7 @@ from occens import (
     rotation_basis,
     scaling_factor,
     solve,
+    threshold_energy,
 )
 from occens import ensemble
 from occens.ensemble import Accumulator, accumulate_support
@@ -436,6 +437,71 @@ def test_blocks_partition_support_in_order():
     assert all(len(b) <= 16 or len(np.unique(b[:, 0])) == 1 for b in blocks)
     assert np.array_equal(np.concatenate(blocks), enumerate_states(spec, 40))
     assert sizes.sum() == len(enumerate_states(spec, 40))
+
+
+@st.composite
+def edge_specs(draw):
+    """Specs with q up to 12 and a cap within 1e-6 of eps_1 (above it) or
+    of the interior threshold (either side), in every regime."""
+    m = draw(st.integers(1, 6), label="m")
+    q = draw(st.integers(1, 12), label="q")
+    numerators = sorted(draw(st.sets(st.integers(1, 4 * q + 6), min_size=m,
+                                     max_size=m), label="numerators"))
+    energies = [Fraction(k, q) for k in numerators]
+    parts = draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))
+    weights = [v / sum(parts) for v in parts]
+    regime = draw(st.sampled_from(["high_degeneracy", "proportional",
+                                   "low_degeneracy"]), label="regime")
+    kwargs = {}
+    if regime == "proportional":
+        kwargs["c"] = draw(st.floats(0.5, 3.0))
+    elif regime == "low_degeneracy":  # p near 1 lets G(N) >= m at small N
+        kwargs["p"] = draw(st.floats(0.5, 0.95))
+    offset = Fraction(draw(st.floats(-1e-6, 1e-6), label="offset"))
+    if m == 1 or draw(st.booleans(), label="near eps_1"):
+        cap = energies[0] + abs(offset) + Fraction(1, 10**12)
+    else:
+        probe = make_spec(energies, weights, energies[-1], regime, **kwargs)
+        cap = Fraction(threshold_energy(probe)) + offset
+    return make_spec(energies, weights, cap, regime, **kwargs)
+
+
+WALK_MAX_N = {1: 30, 2: 40, 3: 25, 4: 14, 5: 10, 6: 8}
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=edge_specs(), data=st.data())
+def test_walk_counts_fills_and_weighs_the_support(spec, data):
+    # The count pass and the fill are one prefix walk; the sweeps' blocks
+    # and build_distribution are one weigher.  The count pass's sizes per
+    # n_1 sum to a brute-force count; blocks of B states concatenate to
+    # enumerate_states, each weighted exp(lw - max lw) with lw from
+    # log_multiplicity bit for bit; and build_distribution's pmf is the
+    # streamed path's one block, normalised, bit for bit.
+    n = data.draw(st.integers(1, WALK_MAX_N[spec.m]), label="n")
+    first, sizes = ensemble._first_counts(spec, n, 10**6)
+    states = enumerate_states(spec, n)
+    assert sizes.sum() == brute_force_state_count(spec, n) == len(states)
+    assert np.array_equal(first, np.unique(states[:, 0]))
+    assert np.array_equal(sizes, np.bincount(states[:, 0] - first[0]))
+    try:
+        degs = degeneracies_for(spec, n).as_array
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    block = data.draw(st.integers(1, len(states)), label="block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "BLOCK_STATES", block)
+        blocks = list(ensemble._weighed_blocks(spec, n, 10**6))
+        mp.setattr(ensemble, "BLOCK_STATES", len(states))
+        [(counts, w, _)] = ensemble._weighed_blocks(spec, n, 10**6)
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), states)
+    for rows, weights, shift in blocks:
+        lw = log_multiplicity(rows, degs)
+        assert shift == lw.max()
+        assert np.array_equal(weights, np.exp(lw - shift))
+    dist = build_distribution(spec, n)
+    assert np.array_equal(dist.counts, counts)
+    assert np.array_equal(dist.pmf, w / w.sum())
 
 
 def test_block_memory_does_not_grow_with_support(monkeypatch):

@@ -21,7 +21,7 @@ from occens import (
     scaling_factor,
     solve,
 )
-from occens.fluctuations import energy_lattice_step, reduced_hessian
+from occens.fluctuations import reduced_hessian
 
 from helpers import (limit_entropy_grad, predict, random_spec,
                      reference_sampled_estimates, third_std_moments,
@@ -120,7 +120,7 @@ class TestBoundaryPrediction:
     def test_lattice_step_gcd(self):
         spec = make_spec(["1", "3", "5"], [1 / 3, 1 / 3, 1 / 3], 2,
                          "high_degeneracy")
-        assert energy_lattice_step(spec) == 2
+        assert spec.lattice_step == 2
         dist = build_distribution(spec, 30)
         layers = layer_decomposition(dist)
         steps = np.diff(layers.slacks)

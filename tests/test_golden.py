@@ -11,9 +11,12 @@ steps alone.
 After a declared change of output bytes, rewrite the golden files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which writes only the files whose cells moved.
 """
 
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -118,11 +121,53 @@ def test_output_matches_golden(name, tmp_path):
     assert normalise(run_case(name, tmp_path)) == normalise(want)
 
 
+def regenerate(golden: Path, tmp: Path) -> list[str]:
+    """Rerun every case and rewrite the golden files in `golden` whose
+    normalised lines differ from the new output, or that are missing, so
+    that a file whose cells did not move keeps its `# generated=` line and
+    timings.  Returns the cases written."""
+    written = []
+    for case in CASES:
+        path, text = golden / f"{case}.csv", run_case(case, tmp)
+        if path.exists() and normalise(
+                path.read_text(encoding="utf-8")) == normalise(text):
+            continue
+        path.write_text(text, encoding="utf-8")
+        written.append(case)
+    return written
+
+
+def test_regenerate_writes_only_moved_files(tmp_path):
+    # The first pass brings the copy to this host's bits (it writes nothing
+    # where the goldens pass); a second pass on the unchanged copy must
+    # write nothing.
+    copy, runs = tmp_path / "golden", tmp_path / "runs"
+    shutil.copytree(GOLDEN, copy)
+    runs.mkdir()
+    regenerate(copy, runs)
+    before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    assert regenerate(copy, runs) == []
+    assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
+    # a moved cell and a missing file are written, and nothing else
+    moved = copy / "lln_m3_proportional_xi.csv"
+    text = moved.read_text(encoding="utf-8")
+    assert "\n200," in text
+    moved.write_text(text.replace("\n200,", "\n201,"), encoding="utf-8")
+    (copy / "entropy_m2_high.csv").unlink()
+    assert regenerate(copy, runs) == ["lln_m3_proportional_xi",
+                                      "entropy_m2_high"]
+    for case in ("lln_m3_proportional_xi", "entropy_m2_high"):
+        assert normalise((copy / f"{case}.csv").read_text(
+            encoding="utf-8")) == normalise(before[f"{case}.csv"].decode())
+    unchanged = set(before) - {"lln_m3_proportional_xi.csv",
+                               "entropy_m2_high.csv"}
+    assert all((copy / name).read_bytes() == before[name]
+               for name in unchanged)
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in CASES:
-            (GOLDEN / f"{case}.csv").write_text(run_case(case, Path(tmp)),
-                                                encoding="utf-8")
+        for case in regenerate(GOLDEN, Path(tmp)):
             print(f"wrote {case}.csv", file=sys.stderr)
