@@ -1,12 +1,13 @@
 """Command-line driver for solve / sweep / verification workflows.
 
-Every command reads one flat JSON config, whose keys are those of
-CONFIG_KEYS: the table gives what each value must be and its default, and
-the whole config is checked against it before any command runs.  Energies
-(and the energy cap) may be exact rational strings like "3/2" to keep the
-constraint lattice exact.  Results are persisted as JSON (solve) or CSV
-with a `# schema=1` first line.  Exit status: 0 success, 1 numeric failure
-or failed allocation, 2 config error, found before any row or draw runs.
+Every command reads one flat JSON config, the only source of its settings,
+whose keys are those of CONFIG_KEYS: the table gives what each value must
+be and its default, and the whole config is checked against it before any
+command runs.  Energies (and the energy cap) may be exact rational strings
+like "3/2" to keep the constraint lattice exact.  Results are persisted as
+JSON (solve) or CSV with a `# schema=1` first line.  Exit status: 0
+success, 1 numeric failure or failed allocation, 2 config error (a
+command-line error included), found before any row or draw runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -144,8 +144,7 @@ def _check(table: dict, values: dict, m: int, prefix: str = "",
 
 
 def _read_config(args):
-    """The spec and the config, its defaults filled in, from --config; the
-    --seed and --budget flags replace the config's values before the check."""
+    """The spec and the config, its defaults filled in, from --config."""
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -153,8 +152,6 @@ def _read_config(args):
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    config.update({flag: getattr(args, flag) for flag in ("seed", "budget")
-                   if getattr(args, flag) is not None})
     energies = config.get("energies")
     _check(CONFIG_KEYS, config,
            len(energies) if isinstance(energies, list) else 0,
@@ -166,19 +163,6 @@ def _read_config(args):
     except (ValueError, TypeError, ArithmeticError) as exc:
         raise ConfigError(f"invalid spec: {exc}") from exc
     return spec, config
-
-
-def _format_cell(value) -> str:
-    # the exact types first: the ABC checks below cost more than the repr
-    if type(value) is int:
-        return str(value)
-    if type(value) is float:
-        return repr(value)
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
-        return repr(float(value))
-    return str(value)
 
 
 def _check_out(out: str | None) -> None:
@@ -215,7 +199,8 @@ def _write_csv(out: str | None, comments: list[str], header: list[str],
              f"# generated={datetime.now(timezone.utc).isoformat()}"]
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
-    lines.extend(",".join(map(_format_cell, row)) for row in rows)
+    # every cell is a Python int or float, whose str is its shortest repr
+    lines.extend(",".join(map(str, row)) for row in rows)
     _write_lines(out, lines)
 
 
@@ -428,8 +413,16 @@ def cmd_sample(args, spec, config) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A command-line mistake is a config error, reported as JSON like every
+    other; the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="occens",
         description="occupancy-ensemble solver and verification workflows")
     parser.add_argument("--version", action="version", version=__version__)
@@ -453,17 +446,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--jobs", type=int, default=1,
                          help="per-N rows run in this many forked worker "
                               "processes")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config seed")
-        cmd.add_argument("--budget", type=int, default=None,
-                         help="enumeration state budget")
         cmd.set_defaults(handler=handler, required=required)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         spec, config = _read_config(args)

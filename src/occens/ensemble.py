@@ -46,7 +46,10 @@ def _walk(spec: EnsembleSpec, n: int, carry: list, budget: int | None = None):
     states.  Every viable prefix has a completion, so a budget is checked
     against the prefix count at each level and against the exact S at the
     last."""
-    cap, e, m = spec.energy_cap_units(n), spec.energy_units, spec.m
+    e, m = spec.energy_units, spec.m
+    # no state's energy exceeds e[-1]*n, which _first_counts checks fits
+    # int64, so a higher cap admits the same states and stays in range
+    cap = min(spec.energy_cap_units(n), e[-1] * n)
     root = np.zeros(1, dtype=np.int64)
     used = sum((e[j] * col for j, col in enumerate(carry)), root)
     remaining = n - sum(carry, root)
@@ -375,9 +378,6 @@ class Distribution:
     @property
     def size(self) -> int:
         return self.counts.shape[0]
-
-    def fractions(self) -> np.ndarray:
-        return self.counts / self.n
 
 
 def build_distribution(spec: EnsembleSpec, n: int,

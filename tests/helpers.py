@@ -174,7 +174,7 @@ def third_std_moments(dist, sol, spec) -> np.ndarray:
     """Third standardized moments of sqrt(h(N))*(X - x*) in reduced
     coordinates (interior maxima)."""
     m = spec.m
-    x_red = dist.fractions()[:, : m - 1]
+    x_red = (dist.counts / dist.n)[:, : m - 1]
     scale = math.sqrt(scaling_factor(spec, dist.n))
     y = scale * (x_red - sol.x_star[: m - 1])
     centered = y - dist.pmf @ y

@@ -156,8 +156,8 @@ class TestLlnSweep:
 
     def test_budget_exceeded_exit_1(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        code = main(["lln-sweep", "--config", self.config(tmp_path),
-                     "--out", str(out), "--budget", "10"])
+        code = main(["lln-sweep", "--config", self.config(tmp_path, budget=10),
+                     "--out", str(out)])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
 
@@ -167,12 +167,11 @@ class TestLlnSweep:
 
     def test_sampler_fallback_when_budget_exceeded(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        config = self.config(tmp_path, N_list=[16, 32],
+        # N=16 already has 7 states
+        config = self.config(tmp_path, N_list=[16, 32], budget=5,
                              sampler_fallback=True,
                              chain={"steps": 30_000, "seed": 5})
-        # N=16 already has 7 states
-        assert main(["lln-sweep", "--config", config, "--out", str(out),
-                     "--budget", "5"]) == 0
+        assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         errs = [float(r[header.index("mean_abs_err")]) for r in rows]
         assert all(0 < e < 0.5 for e in errs)
@@ -217,12 +216,12 @@ class TestLlnSweep:
 
     def test_jobs_preserve_sampled_rows(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        config = self.config(tmp_path, N_list=[16, 32, 48],
+        config = self.config(tmp_path, N_list=[16, 32, 48], budget=5,
                              sampler_fallback=True,
                              chain={"steps": 20_000, "seed": 5})
         for out, jobs in ((out1, "1"), (out2, "2")):
             assert main(["lln-sweep", "--config", config, "--out", str(out),
-                         "--budget", "5", "--jobs", jobs]) == 0
+                         "--jobs", jobs]) == 0
         _, _, rows1 = read_csv(out1)
         _, _, rows2 = read_csv(out2)
         assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
@@ -236,10 +235,11 @@ class TestLlnSweep:
     ])
     def test_worker_failure_reported_as_in_serial(self, tmp_path, capsys,
                                                   extra, code):
-        config = self.config(tmp_path, **{"N_list": [16, 32, 48], **extra})
+        config = self.config(tmp_path, **{"N_list": [16, 32, 48], "budget": 5,
+                                          **extra})
         errs = []
         for jobs in ("1", "2"):
-            assert main(["lln-sweep", "--config", config, "--budget", "5",
+            assert main(["lln-sweep", "--config", config,
                          "--jobs", jobs]) == code
             errs.append(capsys.readouterr().err)
         assert errs[0] == errs[1]
@@ -283,13 +283,12 @@ class TestFluctCheck:
             assert emp == pytest.approx(pred, rel=0.10)
 
     def test_boundary_sampler_fallback(self, tmp_path):
-        config = write_config(tmp_path, {
-            **BOUNDARY_CONFIG, "N_list": [64], "sampler_fallback": True,
-            "chain": {"steps": 50_000, "seed": 9}})
-        out = tmp_path / "fl.csv"
         # N=64 has 26 states
-        assert main(["fluct-check", "--config", config, "--out", str(out),
-                     "--budget", "20"]) == 0
+        config = write_config(tmp_path, {
+            **BOUNDARY_CONFIG, "N_list": [64], "budget": 20,
+            "sampler_fallback": True, "chain": {"steps": 50_000, "seed": 9}})
+        out = tmp_path / "fl.csv"
+        assert main(["fluct-check", "--config", config, "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         r10 = float(rows[0][header.index("ratio_1_0")])
         assert 0.3 < r10 < 1.0  # sampled estimate of the ~2/3 geometric ratio
@@ -344,19 +343,6 @@ class TestSample:
         assert header == ["N1", "N2"]
         assert len(rows) == 25
         assert all(int(a) + int(b) == 6 for a, b in rows)
-
-    def test_seed_flag_overrides(self, tmp_path):
-        config = write_config(tmp_path, {
-            **BOUNDARY_CONFIG, "N": 6, "count": 50, "seed": 4,
-            "method": "exact"})
-        out1, out2, out3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        main(["sample", "--config", config, "--out", str(out1)])
-        main(["sample", "--config", config, "--out", str(out2), "--seed", "4"])
-        main(["sample", "--config", config, "--out", str(out3), "--seed", "5"])
-        same = lambda p: [ln for ln in p.read_text().splitlines()
-                          if not ln.startswith("#")]
-        assert same(out1) == same(out2)
-        assert same(out1) != same(out3)
 
     def test_metropolis_method(self, tmp_path):
         config = write_config(tmp_path, {
@@ -568,27 +554,44 @@ def test_solve_with_cap_near_eps1(tmp_path, capsys, payload):
     assert report["residual_energy"] <= 1e-10
 
 
+# The arguments after the command, {config} standing for the config's path.
+WITH_CONFIG = ["--config", "{config}"]
 REJECTED = [
-    ("lln-sweep", {"N_list": [10]}, ["--budget", "0"], "budget must be"),
-    ("lln-sweep", {"N_list": [10], "budget": 0}, [], "budget must be"),
-    ("lln-sweep", {"N_list": [10], "budget": True}, [], "budget must be"),
-    ("lln-sweep", {"N_list": [10]}, ["--jobs", "0"], "--jobs must be"),
-    ("lln-sweep", {"N_list": [True, 2]}, [], "N_list must be"),
-    ("sample", {"N": True}, [], "N must be"),
-    ("sample", {"N": 10, "count": True}, [], "count must be"),
-    ("sample", {"N": 10}, ["--seed", "-1"], "seed must be"),
+    ("lln-sweep", {"N_list": [10]}, [*WITH_CONFIG, "--budget", "5"],
+     "unrecognized arguments: --budget 5"),
+    ("lln-sweep", {"N_list": [10], "budget": 0}, WITH_CONFIG, "budget must be"),
+    ("lln-sweep", {"N_list": [10], "budget": True}, WITH_CONFIG,
+     "budget must be"),
+    ("lln-sweep", {"N_list": [10]}, [*WITH_CONFIG, "--jobs", "0"],
+     "--jobs must be"),
+    ("lln-sweep", {"N_list": [10]}, [*WITH_CONFIG, "--jobs", "x"],
+     "argument --jobs"),
+    ("lln-sweep", {"N_list": [True, 2]}, WITH_CONFIG, "N_list must be"),
+    ("sample", {"N": True}, WITH_CONFIG, "N must be"),
+    ("sample", {"N": 10, "count": True}, WITH_CONFIG, "count must be"),
+    ("sample", {"N": 10}, [*WITH_CONFIG, "--seed", "4"],
+     "unrecognized arguments: --seed 4"),
+    ("sample", {"N": 10}, [], "--config"),
 ]
-REJECTED_IDS = ["budget-flag-0", "budget-0", "budget-bool", "jobs-0",
-                "N_list-bool", "N-bool", "count-bool", "seed-flag-negative"]
+REJECTED_IDS = ["budget-flag", "budget-0", "budget-bool", "jobs-0",
+                "jobs-not-int", "N_list-bool", "N-bool", "count-bool",
+                "seed-flag", "no-config"]
 
 
-@pytest.mark.parametrize("command, extra, flags, named", REJECTED,
+def run_args(tmp_path, command, extra, args):
+    """main on the command's arguments, with the config M3_PROPORTIONAL
+    updated by extra written to {config}, and {tmp} standing for tmp_path."""
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
+    return main([command, *(arg.format(config=config, tmp=tmp_path)
+                            for arg in args)])
+
+
+@pytest.mark.parametrize("command, extra, args, named", REJECTED,
                          ids=REJECTED_IDS)
 def test_budget_jobs_and_booleans_rejected(tmp_path, capsys, command, extra,
-                                           flags, named):
-    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
-    detail = assert_config_error(capsys, main([command, "--config", config,
-                                               *flags]))
+                                           args, named):
+    detail = assert_config_error(capsys, run_args(tmp_path, command, extra,
+                                                  args))
     assert named in detail
 
 
@@ -681,24 +684,46 @@ def test_unwritable_out_is_config_error(tmp_path, capsys, command, target):
     assert str(out) in detail
 
 
+@pytest.mark.parametrize("command", ["solve", "lln-sweep", "fluct-check",
+                                     "entropy-probe", "sample"])
+def test_command_line_error_is_json(tmp_path, capsys, command):
+    # each printed argparse usage text on stderr, not one JSON object; the
+    # seed and budget come from the config alone
+    config = write_config(tmp_path, EVERY_KEY)
+    for args, named in [(["--config", config, "--seed", "4"], "--seed 4"),
+                        (["--config", config, "--budget", "5"], "--budget 5"),
+                        (["--config", config, "--jobs", "x"], "--jobs"),
+                        ([], "--config")]:
+        assert named in assert_config_error(capsys, main([command, *args]))
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    out, err = capsys.readouterr()
+    assert done.value.code == 0 and "--config" in out and not err
+
+
+def test_version_and_missing_command(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--version"])
+    assert done.value.code == 0
+    assert capsys.readouterr() == (occens.__version__ + "\n", "")
+    assert "command" in assert_config_error(capsys, main([]))
+
+
 def test_chain_seed_above_seed_flag(tmp_path):
     chain = {"steps": 3000, "burn_in": 0, "thinning": 100}
     outputs = []
-    for extra, flags in [({"seed": 4}, []), ({"seed": 4}, ["--seed", "4"]),
-                         ({"seed": 5}, []), ({"seed": 5}, ["--seed", "4"]),
-                         ({"seed": 4, "chain": {**chain, "seed": 9}},
-                          ["--seed", "5"]),
-                         ({"seed": 6, "chain": {**chain, "seed": 9}}, [])]:
+    for extra in [{"seed": 4}, {"seed": 5},
+                  {"seed": 4, "chain": {**chain, "seed": 9}},
+                  {"seed": 6, "chain": {**chain, "seed": 9}}]:
         config = write_config(tmp_path, {
             **BOUNDARY_CONFIG, "N": 30, "method": "metropolis",
             "chain": chain, **extra})
         out = tmp_path / "chain.csv"
-        assert main(["sample", "--config", config, "--out", str(out),
-                     *flags]) == 0
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
         outputs.append([ln for ln in out.read_text().splitlines()
                         if not ln.startswith("# generated=")])
-    assert outputs[0] == outputs[1] == outputs[3] != outputs[2]
-    assert outputs[4] == outputs[5] != outputs[0]
+    assert outputs[0] != outputs[1]
+    assert outputs[2] == outputs[3] not in (outputs[0], outputs[1])
 
 
 # JSON values: null, booleans, strings, floats with NaN and +-inf, small
@@ -788,12 +813,12 @@ def test_budget_error_falls_back_before_any_block(tmp_path, monkeypatch,
 def test_out_checked_without_touching_it(tmp_path, capsys):
     # a run that fails after the check leaves a file that was there as it
     # was, and creates none that was not
-    config = write_config(tmp_path, {**BOUNDARY_CONFIG, "N_list": [40]})
+    config = write_config(tmp_path, {**BOUNDARY_CONFIG, "N_list": [40],
+                                     "budget": 2})
     kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
     kept.write_text("earlier results\n", encoding="utf-8")
     for out in (kept, fresh):
-        assert main(["lln-sweep", "--config", config, "--out", str(out),
-                     "--budget", "2"]) == 1
+        assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
     assert kept.read_text(encoding="utf-8") == "earlier results\n"
     assert not fresh.exists()
@@ -802,24 +827,26 @@ def test_out_checked_without_touching_it(tmp_path, capsys):
 # Config errors the checks before the first row or draw must find: every
 # exit-2 case above, and those that depend on N or on the command.
 EARLY_CONFIG_ERRORS = [
-    *((command, extra, []) for command, extra in MALFORMED),
-    *((command, extra, flags) for command, extra, flags, _ in REJECTED),
+    *((command, extra, WITH_CONFIG) for command, extra in MALFORMED),
+    *((command, extra, args) for command, extra, args, _ in REJECTED),
     ("lln-sweep", {"N_list": [10, 20], "sampler_fallback": True,
-                   "chain": {"steps": 100, "burn_in": 100}}, []),
+                   "chain": {"steps": 100, "burn_in": 100}}, WITH_CONFIG),
     ("sample", {"N": 10, "method": "metropolis",
-                "chain": {"burn_in": sys.maxsize}}, []),
-    ("sample", {"N": 10, "count": sys.maxsize // 24 + 1}, []),
+                "chain": {"burn_in": sys.maxsize}}, WITH_CONFIG),
+    ("sample", {"N": 10, "count": sys.maxsize // 24 + 1}, WITH_CONFIG),
     # the split at N=106 loses its sum; rows 10 and 50 would run first
     ("lln-sweep", {"regime": "high_degeneracy", "p": 8,
-                   "N_list": [10, 50, 106]}, []),
-    ("sample", {"regime": "low_degeneracy", "N": 1}, []),
+                   "N_list": [10, 50, 106]}, WITH_CONFIG),
+    ("sample", {"regime": "low_degeneracy", "N": 1}, WITH_CONFIG),
     ("fluct-check", {"energies": ["1/2", "1"], "weights": [0.5, 0.5],
                      "energy_cap": "7/10", "regime": "low_degeneracy",
-                     "N_list": [10, 15]}, []),
-    ("entropy-probe", {"N_list": [10, 20], "x_probe": [0.55, 0.25, 0.2]}, []),
+                     "N_list": [10, 15]}, WITH_CONFIG),
+    ("entropy-probe", {"N_list": [10, 20], "x_probe": [0.55, 0.25, 0.2]},
+     WITH_CONFIG),
     ("entropy-probe", {"regime": "low_degeneracy", "N_list": [10, 20],
-                       "x_probe": [0.5, 0.5, 0.0]}, []),
-    ("fluct-check", {"N_list": [10, 20]}, ["--out", "{tmp}/missing/x.csv"]),
+                       "x_probe": [0.5, 0.5, 0.0]}, WITH_CONFIG),
+    ("fluct-check", {"N_list": [10, 20]},
+     [*WITH_CONFIG, "--out", "{tmp}/missing/x.csv"]),
 ]
 EARLY_IDS = [*MALFORMED_IDS, *REJECTED_IDS, "chain.burn_in-reaches-steps",
              "chain.burn_in-overflow", "count-past-one-array", "split-at-N106",
@@ -827,10 +854,10 @@ EARLY_IDS = [*MALFORMED_IDS, *REJECTED_IDS, "chain.burn_in-reaches-steps",
              "x_probe-unrepresentable", "x_probe-zero-low", "out-unwritable"]
 
 
-@pytest.mark.parametrize("command, extra, flags", EARLY_CONFIG_ERRORS,
+@pytest.mark.parametrize("command, extra, args", EARLY_CONFIG_ERRORS,
                          ids=EARLY_IDS)
 def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                      extra, flags):
+                                      extra, args):
     import occens.ensemble
     import occens.sampler
 
@@ -843,9 +870,7 @@ def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
                          (occens.sampler, "exact_sample"),
                          (occens.cli, "approximation_error")]:
         monkeypatch.setattr(module, name, no_work)
-    config = write_config(tmp_path, {**M3_PROPORTIONAL, **extra})
-    flags = [flag.format(tmp=tmp_path) for flag in flags]
-    assert_config_error(capsys, main([command, "--config", config, *flags]))
+    assert_config_error(capsys, run_args(tmp_path, command, extra, args))
 
 
 def test_low_degeneracy_zero_probe_named(tmp_path, capsys):
@@ -908,9 +933,28 @@ def _abc_format_cell(value) -> str:
 
 
 @pytest.mark.parametrize("value", [
-    0, -7, 2**70, True, False, 0.1, -0.0, 1e300, 5e-324, math.inf, math.nan,
-    np.int64(-3), np.int32(12), np.float64(0.30000000000000004),
-    np.float32(0.1), "x", None])
+    0, -7, 2**70, 0.1, -0.0, 1e300, 5e-324, math.inf, math.nan, "x", None,
+    np.int64(-3), np.int32(12), np.float64(0.30000000000000004)])
 def test_cell_format_unchanged(value):
-    from occens.cli import _format_cell
-    assert _format_cell(value) == _abc_format_cell(value)
+    # the cells are written by str
+    assert str(value) == _abc_format_cell(value)
+
+
+@pytest.mark.parametrize("command", ["lln-sweep", "fluct-check", "sample"])
+def test_cap_far_above_top_energy(tmp_path, capsys, command):
+    # floor(q*E*N) overflowed the int64 prefix walk and exited 1, though
+    # every composition is admissible, as it is at a cap of the top energy
+    outputs = []
+    for cap in ("1e30", "3"):
+        config = write_config(tmp_path, {
+            **M3_PROPORTIONAL, "energy_cap": cap, "N_list": [10, 20], "N": 10,
+            "count": 20, "xi_list": [[0.5, 0.0, -0.5]]})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", config, "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        comments, header, rows = read_csv(out)
+        if header[-1] == "wall_time_s":
+            rows = [r[:-1] for r in rows]
+        outputs.append(([c for c in comments if "generated=" not in c],
+                        header, rows))
+    assert outputs[0] == outputs[1]

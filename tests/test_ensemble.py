@@ -222,7 +222,7 @@ class TestMoments:
             spec = random_spec(rng, "proportional", 3, boundary=True)
             dist = build_distribution(spec, 24)
             mean = exact_mean(dist)
-            frac = dist.fractions()
+            frac = dist.counts / dist.n
             assert np.all(mean >= frac.min(axis=0) - 1e-12)
             assert np.all(mean <= frac.max(axis=0) + 1e-12)
             cov = exact_covariance(dist)
@@ -350,7 +350,7 @@ def test_column_layout_keeps_estimators(seed, regime, m, boundary, chain,
     assert np.array_equal(got.masses, layer_decomposition(rows).masses)
     assert_layers_match(got, rows)
 
-    fractions = rows.fractions()
+    fractions = rows.counts / rows.n
     cov = exact_covariance(dist)
     assert np.array_equal(cov, exact_covariance(rows))
     assert_covariance_close(cov, fractions, dist.pmf)

@@ -163,7 +163,7 @@ class TestStationarityGeometry:
         dist = build_distribution(spec, 60)
         layers = layer_decomposition(dist)
         basis = rotation_basis(spec)
-        v1 = dist.fractions()[:, :2] @ basis[:, 0]
+        v1 = (dist.counts / dist.n)[:, :2] @ basis[:, 0]
         # states share a layer iff they share the normal coordinate; energy
         # grows along the normal, so layer 0 (least slack) has the largest v1
         groups = {}

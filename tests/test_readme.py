@@ -1,6 +1,7 @@
-"""The README's code blocks run as written, and its config table lists the
-CLI's config keys."""
+"""The README's code blocks run as written, its config table lists the
+CLI's config keys, and its flags line the CLI's flags."""
 
+import argparse
 import os
 import re
 import subprocess
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import occens
-from occens.cli import CHAIN_KEYS, CONFIG_KEYS
+from occens.cli import CHAIN_KEYS, CONFIG_KEYS, _build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -29,3 +30,14 @@ def test_config_table_names_every_key():
     rows = re.findall(r"^\| `([^`]+)` \|", table.split("\n\n")[0], flags=re.M)
     assert sorted(rows) == sorted([*CONFIG_KEYS,
                                    *(f"chain.{key}" for key in CHAIN_KEYS)])
+
+
+def test_common_flags_line_names_every_flag():
+    flags = README.read_text().split("Common flags:")[1].split(". ")[0]
+    parser = _build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    for command in commands.values():
+        given = {flag for action in command._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert sorted(re.findall(r"`(--[a-z-]+)`", flags)) == sorted(given)
