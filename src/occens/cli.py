@@ -305,7 +305,7 @@ def cmd_lln_sweep(spec, config, ns):
                           probes=probes)
         _accumulate(spec, n, config, acc)
         mean_err = float(np.max(np.abs(acc.mean())))
-        return [mean_err, *(abs(acc.mgf(p) - math.exp(float(xi @ x_star)))
+        return [mean_err, *(abs(acc.mgf(p) - math.exp(math.fsum(xi * x_star)))
                             for p, xi in enumerate(probes))]
 
     comments = ["columns: max-norm |exact_mean - x_star|, then "
@@ -332,7 +332,6 @@ _FLUCT_LABELS = {
 def cmd_fluct_check(spec, config, ns):
     from .fluctuations import (
         fluctuation_accumulator,
-        fluctuation_summary,
         predict_boundary,
         predict_interior,
     )
@@ -356,12 +355,11 @@ def cmd_fluct_check(spec, config, ns):
         pred = predict_boundary(spec, n) if boundary else interior
         acc = fluctuation_accumulator(spec, n, sol)
         _accumulate(spec, n, config, acc)
-        got = fluctuation_summary(acc, sol)
-        covs = (got.scaled_covariance, pred.covariance)
+        covs = (acc.covariance(), pred.covariance)
         cells = [float(cov[i, j]) for cov in covs for i, j in pairs]
         if not boundary:
             return cells
-        masses = got.layer_masses
+        masses = acc.layers().masses
         ratios = [float(masses[a + 1] / masses[a]) if masses.size > a + 1
                   else math.nan for a in (0, 1)]
         return [*ratios, math.exp(pred.layer_log_ratio), *cells]

@@ -5,7 +5,7 @@ reduced coordinates (the last fraction is eliminated through the simplex
 constraint); its covariance is the inverse negative reduced Hessian of the
 limit entropy.  Boundary maxima mix a geometric law across exact
 energy-slack layers along the cap normal with a Gaussian in the in-plane
-rotated coordinates.
+rotated coordinates.  Both Gaussian blocks are computed in plain Python.
 """
 
 from __future__ import annotations
@@ -32,39 +32,49 @@ class FluctuationPrediction:
     layer_log_ratio: float | None = None    # boundary only; negative
 
 
-def reduced_hessian(spec: EnsembleSpec, x) -> np.ndarray:
-    """Hessian of s_l in the m-1 free coordinates after x_m = 1 - sum x_i.
-
-    The full Hessian is diagonal, so eliminating the last coordinate adds
-    its (negative) curvature to every entry of the reduced block.
-    """
-    diag = limit_entropy_hessian_diag(spec, x)
-    return np.diag(diag[:-1]) + diag[-1]
+def _gaussian_block(spec: EnsembleSpec, x, axes) -> np.ndarray:
+    """Covariance (B^T P B)^-1 over the reduced directions B = `axes`, each
+    a list of m-1 numbers.  P = diag(a) + b*11^T is minus the reduced
+    Hessian of s_l at x: a_i = -s''_i for i < m and b = -s''_m.  A Cholesky
+    pivot that is not positive raises ArithmeticError."""
+    *a, b = (-h for h in limit_entropy_hessian_diag(spec, x))
+    sums = [math.fsum(u) for u in axes]
+    low = []  # the Cholesky factor of B^T P B, row by row
+    for i, (u, su) in enumerate(zip(axes, sums)):
+        low.append([])
+        for j, (v, sv) in enumerate(zip(axes[:i + 1], sums)):
+            r = math.fsum([b * su * sv,
+                           *(ai * ui * vi for ai, ui, vi in zip(a, u, v)),
+                           *(-p * q for p, q in zip(low[i], low[j]))])
+            if j < i:
+                low[i].append(r / low[j][j])
+            elif r > 0.0:
+                low[i].append(math.sqrt(r))
+            else:
+                raise ArithmeticError(
+                    f"covariance block not positive definite: pivot {r}")
+    inv = []  # the inverse of the factor, row by row
+    for i, row in enumerate(low):
+        inv.append([(float(i == j) - math.fsum(
+            row[t] * inv[t][j] for t in range(j, i))) / row[i]
+            for j in range(i + 1)])
+    k = len(axes)
+    cov = np.array([[math.fsum(r[i] * r[j] for r in inv[max(i, j):])
+                     for j in range(k)] for i in range(k)]).reshape(k, k)
+    cov.setflags(write=False)
+    return cov
 
 
 def predict_interior(spec: EnsembleSpec) -> FluctuationPrediction:
     """Gaussian covariance (-H_reduced)^-1 at the interior maximum x* = g."""
     if classify_maximum(spec) is not MaximumKind.INTERIOR:
         raise ValueError("wrong kind: boundary instance; use predict_boundary")
-    cov = _gaussian_covariance(-reduced_hessian(spec, spec.weights))
-    return FluctuationPrediction(kind=MaximumKind.INTERIOR, covariance=cov)
+    block = _gaussian_block(spec, spec.weights, np.eye(spec.m - 1).tolist())
+    return FluctuationPrediction(kind=MaximumKind.INTERIOR, covariance=block)
 
 
-def _gaussian_covariance(precision: np.ndarray) -> np.ndarray:
-    """Symmetrized inverse of a precision block, checked positive definite.
-
-    A singular or indefinite block is a numeric failure (ArithmeticError).
-    """
-    try:
-        cov = np.linalg.inv(precision)
-        cov = 0.5 * (cov + cov.T)
-        definite = not cov.size or np.min(np.linalg.eigvalsh(cov)) > 0.0
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"covariance block: {exc}") from exc
-    if not definite:
-        raise ArithmeticError(f"covariance block not positive definite:\n{cov}")
-    cov.setflags(write=False)
-    return cov
+def _dot(u, v) -> float:
+    return math.fsum(a * b for a, b in zip(u, v))
 
 
 def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
@@ -75,27 +85,28 @@ def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
     normalized (eps_i - eps_m) direction; the rest come from Gram-Schmidt
     over canonical directions.
     """
-    m = spec.m
-    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
-    norm = float(np.linalg.norm(w))
+    m, eps = spec.m, spec.energies_float
+    w = [e - eps[-1] for e in eps[:-1]]
+    norm = math.sqrt(_dot(w, w))
     if norm < 1e-12:
         raise ValueError("degenerate normal: energies do not separate levels")
-    cols = [w / norm]
+    cols = [[v / norm for v in w]]
     for k in range(m - 1):
         if len(cols) == m - 1:
             break
-        v = np.zeros(m - 1)
-        v[k] = 1.0
+        v = [float(i == k) for i in range(m - 1)]
         for _ in range(2):  # second pass keeps orthonormality at 1e-12
             for u in cols:
-                v = v - (u @ v) * u
-        nv = float(np.linalg.norm(v))
+                c = _dot(u, v)
+                v = [vi - c * ui for vi, ui in zip(v, u)]
+        nv = math.sqrt(_dot(v, v))
         if nv > 1e-8:
-            cols.append(v / nv)
-    basis = np.column_stack(cols)
-    gram_err = float(np.max(np.abs(basis.T @ basis - np.eye(m - 1))))
+            cols.append([vi / nv for vi in v])
+    gram_err = max(abs(_dot(u, v) - (i == j)) for i, u in enumerate(cols)
+                   for j, v in enumerate(cols))
     if gram_err > _ORTHONORMAL_TOL:
         raise ArithmeticError(f"rotation basis lost orthonormality: {gram_err:.2e}")
+    basis = np.column_stack(cols)
     basis.setflags(write=False)
     return basis
 
@@ -111,18 +122,13 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if classify_maximum(spec) is not MaximumKind.BOUNDARY:
         raise ValueError("wrong kind: interior instance; use predict_interior")
     sol = solve(spec)
-    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
-    w_norm = float(np.linalg.norm(w))
-    # derivative of s_l along the inward normal; grad s_l(x*) = lam*eps + nu
-    s_prime = -sol.lam * w_norm
-    step_v1 = spec.lattice_step / (spec.q * n * w_norm)
-    layer_log_ratio = scaling_factor(spec, n) * s_prime * step_v1
+    layer_log_ratio = (-sol.lam * spec.lattice_step / spec.q
+                       * scaling_factor(spec, n) / n)
     if not layer_log_ratio < 0.0:
         raise ArithmeticError(
             f"layer log-ratio {layer_log_ratio} not negative; lam={sol.lam}")
     in_plane = rotation_basis(spec)[:, 1:]  # (1, 0) at m = 2: an empty block
-    h_red = reduced_hessian(spec, sol.x_star)
-    block = _gaussian_covariance(-(in_plane.T @ h_red @ in_plane))
+    block = _gaussian_block(spec, sol.x_star, in_plane.T.tolist())
     return FluctuationPrediction(kind=MaximumKind.BOUNDARY, covariance=block,
                                  layer_log_ratio=layer_log_ratio)
 
@@ -156,21 +162,13 @@ def fluctuation_accumulator(spec: EnsembleSpec, n: int,
                        covariance=True, layers=boundary)
 
 
-def fluctuation_summary(acc: Accumulator,
-                        sol: MaxEntSolution) -> FluctuationSummary:
-    """The scaled moments held by a fluctuation_accumulator."""
-    cov = acc.covariance()
-    if sol.kind is MaximumKind.INTERIOR:
-        return FluctuationSummary(kind=sol.kind, scaled_covariance=cov)
-    layers = acc.layers()
-    return FluctuationSummary(kind=sol.kind, scaled_covariance=cov,
-                              layer_slacks=layers.slacks,
-                              layer_masses=layers.masses)
-
-
 def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
                            spec: EnsembleSpec) -> FluctuationSummary:
     """Scaled empirical moments matching the prediction conventions."""
     acc = fluctuation_accumulator(spec, dist.n, sol)
     acc.add(dist.counts, dist.pmf)
-    return fluctuation_summary(acc, sol)
+    cov = acc.covariance()
+    if sol.kind is MaximumKind.INTERIOR:
+        return FluctuationSummary(sol.kind, cov)
+    layers = acc.layers()
+    return FluctuationSummary(sol.kind, cov, layers.slacks, layers.masses)

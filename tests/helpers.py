@@ -26,15 +26,18 @@ from occens import (
     enumerate_states,
     level_log_weights,
     limit_entropy,
+    limit_entropy_hessian_diag,
     make_spec,
     predict_boundary,
     predict_interior,
     rotation_basis,
     scaling_factor,
+    solve,
     threshold_energy,
 )
 from occens.core import WEIGHT_SUM_TOL, EnsembleSpec
 from occens.entropy import _require_interior, log_multiplicity
+from occens.fluctuations import _ORTHONORMAL_TOL
 from occens.maxent import RESIDUAL_TOL
 
 TWO_LEVEL_ENERGIES = ["1", "2"]
@@ -168,6 +171,86 @@ def predict(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if classify_maximum(spec) is MaximumKind.INTERIOR:
         return predict_interior(spec)
     return predict_boundary(spec, n)
+
+
+# The prediction side as it was computed through LAPACK and BLAS, kept
+# verbatim as the reference for occens.fluctuations' plain-Python block.
+
+
+def reduced_hessian(spec: EnsembleSpec, x) -> np.ndarray:
+    """Hessian of s_l in the m-1 free coordinates after x_m = 1 - sum x_i.
+
+    The full Hessian is diagonal, so eliminating the last coordinate adds
+    its (negative) curvature to every entry of the reduced block.
+    """
+    diag = limit_entropy_hessian_diag(spec, x)
+    return np.diag(diag[:-1]) + diag[-1]
+
+
+def lapack_gaussian_covariance(precision: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of a precision block, checked positive definite.
+
+    A singular or indefinite block is a numeric failure (ArithmeticError).
+    """
+    try:
+        cov = np.linalg.inv(precision)
+        cov = 0.5 * (cov + cov.T)
+        definite = not cov.size or np.min(np.linalg.eigvalsh(cov)) > 0.0
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"covariance block: {exc}") from exc
+    if not definite:
+        raise ArithmeticError(f"covariance block not positive definite:\n{cov}")
+    cov.setflags(write=False)
+    return cov
+
+
+def lapack_rotation_basis(spec: EnsembleSpec) -> np.ndarray:
+    """rotation_basis with BLAS dots and norms."""
+    m = spec.m
+    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
+    norm = float(np.linalg.norm(w))
+    if norm < 1e-12:
+        raise ValueError("degenerate normal: energies do not separate levels")
+    cols = [w / norm]
+    for k in range(m - 1):
+        if len(cols) == m - 1:
+            break
+        v = np.zeros(m - 1)
+        v[k] = 1.0
+        for _ in range(2):  # second pass keeps orthonormality at 1e-12
+            for u in cols:
+                v = v - (u @ v) * u
+        nv = float(np.linalg.norm(v))
+        if nv > 1e-8:
+            cols.append(v / nv)
+    basis = np.column_stack(cols)
+    gram_err = float(np.max(np.abs(basis.T @ basis - np.eye(m - 1))))
+    if gram_err > _ORTHONORMAL_TOL:
+        raise ArithmeticError(f"rotation basis lost orthonormality: {gram_err:.2e}")
+    basis.setflags(write=False)
+    return basis
+
+
+def lapack_predict_interior(spec: EnsembleSpec) -> np.ndarray:
+    """The interior covariance (-H_reduced)^-1 by np.linalg.inv."""
+    return lapack_gaussian_covariance(-reduced_hessian(spec, spec.weights))
+
+
+def lapack_predict_boundary(spec: EnsembleSpec,
+                            n: int) -> tuple[np.ndarray, float]:
+    """The in-plane covariance block by BLAS products and np.linalg.inv, and
+    the layer log-ratio from the unit cap normal: (block, log-ratio)."""
+    sol = solve(spec)
+    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
+    w_norm = float(np.linalg.norm(w))
+    # derivative of s_l along the inward normal; grad s_l(x*) = lam*eps + nu
+    s_prime = -sol.lam * w_norm
+    step_v1 = spec.lattice_step / (spec.q * n * w_norm)
+    layer_log_ratio = scaling_factor(spec, n) * s_prime * step_v1
+    in_plane = lapack_rotation_basis(spec)[:, 1:]
+    h_red = reduced_hessian(spec, sol.x_star)
+    block = lapack_gaussian_covariance(-(in_plane.T @ h_red @ in_plane))
+    return block, layer_log_ratio
 
 
 def third_std_moments(dist, sol, spec) -> np.ndarray:

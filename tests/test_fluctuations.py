@@ -1,12 +1,18 @@
+import json
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from occens import (
     ChainConfig,
     MaximumKind,
     build_distribution,
+    classify_maximum,
     draws_distribution,
     empirical_fluctuations,
     exact_covariance,
@@ -20,12 +26,17 @@ from occens import (
     rotation_basis,
     scaling_factor,
     solve,
+    threshold_energy,
 )
-from occens.fluctuations import reduced_hessian
+from occens import fluctuations
+from occens.cli import main
 
-from helpers import (limit_entropy_grad, predict, random_spec,
+from helpers import (lapack_predict_boundary, lapack_predict_interior,
+                     limit_entropy_grad, predict, random_spec, reduced_hessian,
                      reference_sampled_estimates, third_std_moments,
                      two_level_spec)
+
+EPS = sys.float_info.epsilon
 
 
 class TestInteriorPrediction:
@@ -275,3 +286,88 @@ def test_shared_estimators_on_chain_draws(m, boundary, regime):
     assert_close(summary.scaled_covariance, cov[: m - 2, : m - 2])
     assert masses.size > 2
     assert np.all(np.abs(summary.layer_masses - masses) <= 1e-12 * masses)
+
+
+@st.composite
+def prediction_specs(draw):
+    """Specs at m = 2..6 in every regime, weights >= 1e-3, proportional c
+    from 1e-3 to 1e3, and the cap above the interior threshold or a share
+    t of the way from eps_1 to it, with t >= 1e-3."""
+    m = draw(st.integers(2, 6))
+    q = draw(st.sampled_from([1, 2, 3, 7, 12]))
+    numerators = sorted(draw(st.lists(st.integers(1, 24), min_size=m,
+                                      max_size=m, unique=True)))
+    energies = [Fraction(v, q) for v in numerators]
+    shares = draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m))
+    total = math.fsum(shares)
+    assume(total > 0.0)
+    weights = [1e-3 + (1.0 - 1e-3 * m) * (v / total) for v in shares]
+    regime = draw(st.sampled_from(["high_degeneracy", "proportional",
+                                   "low_degeneracy"]))
+    kwargs = ({"c": 10.0 ** draw(st.floats(-3.0, 3.0))}
+              if regime == "proportional" else {})
+    top = float(energies[-1]) + 1.0
+    threshold = threshold_energy(make_spec(energies, weights, top, regime,
+                                           **kwargs))
+    low = float(energies[0]) if draw(st.booleans()) else threshold
+    cap = low + draw(st.floats(1e-3, 0.999)) * (
+        (threshold if low < threshold else top) - low)
+    return make_spec(energies, weights, cap, regime, **kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=prediction_specs(), n=st.integers(1, 10_000))
+def test_gaussian_block_matches_lapack_reference(spec, n):
+    # The plain-Python block is within 16 eps times the condition number of
+    # the reduced precision of the LAPACK inverse (a perturbation of the
+    # precision or of the in-plane axes moves the inverse by that factor);
+    # the collapsed layer log-ratio is within 4 ulps of the unit-normal one.
+    # Past a condition number of 1e9, x* has a coordinate near 1e-13 and
+    # both paths lose digits, so those specs are left out.
+    boundary = classify_maximum(spec) is MaximumKind.BOUNDARY
+    x = solve(spec).x_star if boundary else spec.weights
+    kappa = np.linalg.cond(-reduced_hessian(spec, x))
+    assume(kappa < 1e9)
+    if boundary:
+        pred = predict_boundary(spec, n)
+        want, log_ratio = lapack_predict_boundary(spec, n)
+        assert abs(pred.layer_log_ratio - log_ratio) <= 4 * EPS * abs(log_ratio)
+    else:
+        pred, want = predict_interior(spec), lapack_predict_interior(spec)
+    assert np.array_equal(pred.covariance, pred.covariance.T)
+    assert_close(pred.covariance, want, rel=16 * kappa * EPS)
+
+
+class TestNotPositiveDefinite:
+    """A curvature of the wrong sign makes the precision block negative
+    definite: the Cholesky pivots refuse it as a numeric failure."""
+
+    M3 = {"energies": ["1", "2", "3"], "weights": [0.3, 0.4, 0.3],
+          "regime": "proportional", "c": 1.0}
+    CAPS = pytest.mark.parametrize("cap", ["3", "8/5"],
+                                   ids=["interior", "boundary"])
+
+    @pytest.fixture(autouse=True)
+    def convex(self, monkeypatch):
+        monkeypatch.setattr(fluctuations, "limit_entropy_hessian_diag",
+                            lambda spec, x: tuple(1.0 for _ in x))
+
+    @CAPS
+    def test_prediction_raises(self, cap):
+        spec = make_spec(self.M3["energies"], self.M3["weights"], cap,
+                         "proportional", c=1.0)
+        with pytest.raises(ArithmeticError, match="not positive definite"):
+            predict(spec, 10)
+
+    @CAPS
+    def test_fluct_check_exits_1(self, tmp_path, capsys, cap):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.M3, "energy_cap": cap,
+                                      "N_list": [10, 20]}), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["fluct-check", "--config", str(config),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "not positive definite" in err["detail"]
+        assert not out.exists()

@@ -8,6 +8,15 @@ chain-fallback rows, lln-sweep with mgf probes and entropy-probe, each at
 N <= 200, and sample by both methods, with a full chain block and with
 steps alone.
 
+No cell goes through BLAS or LAPACK, so the goldens hold under every
+OpenBLAS kernel; test_goldens_hold_on_other_openblas_kernels reruns them in
+a child interpreter with OPENBLAS_CORETYPE=Haswell and Prescott.  NumPy's
+SIMD np.exp and np.log1p still dispatch on the CPU's features, so the
+mgf_abs_err_*, ratio_*, emp_cov_* and emp_inplane_cov_* cells are promised
+only on a host with the same dispatch as the one that wrote the files (an
+x86-64 host with AVX-512): with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR", 7 of the 19 goldens fail on those cells.
+
 After a declared change of output bytes, rewrite the golden files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,10 +25,14 @@ which writes only the files whose cells moved.
 """
 
 import json
+import os
+import platform
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from occens.cli import main
@@ -119,6 +132,37 @@ def normalise(text: str) -> list[str]:
 def test_output_matches_golden(name, tmp_path):
     want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     assert normalise(run_case(name, tmp_path)) == normalise(want)
+
+
+def _openblas_cores() -> list[str]:
+    """The OpenBLAS kernels this host can be switched to by
+    OPENBLAS_CORETYPE: none unless NumPy's BLAS is OpenBLAS built with
+    DYNAMIC_ARCH on x86-64; Haswell only where the CPU has AVX2."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return []
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    simd = config.get("SIMD Extensions", {})
+    found = {*simd.get("baseline", ()), *simd.get("found", ())}
+    return ["Prescott", *(["Haswell"] if found & {"AVX2", "X86_V3"} else [])]
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_goldens_hold_on_other_openblas_kernels(core):
+    # No output cell goes through BLAS or LAPACK, so forcing another OpenBLAS
+    # kernel in a child interpreter moves no golden cell.
+    if core not in _openblas_cores():
+        pytest.skip(f"needs x86-64 NumPy on OpenBLAS built with DYNAMIC_ARCH "
+                    f"and a CPU that runs its {core} kernel")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_output_matches_golden"],
+        env=env, cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
 def regenerate(golden: Path, tmp: Path) -> list[str]:
