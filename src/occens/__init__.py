@@ -36,7 +36,7 @@ _EXPORTS = {
     "maxent": (
         "MaxEntSolution", "MaximumKind", "classify_maximum", "solve",
     ),
-    "sampler": ("ChainConfig", "exact_sample", "metropolis_chain"),
+    "sampler": ("ChainConfig", "exact_sample", "iid_draws", "metropolis_chain"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -239,17 +239,10 @@ def _run_row(item):
     return _row(item)
 
 
-def _chain_config(config: dict):
-    """The chain block's settings; its seed defaults to the run seed."""
-    from .sampler import ChainConfig
-    return ChainConfig(**{"steps": None, "seed": config["seed"],
-                          **config["chain"]})
-
-
 def _accumulate(spec, n: int, config: dict, acc) -> None:
-    """Add the enumerated support at N to acc; past the budget, chain draws
-    each weighted 1 when the config sets sampler_fallback, else the budget
-    error, raised before any block is weighed."""
+    """Add the enumerated support at N to acc; past the budget, `count`
+    i.i.d. draws each weighted 1 when the config sets sampler_fallback, else
+    the budget error, raised before any block is weighed."""
     from .ensemble import accumulate_support
     try:
         accumulate_support(acc, budget=config["budget"])
@@ -258,8 +251,8 @@ def _accumulate(spec, n: int, config: dict, acc) -> None:
             raise
         import numpy as np
 
-        from .sampler import metropolis_chain
-        draws = metropolis_chain(spec, n, _chain_config(config))
+        from .sampler import iid_draws
+        draws = iid_draws(spec, n, config["count"], config["seed"])
         acc.add(draws, np.ones(draws.shape[0]))
 
 
@@ -392,17 +385,19 @@ def cmd_entropy_probe(spec, config, ns):
 
 
 def cmd_sample(args, spec, config) -> int:
-    from .ensemble import build_distribution
-    from .sampler import exact_sample, metropolis_chain
-
     n = config["N"]
     degeneracies_for(spec, n)
     if config["method"] == "exact":
+        from .ensemble import build_distribution
+        from .sampler import exact_sample
         dist = build_distribution(spec, n, budget=config["budget"])
         draws = exact_sample(dist, config["count"], config["seed"])
         comments = [f"method=exact count={config['count']} seed={config['seed']}"]
     else:
-        cfg = _chain_config(config)
+        from .sampler import ChainConfig, metropolis_chain
+        # the chain block's seed defaults to the run seed
+        cfg = ChainConfig(**{"steps": None, "seed": config["seed"],
+                             **config["chain"]})
         steps = cfg.resolve(n, spec.m)[0]
         draws = metropolis_chain(spec, n, cfg)
         comments = [f"method=metropolis steps={steps} seed={cfg.seed}"]

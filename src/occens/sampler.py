@@ -1,38 +1,59 @@
 """Sampling from occupancy ensembles beyond the enumeration budget.
 
-Exact inverse-CDF sampling works from an enumerated distribution; for large
-N a Metropolis chain targets pmf proportional to exp(S) using single-ball
-moves between levels.  The proposal picks an ordered level pair uniformly
-over all m*(m-1) pairs and rejects moves from empty levels, which keeps the
-base kernel symmetric so min(1, exp(dS)) acceptance is exact for the target.
+Exact inverse-CDF sampling works from an enumerated distribution.  Past the
+budget, `iid_draws` makes exact i.i.d. draws of the pmf proportional to
+exp(S) on the constraint set: every level but one is an independent
+negative binomial under the finite-N maximum-entropy tilt, the last level
+closes the particle count, and a rejection step corrects the law exactly
+(probabilistic divide-and-conquer, Arratia & DeSalvo, Combin. Probab.
+Comput. 25, 2016).  The sweeps' fallback rows read these draws.
 
-The chain's step loop is plain Python over Python scalars: the state is a
-list, the log-weight table is one list per level, and the NumPy draws are
-turned into Python numbers a block at a time.  Its draws and decisions are
-those of the same loop written over NumPy scalars with np.exp acceptance
-(kept in the tests as the reference), so a seed gives the same bytes.
+A Metropolis chain targets the same pmf with single-ball moves between
+levels.  The proposal picks an ordered level pair uniformly over all
+m*(m-1) pairs and rejects moves from empty levels, which keeps the base
+kernel symmetric so min(1, exp(dS)) acceptance is exact for the target.
+Its step loop is plain Python over Python scalars: dS is one read from a
+per-level removal table and one from an insertion table, and the NumPy
+draws are turned into Python numbers a block at a time.  Its draws and
+decisions are those of the same loop written over NumPy scalars with
+np.exp acceptance (kept in the tests as the reference), so a seed gives
+the same bytes.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
+from operator import length_hint
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EnsembleSpec, degeneracies_for
-from .ensemble import Distribution
+from .core import EnsembleSpec, SolverError, degeneracies_for, make_spec
 from .entropy import level_log_weights
+from .maxent import solve
+
+if TYPE_CHECKING:
+    from .ensemble import Distribution
 
 # Draws are made and turned into Python scalars this many steps at a time,
-# so the chain's memory is one block of draws plus the states it keeps.
+# so the chain's memory is one block of draws plus the states it keeps;
+# iid_draws proposes at most this many rows at a time.
 _BLOCK = 1 << 16
 # The chain accepts when u < np.exp(dS).  It tests log(u) < dS instead,
 # which rounds differently only within a few ulps of log(u) (|log u| <= 37
-# for u >= 2**-53, so some 1e-14); inside this much wider band it falls back
-# to the np.exp test, so every decision is the np.exp one.  exp(dS) > 0
-# always, as dS >= -ln(G_i + N), so a draw of 0.0 (log -inf) accepts in both.
+# for u >= 2**-53, so some 1e-14).  Its dS, a sum of two table entries,
+# differs from the reference's four-read sum by a few ulps of the largest
+# log-weight.  With tie = max(_LOG_TIE, 64 ulps of that log-weight), it
+# accepts when dS > log(u) + tie and rejects when dS < log(u) - tie; in the
+# band between, it takes the reference's own dS and np.exp test, so every
+# decision is the reference's.  exp(dS) > 0 always, as dS >= -ln(G_i + N), so a
+# draw of 0.0 (log -inf) accepts in both.
 _LOG_TIE = 1e-9
+# Level draws one call of iid_draws may make before it gives up.
+_MAX_LEVEL_DRAWS = 10**8
 
 
 @dataclass(frozen=True)
@@ -81,6 +102,98 @@ def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
     return dist.counts[idx].copy()
 
 
+def _tilt(spec: EnsembleSpec, n: int, degs) -> tuple[float, list[float]]:
+    """(lam, t) with t_i = lam*eps_i + nu: the maximum-entropy tilt of the
+    proportional spec with weights G_i/G(N) and c = G(N)/N, under which the
+    level means G_i/(e^t_i - 1) sum to N and the mean energy meets the cap
+    (lam > 0) or lies below it (lam = 0).  If that solve fails, lam = 0 and
+    the means are proportional to the G_i."""
+    total = sum(degs)
+    try:
+        sol = solve(make_spec(spec.energies, [g / total for g in degs],
+                              spec.energy_cap, "proportional", c=total / n))
+        lam, nu = sol.lam, sol.nu
+    except (SolverError, ArithmeticError):
+        lam, nu = 0.0, math.log1p(total / n)
+    return lam, [lam * eps + nu for eps in spec.energies_float]
+
+
+def _closing_level(means: list[float]) -> int:
+    """The level that closes the particle count: the one of largest mean,
+    whose closed count is least often negative."""
+    return means.index(max(means))
+
+
+def iid_draws(spec: EnsembleSpec, n: int, count: int,
+              seed: int) -> np.ndarray:
+    """`count` i.i.d. draws of the pmf proportional to exp(S) at N.
+
+    With the tilt t_i = lam*eps_i + nu (lam >= 0) and z_i = e^-t_i, every
+    level i but the closing one l (the level of largest mean) is drawn as
+    a negative binomial with pmf C(k+G_i-1, k) z_i^k (1-z_i)^G_i, and
+    n_l = N - sum of the others.  The proposal is accepted, when n_l >= 0
+    and the energy U (in 1/q units) is within the cap C, with probability
+
+        f_l(n_l) / max_k f_l(k) * exp(lam*(U - C)/q),
+
+    where f_l(k) = C(k+G_l-1, k) z_l^k.  Since sum_i t_i*n_i = nu*N +
+    lam*U/q, the accepted rows are exact draws for any tilt; the tilt only
+    sets the acceptance rate.  Rows are seeded by (seed, N), so a row does
+    not depend on which other rows run or where.  Returns a (count, m)
+    int64 array.  SolverError when _MAX_LEVEL_DRAWS level draws have not
+    made `count` rows.
+    """
+    m, e, q = spec.m, spec.energy_units, spec.q
+    if m == 1:  # the one state
+        return np.full((count, 1), n, dtype=np.int64)
+    if e[-1] * n >= 2**63:
+        raise OverflowError(f"N*q*eps_m = {e[-1] * n} overflows int64")
+    # no energy exceeds e[-1]*n, so a higher cap admits the same rows
+    cap = min(spec.energy_cap_units(n), e[-1] * n)
+    degs = degeneracies_for(spec, n).per_level
+    lam, t = _tilt(spec, n, degs)
+    close = _closing_level([g / math.expm1(ti) for g, ti in zip(degs, t)])
+    drawn = [i for i in range(m) if i != close]
+    log_f = level_log_weights([degs[close]], n)[0]
+    log_f -= t[close] * np.arange(n + 1)
+    log_f -= log_f.max()
+    rng = np.random.default_rng([seed, n])
+    rows, made, proposed = [], 0, 0
+    while made < count:
+        left = _MAX_LEVEL_DRAWS // (m - 1) - proposed
+        if left <= 0:
+            raise SolverError(
+                f"i.i.d. sampler made {made} of {count} draws at N={n} "
+                f"within its cap of {_MAX_LEVEL_DRAWS} level draws "
+                f"({proposed} proposals, acceptance {made / proposed:.3g})")
+        # enough proposals for the rows still needed at the rate so far
+        need = count - made
+        size = min(_BLOCK, left, -(-5 * need * proposed // (4 * max(made, 1)))
+                   if proposed else need)
+        proposed += size
+        cols = np.empty((m, size), dtype=np.int64)
+        for i in drawn:
+            cols[i] = rng.negative_binomial(degs[i], -math.expm1(-t[i]), size)
+        cols[close] = n - cols[drawn].sum(axis=0)
+        cols = cols[:, cols[close] >= 0]
+        used = sum(u * col for u, col in zip(e, cols))
+        cols, used = cols[:, used <= cap], used[used <= cap]
+        with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
+            log_u = np.log(rng.random(used.size))
+        keep = log_u < log_f[cols[close]] + (lam / q) * (used - cap)
+        rows.append(cols[:, keep][:, :need])
+        made += rows[-1].shape[1]
+    return np.concatenate(rows, axis=1).T
+
+
+def _tie_accept(logw, i: int, j: int, ni: int, nj: int, u: float) -> bool:
+    """The reference decision for a move i -> j at counts (ni, nj) and
+    accept uniform u: its dS from four reads of the log-weight table, then
+    u < np.exp(dS)."""
+    delta = logw[i, ni - 1] - logw[i, ni] + logw[j, nj + 1] - logw[j, nj]
+    return bool(delta >= 0.0 or u < np.exp(delta))
+
+
 def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray:
     """Post-burn-in, thinned states of a single-ball Metropolis chain.
 
@@ -99,14 +212,24 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     if m == 1:
         kept = range(burn_in, steps, thinning)
         return np.full((len(kept), 1), n, dtype=np.int64)
-    logw = level_log_weights(degeneracies_for(spec, n).as_array, n).tolist()
+    logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
+    # A move i -> j at counts (ni, nj) changes S by out[i][ni] + into[j][nj]:
+    # into[j][k] = w_j[k+1] - w_j[k] and out[i][k] = -into[i][k-1].
+    into = np.diff(logw, axis=1)
+    out = np.empty_like(logw)
+    out[:, 0] = math.nan  # never read: an empty level gives no ball
+    np.negative(into, out=out[:, 1:])
+    into, out = into.tolist(), out.tolist()
     # moves[pair] decodes a pair draw into the ordered levels (i, j), j != i.
     moves = []
     for pair in range(m * (m - 1)):
         i, j = divmod(pair, m - 1)
         if j >= i:
             j += 1
-        moves.append((logw[i], logw[j], i, j, e[j] - e[i]))
+        moves.append((out[i], into[j], i, j, e[j] - e[i]))
+    # the table is nonnegative and increasing in k
+    tie = max(_LOG_TIE, 64 * math.ulp(float(logw[:, n].max())))
+    band = -2 * tie
 
     # The seed's stream holds every pair draw, then every accept uniform.
     # Both are drawn a block at a time: a discarded pass over the pair draws
@@ -116,36 +239,40 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
         uniforms.integers(0, m * (m - 1), size=min(_BLOCK, steps - start))
     pairs = np.random.default_rng(cfg.seed)
     state = [n] + [0] * (m - 1)
-    energy = n * e[0]
+    room = cap - n * e[0]  # energy left under the cap
     kept = []
+    # The state is kept after steps burn_in, burn_in + thinning, ...; no
+    # step after the last of these is run, as no kept state reads it.
     next_keep = burn_in
-    tie = _LOG_TIE
-    for start in range(0, steps, _BLOCK):
+    last = burn_in + (steps - 1 - burn_in) // thinning * thinning
+    for start in range(0, last + 1, _BLOCK):
         size = min(_BLOCK, steps - start)
         accept_draws = uniforms.random(size)
         with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
-            log_u = np.log(accept_draws)
-        block = zip(range(start, start + size),
-                    pairs.integers(0, m * (m - 1), size=size).tolist(),
-                    log_u.tolist())
-        for step, pair, lu in block:
-            wi, wj, i, j, de = moves[pair]
-            ni = state[i]
-            if ni > 0 and energy + de <= cap:
-                nj = state[j]
-                delta = wi[ni - 1] - wi[ni] + wj[nj + 1] - wj[nj]
-                if lu < delta - tie:
-                    accept = True
-                elif lu > delta + tie:
-                    accept = False
-                else:  # too close to call in log space
-                    accept = (delta >= 0.0
-                              or accept_draws[step - start] < np.exp(delta))
-                if accept:
-                    state[i] = ni - 1
-                    state[j] = nj + 1
-                    energy += de
-            if step == next_keep:
+            lows = np.log(accept_draws)
+        # a move is accepted at once when dS > log(u) + tie
+        lows = iter((lows + tie).tolist())
+        block = zip(map(moves.__getitem__,
+                        pairs.integers(0, m * (m - 1), size=size).tolist()),
+                    lows)
+        end = min(start + size, last + 1)
+        while start < end:  # the steps up to the next kept state
+            stop = min(next_keep + 1, end)
+            for (ri, aj, i, j, de), low in islice(block, stop - start):
+                ni = state[i]
+                if ni and de <= room:
+                    nj = state[j]
+                    ds = ri[ni] + aj[nj]
+                    # within 2*tie below `low`, the reference decides; the
+                    # step's uniform is the one `lows` has just passed
+                    if ds > low or (ds - low >= band and _tie_accept(
+                            logw, i, j, ni, nj,
+                            accept_draws[size - length_hint(lows) - 1])):
+                        state[i] = ni - 1
+                        state[j] = nj + 1
+                        room -= de
+            if stop == next_keep + 1:
                 kept.extend(state)
                 next_keep += thinning
+            start = stop
     return np.array(kept, dtype=np.int64).reshape(-1, m)

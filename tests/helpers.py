@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from occens import (
     DegeneracyAssignment,
@@ -72,6 +73,33 @@ def random_spec(rng, regime, m, boundary):
         cap = eps1 + float(rng.uniform(0.15, 0.85)) * (thr - eps1)
     else:
         cap = thr + float(rng.uniform(0.0, 1.0)) * (float(energies[-1]) - thr + 0.5)
+    return make_spec(energies, weights, cap, regime, **kwargs)
+
+
+@st.composite
+def edge_specs(draw):
+    """Specs with q up to 12 and a cap within 1e-6 of eps_1 (above it) or
+    of the interior threshold (either side), in every regime."""
+    m = draw(st.integers(1, 6), label="m")
+    q = draw(st.integers(1, 12), label="q")
+    numerators = sorted(draw(st.sets(st.integers(1, 4 * q + 6), min_size=m,
+                                     max_size=m), label="numerators"))
+    energies = [Fraction(k, q) for k in numerators]
+    parts = draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))
+    weights = [v / sum(parts) for v in parts]
+    regime = draw(st.sampled_from(["high_degeneracy", "proportional",
+                                   "low_degeneracy"]), label="regime")
+    kwargs = {}
+    if regime == "proportional":
+        kwargs["c"] = draw(st.floats(0.5, 3.0))
+    elif regime == "low_degeneracy":  # p near 1 lets G(N) >= m at small N
+        kwargs["p"] = draw(st.floats(0.5, 0.95))
+    offset = Fraction(draw(st.floats(-1e-6, 1e-6), label="offset"))
+    if m == 1 or draw(st.booleans(), label="near eps_1"):
+        cap = energies[0] + abs(offset) + Fraction(1, 10**12)
+    else:
+        probe = make_spec(energies, weights, energies[-1], regime, **kwargs)
+        cap = Fraction(threshold_energy(probe)) + offset
     return make_spec(energies, weights, cap, regime, **kwargs)
 
 
@@ -354,6 +382,38 @@ def chain_marginal(chain, states):
     for row in chain:
         freq[index[tuple(int(v) for v in row)]] += 1
     return freq / freq.sum()
+
+
+def chi_square_p(dist, draws) -> float:
+    """Pearson chi-square p-value of i.i.d. draws against the enumerated
+    pmf of `dist`, every draw a state of its support.  States expected
+    fewer than 5 times are pooled into one bin (joined to the smallest other
+    bin if still under 5); the upper tail of the chi-square law comes from
+    mpmath's regularized incomplete gamma."""
+    import mpmath
+
+    base = (dist.n + 1) ** np.arange(dist.spec.m)
+    codes = dist.counts @ base
+    order = np.argsort(codes)
+    found = np.searchsorted(codes[order], draws @ base)
+    idx = order[np.minimum(found, len(order) - 1)]
+    if not np.array_equal(dist.counts[idx], draws):
+        raise AssertionError("a draw is not a state of the support")
+    seen = np.bincount(idx, minlength=dist.size).astype(float)
+    want = dist.pmf * len(draws)
+    small = want < 5
+    seen = [*seen[~small], seen[small].sum()]
+    want = [*want[~small], want[small].sum()]
+    if want[-1] < 5 and len(want) > 1:
+        k = int(np.argmin(want[:-1]))
+        seen[k] += seen.pop()
+        want[k] += want.pop()
+    dof = len(want) - 1
+    if dof < 1:
+        return 1.0
+    stat = math.fsum((s - w) ** 2 / w for s, w in zip(seen, want))
+    return float(mpmath.gammainc(dof / 2, stat / 2, mpmath.inf,
+                                 regularized=True))
 
 
 def reference_resolve(cfg, n: int, m: int) -> tuple[int, int, int]:

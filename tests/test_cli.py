@@ -169,8 +169,7 @@ class TestLlnSweep:
         out = tmp_path / "sweep.csv"
         # N=16 already has 7 states
         config = self.config(tmp_path, N_list=[16, 32], budget=5,
-                             sampler_fallback=True,
-                             chain={"steps": 30_000, "seed": 5})
+                             sampler_fallback=True, count=2000, seed=5)
         assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
         errs = [float(r[header.index("mean_abs_err")]) for r in rows]
@@ -204,21 +203,43 @@ class TestLlnSweep:
 
     def test_default_chain_runs_at_large_n(self, tmp_path, capsys):
         # the default burn-in 10*N*m exceeds 200000 steps here; the default
-        # steps grow with it
+        # steps grow with it.  Metropolis sampling reads the chain block; a
+        # fallback row at the same N reads its defaults, 1000 i.i.d. draws.
         config = write_config(tmp_path, {
-            **M3_CONFIG, "regime": "proportional", "c": 1.0,
-            "sampler_fallback": True, "budget": 1000, "N_list": [7000]})
+            **M3_CONFIG, "regime": "proportional", "c": 1.0, "N": 7000,
+            "method": "metropolis", "sampler_fallback": True, "budget": 1000,
+            "N_list": [7000]})
+        out = tmp_path / "draws.csv"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        comments, _, rows = read_csv(out)
+        assert "# method=metropolis steps=420000 seed=0" in comments
+        assert len(rows) == len(range(210_000, 420_000, 7000))
+        assert all(sum(map(int, row)) == 7000 for row in rows)
         out = tmp_path / "sweep.csv"
         assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 0, \
             capsys.readouterr().err
         _, header, rows = read_csv(out)
         assert 0 < float(rows[0][header.index("mean_abs_err")]) < 0.05
 
+    def test_fallback_trial_cap_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a fallback row whose draws are not made within the cap on level
+        # draws is a numeric failure that names the acceptance it measured
+        import occens.sampler
+        monkeypatch.setattr(occens.sampler, "_MAX_LEVEL_DRAWS", 100)
+        out = tmp_path / "sweep.csv"
+        config = self.config(tmp_path, N_list=[16, 32], budget=5,
+                             sampler_fallback=True)
+        assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "acceptance" in err["detail"] and "of 1000 draws" in err["detail"]
+        assert not out.exists()
+
     def test_jobs_preserve_sampled_rows(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         config = self.config(tmp_path, N_list=[16, 32, 48], budget=5,
-                             sampler_fallback=True,
-                             chain={"steps": 20_000, "seed": 5})
+                             sampler_fallback=True, seed=5)
         for out, jobs in ((out1, "1"), (out2, "2")):
             assert main(["lln-sweep", "--config", config, "--out", str(out),
                          "--jobs", jobs]) == 0
@@ -286,7 +307,7 @@ class TestFluctCheck:
         # N=64 has 26 states
         config = write_config(tmp_path, {
             **BOUNDARY_CONFIG, "N_list": [64], "budget": 20,
-            "sampler_fallback": True, "chain": {"steps": 50_000, "seed": 9}})
+            "sampler_fallback": True, "seed": 9})
         out = tmp_path / "fl.csv"
         assert main(["fluct-check", "--config", config, "--out", str(out)]) == 0
         _, header, rows = read_csv(out)
@@ -362,9 +383,10 @@ class TestSample:
 def test_commands_import_only_what_they_use(tmp_path):
     # NumPy is imported only by code that holds arrays over states: the
     # package, the CLI, `solve` and `entropy-probe` load none of it (nor
-    # SciPy, which no command needs), and an exact sweep at --jobs 1 loads
-    # neither process-pool machinery nor the sampler, which only the
-    # fallback needs.  Every exported name still imports lazily.
+    # SciPy, which no command needs); Metropolis sampling does not load the
+    # enumerator; and an exact sweep at --jobs 1 loads neither process-pool
+    # machinery nor the sampler, which only the fallback needs.  Every
+    # exported name still imports lazily.
     env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
     solve_config = write_config(tmp_path, BOUNDARY_CONFIG, "solve.json")
     probe_config = write_config(tmp_path, {
@@ -372,6 +394,9 @@ def test_commands_import_only_what_they_use(tmp_path):
         "probe.json")
     sweep_config = write_config(tmp_path, {
         **BOUNDARY_CONFIG, "N_list": [16, 32]}, "sweep.json")
+    chain_config = write_config(tmp_path, {
+        **BOUNDARY_CONFIG, "N": 16, "method": "metropolis",
+        "chain": {"steps": 1000}}, "chain.json")
     probe_out = tmp_path / "probe.csv"
     code = f"""
 import sys
@@ -394,13 +419,24 @@ for name in occens.__all__:
     assert name in dir(occens), name
 print('exports', len(occens.__all__))
 """
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
+    # Metropolis sampling runs in an interpreter of its own, where no sweep
+    # has loaded the enumerator
+    chain_code = f"""
+import sys
+from occens.cli import main
+assert main(['sample', '--config', {chain_config!r}, '--out', {str(tmp_path / 'chain.csv')!r}]) == 0
+print('sample metropolis', 'occens.ensemble' in sys.modules)
+"""
+    lines = []
+    for script in (code, chain_code):
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines += done.stdout.splitlines()
+    assert lines == [
         "import occens []", "import occens.cli []", "solve []",
         "entropy-probe []", "lln-sweep [] False",
-        f"exports {len(occens.__all__)}"]
+        f"exports {len(occens.__all__)}", "sample metropolis False"]
     _, header, rows = read_csv(probe_out)
     assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0
 
@@ -791,7 +827,7 @@ def test_budget_error_falls_back_before_any_block(tmp_path, monkeypatch,
                                                   budget):
     # m=4 at N=200 has 1,373,701 states; at a budget of 1e4 the error names
     # the viable prefixes of two levels instead.  Either comes before any
-    # block is weighed and sends the row to the chain.
+    # block is weighed and sends the row to the i.i.d. sampler.
     import occens.ensemble
 
     def weigh(*args):
@@ -802,7 +838,7 @@ def test_budget_error_falls_back_before_any_block(tmp_path, monkeypatch,
         "energies": ["1", "2", "3", "4"], "weights": [0.25] * 4,
         "energy_cap": 5, "regime": "proportional", "c": 1.0,
         "N_list": [200], "budget": budget, "sampler_fallback": True,
-        "chain": {"steps": 20_000, "seed": 1}, "xi_list": [[0.5, 0, 0, 0]]})
+        "seed": 1, "xi_list": [[0.5, 0, 0, 0]]})
     out = tmp_path / "sweep.csv"
     assert main(["lln-sweep", "--config", config, "--out", str(out)]) == 0
     _, header, rows = read_csv(out)
@@ -867,6 +903,7 @@ def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
     for module, name in [(occens.ensemble, "build_distribution"),
                          (occens.ensemble, "accumulate_support"),
                          (occens.sampler, "metropolis_chain"),
+                         (occens.sampler, "iid_draws"),
                          (occens.sampler, "exact_sample"),
                          (occens.cli, "approximation_error")]:
         monkeypatch.setattr(module, name, no_work)
@@ -905,6 +942,7 @@ def test_failed_allocation_is_json(tmp_path, capsys, monkeypatch):
     # exited 2; the burn-in is now half the steps
     ("sample", {"N": 5000, "method": "metropolis",
                 "chain": {"steps": 100_000}}, 10),
+    # a fallback sweep checks the chain block and reads count and seed
     ("lln-sweep", {"N_list": [10, 5000], "budget": 100,
                    "sampler_fallback": True, "chain": {"steps": 100_000}}, 2),
     # metropolis sampling needed chain.steps; it now has the default

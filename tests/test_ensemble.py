@@ -28,7 +28,6 @@ from occens import (
     rotation_basis,
     scaling_factor,
     solve,
-    threshold_energy,
 )
 from occens import ensemble
 from occens.ensemble import Accumulator, accumulate_support
@@ -37,6 +36,7 @@ from occens.entropy import log_multiplicity
 from helpers import (
     brute_force_state_count,
     dump_distribution,
+    edge_specs,
     log_weights_and_z,
     random_spec,
     reference_enumerate_states,
@@ -437,33 +437,6 @@ def test_blocks_partition_support_in_order():
     assert all(len(b) <= 16 or len(np.unique(b[:, 0])) == 1 for b in blocks)
     assert np.array_equal(np.concatenate(blocks), enumerate_states(spec, 40))
     assert sizes.sum() == len(enumerate_states(spec, 40))
-
-
-@st.composite
-def edge_specs(draw):
-    """Specs with q up to 12 and a cap within 1e-6 of eps_1 (above it) or
-    of the interior threshold (either side), in every regime."""
-    m = draw(st.integers(1, 6), label="m")
-    q = draw(st.integers(1, 12), label="q")
-    numerators = sorted(draw(st.sets(st.integers(1, 4 * q + 6), min_size=m,
-                                     max_size=m), label="numerators"))
-    energies = [Fraction(k, q) for k in numerators]
-    parts = draw(st.lists(st.integers(1, 100), min_size=m, max_size=m))
-    weights = [v / sum(parts) for v in parts]
-    regime = draw(st.sampled_from(["high_degeneracy", "proportional",
-                                   "low_degeneracy"]), label="regime")
-    kwargs = {}
-    if regime == "proportional":
-        kwargs["c"] = draw(st.floats(0.5, 3.0))
-    elif regime == "low_degeneracy":  # p near 1 lets G(N) >= m at small N
-        kwargs["p"] = draw(st.floats(0.5, 0.95))
-    offset = Fraction(draw(st.floats(-1e-6, 1e-6), label="offset"))
-    if m == 1 or draw(st.booleans(), label="near eps_1"):
-        cap = energies[0] + abs(offset) + Fraction(1, 10**12)
-    else:
-        probe = make_spec(energies, weights, energies[-1], regime, **kwargs)
-        cap = Fraction(threshold_energy(probe)) + offset
-    return make_spec(energies, weights, cap, regime, **kwargs)
 
 
 WALK_MAX_N = {1: 30, 2: 40, 3: 25, 4: 14, 5: 10, 6: 8}

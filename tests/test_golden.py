@@ -3,10 +3,11 @@
 Each case runs one command in-process and compares its output with
 tests/golden/<case>.csv byte for byte, apart from the `# generated=` line
 and the `wall_time_s` cells, which change between runs.  The cases cover
-fluct-check at m = 2, 3, 4 at interior and boundary maxima, with exact and
-chain-fallback rows, lln-sweep with mgf probes and entropy-probe, each at
-N <= 200, and sample by both methods, with a full chain block and with
-steps alone.
+fluct-check at m = 2, 3, 4 at interior and boundary maxima, with exact
+rows and fallback rows of i.i.d. draws, lln-sweep with mgf probes and
+entropy-probe, each at N <= 200, and sample by both methods, with a full
+chain block and with steps alone; the Metropolis cases pin the chain's
+step loop.
 
 No cell goes through BLAS or LAPACK, so the goldens hold under every
 OpenBLAS kernel; test_goldens_hold_on_other_openblas_kernels reruns them in
@@ -48,7 +49,8 @@ LOW = {"regime": "low_degeneracy"}
 CHAIN = {"sampler_fallback": True, "chain": {"steps": 20_000, "seed": 3}}
 
 # case: (command, config).  A fallback case's budget lets its first row
-# enumerate and sends the later ones to the chain.
+# enumerate and sends the later ones to the i.i.d. sampler, which checks the
+# chain block and does not read it.
 CASES = {
     "fluct_m2_interior_high": ("fluct-check", {
         **M2, **HIGH, "energy_cap": "2", "N_list": [32, 64, 128]}),

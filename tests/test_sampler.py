@@ -12,17 +12,20 @@ from occens import (
     build_distribution,
     degeneracies_for,
     exact_sample,
+    iid_draws,
     level_log_weights,
     make_spec,
     metropolis_chain,
 )
 from occens import sampler
-from occens.core import SpecValidationError
+from occens.core import SolverError, SpecValidationError
 
 from helpers import (
     Occupancy,
     assert_feasible,
     chain_marginal,
+    chi_square_p,
+    edge_specs,
     entropy_exact,
     enumerated_kernel,
     random_spec,
@@ -196,11 +199,43 @@ class TestMetropolis:
         # Widen the band where log(u) vs dS is too close to call, so that
         # some (0.5) or all (inf) decisions take the np.exp comparison.
         monkeypatch.setattr(sampler, "_LOG_TIE", band)
+        calls = []
+        tie_accept = sampler._tie_accept
+        monkeypatch.setattr(sampler, "_tie_accept",
+                            lambda *args: calls.append(1) or tie_accept(*args))
         spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
                          "proportional", c=1.0)
         cfg = ChainConfig(steps=20_000, seed=3, burn_in=0, thinning=7)
         assert np.array_equal(metropolis_chain(spec, 40, cfg),
                               reference_metropolis_chain(spec, 40, cfg))
+        assert len(calls) > 1000
+
+    def test_band_widens_with_the_log_weights(self):
+        # ln C(N+G_i-1, N) passes 1e7 here (G(N) = N^3 = 6.4e16), where 64
+        # ulps of it, the band, exceed _LOG_TIE.  The chain's dS, a removal
+        # plus an insertion entry, stays within half the band of the
+        # reference's four-read sum, so the chain still makes every
+        # reference decision.
+        spec = make_spec(["1", "2"], [0.5, 0.5], "7/5", "high_degeneracy",
+                         p=3)
+        n = 400_000
+        logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
+        top = float(logw[:, n].max())
+        band = max(sampler._LOG_TIE, 64 * math.ulp(top))
+        assert top > 1e7 and band > sampler._LOG_TIE
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, 2, size=100_000)
+        j = 1 - i
+        ni = rng.integers(1, n + 1, size=i.size)
+        nj = rng.integers(0, n, size=i.size)
+        into = np.diff(logw, axis=1)
+        table = -into[i, ni - 1] + into[j, nj]
+        reference = (logw[i, ni - 1] - logw[i, ni]
+                     + logw[j, nj + 1] - logw[j, nj])
+        assert np.max(np.abs(table - reference)) <= band / 2
+        cfg = ChainConfig(steps=20_000, seed=3, burn_in=0, thinning=7)
+        assert np.array_equal(metropolis_chain(spec, n, cfg),
+                              reference_metropolis_chain(spec, n, cfg))
 
     def test_single_level_chain(self):
         spec = make_spec(["1"], [1.0], 2, "proportional", c=1.0)
@@ -280,3 +315,80 @@ def test_chain_matches_reference_loop(run):
     spec, n, cfg = run
     assert np.array_equal(metropolis_chain(spec, n, cfg),
                           reference_metropolis_chain(spec, n, cfg))
+
+
+class TestIidDraws:
+    def test_single_level(self):
+        spec = make_spec(["1"], [1.0], 2, "proportional", c=1.0)
+        assert np.array_equal(iid_draws(spec, 5, 7, seed=3),
+                              np.full((7, 1), 5))
+
+    def test_same_seed_byte_identical(self):
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                         "high_degeneracy")
+        draws = iid_draws(spec, 500, 2000, seed=7)
+        assert draws.shape == (2000, 3) and draws.dtype == np.int64
+        assert draws.tobytes() == iid_draws(spec, 500, 2000, seed=7).tobytes()
+        assert not np.array_equal(draws, iid_draws(spec, 500, 2000, seed=8))
+        # a row is seeded by (seed, N), not by the seed alone
+        assert not np.array_equal(draws[:, 1:], iid_draws(
+            spec, 501, 2000, seed=7)[:, 1:])
+
+    @pytest.mark.parametrize("tilt", ["solved", "failed"])
+    @pytest.mark.parametrize("close", [0, 1, 2])
+    def test_law_does_not_depend_on_closing_level(self, monkeypatch, close,
+                                                  tilt):
+        # Any closing level and any tilt give exact draws; they only set the
+        # acceptance rate.  A failed tilt solve falls back to lam = 0.  The
+        # seed is fixed, so each p-value is too.
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                         "proportional", c=1.0)
+        monkeypatch.setattr(sampler, "_closing_level", lambda means: close)
+        if tilt == "failed":
+            def no_tilt(spec):
+                raise SolverError("no tilt")
+            monkeypatch.setattr(sampler, "solve", no_tilt)
+        draws = iid_draws(spec, 30, 20_000, seed=1)
+        assert chi_square_p(build_distribution(spec, 30), draws) > 1e-3
+
+
+@st.composite
+def iid_runs(draw):
+    regime = draw(st.sampled_from(
+        ["high_degeneracy", "proportional", "low_degeneracy"]))
+    m = draw(st.integers(1, 4))
+    boundary = m > 1 and draw(st.booleans())
+    spec = random_spec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+                       regime, m, boundary)
+    n = draw(st.integers(1, 40))
+    try:
+        degeneracies_for(spec, n)
+    except SpecValidationError:
+        assume(False)  # G(N) too small to give every level a sub-box
+    return spec, n, draw(st.integers(0, 2**63 - 1))
+
+
+# When the draws follow the pmf, an example fails with probability 1e-6
+# (nominal: the pooled Pearson statistic's chi-square law), so a run of 60
+# examples raises a false alarm with probability below 1e-4.
+@settings(max_examples=60, deadline=None)
+@given(iid_runs())
+def test_iid_draws_follow_enumerated_pmf(run):
+    spec, n, seed = run
+    draws = iid_draws(spec, n, 4000, seed)
+    assert chi_square_p(build_distribution(spec, n), draws) > 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=edge_specs(), data=st.data())
+def test_iid_draws_stay_on_constraint_set(spec, data):
+    n = data.draw(st.integers(1, 40), label="n")
+    try:
+        degeneracies_for(spec, n)
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    draws = iid_draws(spec, n, 50, data.draw(st.integers(0, 2**63 - 1)))
+    assert draws.shape == (50, spec.m) and draws.dtype == np.int64
+    assert draws.min() >= 0 and np.all(draws.sum(axis=1) == n)
+    energy = draws @ np.array(spec.energy_units)
+    assert np.all(energy <= spec.energy_cap_units(n))
