@@ -30,8 +30,8 @@ _EXPORTS = {
         "limit_entropy_hessian_diag", "scaling_factor",
     ),
     "fluctuations": (
-        "FluctuationPrediction", "FluctuationSummary", "empirical_fluctuations",
-        "predict_boundary", "predict_interior", "rotation_basis",
+        "FluctuationPrediction", "empirical_fluctuations", "predict_boundary",
+        "predict_interior", "rotation_basis",
     ),
     "maxent": (
         "MaxEntSolution", "MaximumKind", "classify_maximum", "solve",

@@ -97,6 +97,16 @@ class EnsembleSpec:
         """Integer energy bound floor(q*E*N); ties in the cap are included."""
         return math.floor(self.q * self.energy_cap * n)
 
+    def energy_bound_units(self, n: int) -> int:
+        """The bound at N that int64 arithmetic over states uses:
+        energy_cap_units(n), clamped to the top energy q*eps_m*N.  No state
+        exceeds that, so a higher cap admits the same states and the bound
+        fits int64; OverflowError when q*eps_m*N does not."""
+        top = self.energy_units[-1] * n
+        if top >= 2**63:
+            raise OverflowError(f"N*q*eps_m = {top} overflows int64")
+        return min(self.energy_cap_units(n), top)
+
     def schedule(self, n: int) -> int:
         """Total degeneracy G(N); OverflowError if it has no float."""
         if n < 1:

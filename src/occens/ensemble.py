@@ -5,9 +5,11 @@ constraints and weights each state by exp(S).  The sweeps stream the
 support through blocks of at most BLOCK_STATES states, split by the first
 level's count, and one Accumulator reads each block once: moments, the
 moment generating function and the decomposition of the support into exact
-energy-slack layers.  A Distribution record, the whole support weighed as
-one block and normalised, or equally weighted chain draws, enters the same
-Accumulator as one block, so one set of estimators serves every backend.
+energy-slack layers.  The int64 walk works under spec.energy_bound_units;
+the layers are keyed apart from the cap, so each slack is exact at any cap.
+A Distribution record, the whole support weighed as one block and
+normalised, or equally weighted chain draws, enters the same Accumulator as
+one block, so one set of estimators serves every backend.
 """
 
 from __future__ import annotations
@@ -47,9 +49,7 @@ def _walk(spec: EnsembleSpec, n: int, carry: list, budget: int | None = None):
     against the prefix count at each level and against the exact S at the
     last."""
     e, m = spec.energy_units, spec.m
-    # no state's energy exceeds e[-1]*n, which _first_counts checks fits
-    # int64, so a higher cap admits the same states and stays in range
-    cap = min(spec.energy_cap_units(n), e[-1] * n)
+    cap = spec.energy_bound_units(n)
     root = np.zeros(1, dtype=np.int64)
     used = sum((e[j] * col for j, col in enumerate(carry)), root)
     remaining = n - sum(carry, root)
@@ -83,9 +83,6 @@ def _first_counts(spec: EnsembleSpec, n: int, budget: int):
         raise ValueError(f"N must be >= 1, got {n}")
     if spec.m == 1:
         return np.array([n], dtype=np.int64), np.ones(1, dtype=np.int64)
-    if spec.energy_units[-1] * n >= 2**63:
-        raise OverflowError(
-            f"N*q*eps_m = {spec.energy_units[-1] * n} overflows int64")
     carry, _, width = _walk(spec, n, [], budget)
     if not carry:  # m = 2: one state per viable n_1
         carry, width = [np.arange(n + 1 - width[0], n + 1)], np.ones(width[0])
@@ -192,11 +189,12 @@ class Accumulator:
         self.probe_shifts = [(-math.inf, 0.0)] * len(self.probes)
         self.layer_mass = None
         if layers:
-            # Every slack is congruent to the all-lowest state's, the
-            # largest, modulo the lattice step d; key = slack // d.
+            # A state's int64 key is -sum_i key_coef_i*n_i, in lattice steps
+            # d, which the bound's guard keeps in range; its slack is the
+            # Python int excess + d*key, excess the all-lowest state's.
+            spec.energy_bound_units(n)
             e, d = spec.energy_units, spec.lattice_step
-            self.key_max, self.residue = divmod(
-                spec.energy_cap_units(n) - n * e[0], d)
+            self.excess = spec.energy_cap_units(n) - n * e[0]
             self.key_coef = [(x - e[0]) // d for x in e[1:]]
             self.layer_keys = np.zeros(0, dtype=np.int64)
             self.layer_mass = np.zeros(0)
@@ -252,7 +250,7 @@ class Accumulator:
             a *= w
             self._add_probe(p, float(np.add.reduce(a)), shift, top)
         if self.layer_mass is not None:
-            key = np.full(counts.shape[0], self.key_max, dtype=np.int64)
+            key = np.zeros(counts.shape[0], dtype=np.int64)
             for c, col in zip(self.key_coef, counts.T[1:]):
                 key -= c * col
             lo = int(key.min())
@@ -327,8 +325,9 @@ class Accumulator:
         """Mass of each realized energy slack, ascending."""
         masses = self.layer_mass / self.total()
         masses.setflags(write=False)
-        slacks = self.residue + self.spec.lattice_step * self.layer_keys
-        return LayerDecomposition(slacks=tuple(slacks.tolist()), masses=masses)
+        d = self.spec.lattice_step
+        slacks = tuple(self.excess + d * k for k in self.layer_keys.tolist())
+        return LayerDecomposition(slacks=slacks, masses=masses)
 
 
 def _weighed_blocks(spec: EnsembleSpec, n: int, budget: int,

@@ -6,6 +6,8 @@ constraint); its covariance is the inverse negative reduced Hessian of the
 limit entropy.  Boundary maxima mix a geometric law across exact
 energy-slack layers along the cap normal with a Gaussian in the in-plane
 rotated coordinates.  Both Gaussian blocks are computed in plain Python.
+The empirical side is read straight off an Accumulator over the same
+scaled coordinates (and the slack layers at a boundary maximum).
 """
 
 from __future__ import annotations
@@ -133,21 +135,6 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
                                  layer_log_ratio=layer_log_ratio)
 
 
-@dataclass(frozen=True)
-class FluctuationSummary:
-    """Empirical scaled moments of a distribution, exact or sampled.
-
-    Interior: covariance of sqrt(h(N))*(X - x*) in reduced coordinates.
-    Boundary: layer masses by ascending slack plus the covariance of the
-    sqrt(h(N))-scaled in-plane rotated coordinates.
-    """
-
-    kind: MaximumKind
-    scaled_covariance: np.ndarray
-    layer_slacks: tuple[int, ...] | None = None
-    layer_masses: np.ndarray | None = None
-
-
 def fluctuation_accumulator(spec: EnsembleSpec, n: int,
                             sol: MaxEntSolution) -> Accumulator:
     """Sums for the scaled moments at N, centred at x*: the k = m-1 reduced
@@ -163,12 +150,10 @@ def fluctuation_accumulator(spec: EnsembleSpec, n: int,
 
 
 def empirical_fluctuations(dist: Distribution, sol: MaxEntSolution,
-                           spec: EnsembleSpec) -> FluctuationSummary:
-    """Scaled empirical moments matching the prediction conventions."""
+                           spec: EnsembleSpec) -> Accumulator:
+    """The fluctuation_accumulator at dist's N, filled from dist in one
+    block: its covariance() and, at a boundary maximum, its layers() are
+    the scaled empirical moments in the prediction conventions."""
     acc = fluctuation_accumulator(spec, dist.n, sol)
     acc.add(dist.counts, dist.pmf)
-    cov = acc.covariance()
-    if sol.kind is MaximumKind.INTERIOR:
-        return FluctuationSummary(sol.kind, cov)
-    layers = acc.layers()
-    return FluctuationSummary(sol.kind, cov, layers.slacks, layers.masses)
+    return acc

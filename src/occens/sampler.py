@@ -146,10 +146,7 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
     m, e, q = spec.m, spec.energy_units, spec.q
     if m == 1:  # the one state
         return np.full((count, 1), n, dtype=np.int64)
-    if e[-1] * n >= 2**63:
-        raise OverflowError(f"N*q*eps_m = {e[-1] * n} overflows int64")
-    # no energy exceeds e[-1]*n, so a higher cap admits the same rows
-    cap = min(spec.energy_cap_units(n), e[-1] * n)
+    cap = spec.energy_bound_units(n)
     degs = degeneracies_for(spec, n).per_level
     lam, t = _tilt(spec, n, degs)
     close = _closing_level([g / math.expm1(ti) for g, ti in zip(degs, t)])

@@ -621,12 +621,14 @@ def reference_layer_decomposition(dist):
     Returns the decomposition and the number of states in each layer."""
     e = np.array(dist.spec.energy_units, dtype=np.int64)
     cap = dist.spec.energy_cap_units(dist.n)
-    slack = cap - dist.counts @ e
-    order = np.argsort(slack, kind="stable")
-    values, starts = np.unique(slack[order], return_index=True)
+    # slack = cap - used, ascending as -used is: the cap, which may lie
+    # past int64, enters only as a Python int
+    low = -(dist.counts @ e)
+    order = np.argsort(low, kind="stable")
+    values, starts = np.unique(low[order], return_index=True)
     members = tuple(np.split(order, starts[1:]))
     masses = np.array([math.fsum(dist.pmf[idx]) for idx in members])
-    layers = LayerDecomposition(slacks=tuple(int(v) for v in values),
+    layers = LayerDecomposition(slacks=tuple(cap + v for v in values.tolist()),
                                 masses=masses)
     return layers, np.array([idx.size for idx in members])
 

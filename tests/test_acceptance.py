@@ -151,8 +151,8 @@ def test_criterion_6_interior_fluctuations():
     gaps = []
     final_var = None
     for n in (128, 256, 512):
-        summary = empirical_fluctuations(build_distribution(spec, n), sol, spec)
-        final_var = float(summary.scaled_covariance[0, 0])
+        acc = empirical_fluctuations(build_distribution(spec, n), sol, spec)
+        final_var = float(acc.covariance()[0, 0])
         gaps.append(abs(final_var - predicted))
     within = abs(final_var - predicted) / predicted < 0.15
     monotone = gaps[0] > gaps[1] > gaps[2]

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from occens import (
     enumerate_states,
     exact_covariance,
     exact_mean,
+    iid_draws,
     layer_decomposition,
     make_spec,
     metropolis_chain,
@@ -28,6 +30,7 @@ from occens import (
     rotation_basis,
     scaling_factor,
     solve,
+    validate_spec,
 )
 from occens import ensemble
 from occens.ensemble import Accumulator, accumulate_support
@@ -359,10 +362,10 @@ def test_column_layout_keeps_estimators(seed, regime, m, boundary, chain,
          * (fractions[:, : m - 1] - sol.x_star[: m - 1]))
     if sol.kind is MaximumKind.BOUNDARY:
         y = y @ rotation_basis(spec)[:, 1:]
-    summary = empirical_fluctuations(dist, sol, spec)
-    assert np.array_equal(summary.scaled_covariance,
-                          empirical_fluctuations(rows, sol, spec).scaled_covariance)
-    assert_covariance_close(summary.scaled_covariance, y, dist.pmf)
+    acc = empirical_fluctuations(dist, sol, spec)
+    assert np.array_equal(acc.covariance(),
+                          empirical_fluctuations(rows, sol, spec).covariance())
+    assert_covariance_close(acc.covariance(), y, dist.pmf)
 
 
 def blocked_sums(spec, n, block, centre, xi):
@@ -513,10 +516,69 @@ def test_sparse_slacks_hold_no_span_sized_array():
     accumulate_support(acc)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak < 2 * acc.key_max
+    steps = ((spec.energy_cap_units(1000) - 1000 * spec.energy_units[0])
+             // spec.lattice_step)
+    assert peak < 2 * steps
     assert len(acc.layers().slacks) == len(np.unique(
         spec.energy_cap_units(1000)
         - enumerate_states(spec, 1000) @ np.array(spec.energy_units)))
+
+
+def test_cap_past_int64_keeps_layers_exact():
+    # A cap above the top energy admits every composition: the layers at
+    # cap 1e30 are those at cap 3, their slacks moved by the difference of
+    # the integer bounds, a Python int past int64.  Keying the layers from
+    # the raw bound once overflowed int64 here.
+    far, top = (make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], cap,
+                          "proportional", c=1.0) for cap in ("1e30", "3"))
+    n = 20
+    dists = [build_distribution(spec, n) for spec in (far, top)]
+    got, want = map(layer_decomposition, dists)
+    assert np.array_equal(got.masses, want.masses)
+    shift = far.energy_cap_units(n) - top.energy_cap_units(n)
+    assert shift >= 2**63
+    assert got.slacks == tuple(slack + shift for slack in want.slacks)
+    assert_layers_match(got, dists[0])
+    assert_layers_match(want, dists[1])
+
+
+def test_bound_past_int64_raises_one_error():
+    # q*eps_m*N = 1e19: the count pass, the i.i.d. sampler and a layered
+    # Accumulator share the one guard on the bound
+    spec = make_spec(["1", "10000"], [0.5, 0.5], 2, "proportional", c=1.0)
+    n = 10**15
+    message = re.escape(f"N*q*eps_m = {10**19} overflows int64")
+    with pytest.raises(OverflowError, match=message):
+        ensemble._first_counts(spec, n, 10**6)
+    with pytest.raises(OverflowError, match=message):
+        iid_draws(spec, n, 1, 0)
+    with pytest.raises(OverflowError, match=message):
+        Accumulator(spec, n, layers=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=edge_specs().filter(lambda spec: spec.m <= 4), data=st.data())
+def test_caps_past_the_top_energy_admit_the_same_support(spec, data):
+    # Every cap at or above eps_m admits every composition and leaves the
+    # maximum interior (lam = 0), so the states, one seed's i.i.d. draws and
+    # the layer masses are the same at each such cap.
+    top = spec.energies[-1]
+    caps = [Fraction(cap) for cap in (top, 10 * top, "1e30")]
+    specs = [validate_spec(replace(spec, energy_cap=cap)) for cap in caps
+             if cap > spec.energies[0]]  # at m = 1 the cap eps_m is empty
+    n = data.draw(st.integers(1, 30 if spec.m < 4 else 20), label="n")
+    states = [enumerate_states(s, n) for s in specs]
+    assert all(np.array_equal(got, states[0]) for got in states[1:])
+    try:
+        degeneracies_for(spec, n)
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    seed = data.draw(st.integers(0, 2**63 - 1), label="seed")
+    draws = [iid_draws(s, n, 20, seed) for s in specs]
+    assert all(got.tobytes() == draws[0].tobytes() for got in draws[1:])
+    masses = [layer_decomposition(build_distribution(s, n)).masses
+              for s in specs]
+    assert all(np.array_equal(got, masses[0]) for got in masses[1:])
 
 
 def test_estimators_hold_no_support_sized_copy():

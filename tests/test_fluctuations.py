@@ -123,9 +123,9 @@ class TestBoundaryPrediction:
         sol = solve(spec)
         pred = predict_boundary(spec, 240)
         dist = build_distribution(spec, 240)
-        summary = empirical_fluctuations(dist, sol, spec)
-        assert summary.scaled_covariance.shape == (1, 1)
-        assert summary.scaled_covariance[0, 0] == pytest.approx(
+        acc = empirical_fluctuations(dist, sol, spec)
+        assert acc.covariance().shape == (1, 1)
+        assert acc.covariance()[0, 0] == pytest.approx(
             pred.covariance[0, 0], rel=0.02)
 
     def test_lattice_step_gcd(self):
@@ -190,8 +190,8 @@ class TestEmpiricalSummaries:
     def test_single_level_degenerate(self):
         spec = make_spec(["1"], [1.0], 2, "proportional", c=1.0)
         dist = build_distribution(spec, 6)
-        summary = empirical_fluctuations(dist, solve(spec), spec)
-        assert summary.scaled_covariance.shape == (0, 0)
+        acc = empirical_fluctuations(dist, solve(spec), spec)
+        assert acc.covariance().shape == (0, 0)
         assert np.allclose(exact_covariance(dist), [[0.0]])
 
     def test_interior_variance_converges(self):
@@ -200,8 +200,8 @@ class TestEmpiricalSummaries:
         pred = predict_interior(spec)
         gaps = []
         for n in (64, 128, 256):
-            summary = empirical_fluctuations(build_distribution(spec, n), sol, spec)
-            gaps.append(abs(summary.scaled_covariance[0, 0]
+            acc = empirical_fluctuations(build_distribution(spec, n), sol, spec)
+            gaps.append(abs(acc.covariance()[0, 0]
                             - pred.covariance[0, 0]))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -233,9 +233,9 @@ class TestEmpiricalSummaries:
     def test_boundary_summary_masses(self):
         spec = two_level_spec("high_degeneracy")
         sol = solve(spec)
-        summary = empirical_fluctuations(build_distribution(spec, 64), sol, spec)
-        assert summary.layer_masses.sum() == pytest.approx(1.0, abs=1e-12)
-        assert summary.layer_slacks[0] == 0
+        acc = empirical_fluctuations(build_distribution(spec, 64), sol, spec)
+        assert acc.layers().masses.sum() == pytest.approx(1.0, abs=1e-12)
+        assert acc.layers().slacks[0] == 0
 
 
 # (energies, weights, boundary cap, interior cap) per number of levels
@@ -277,15 +277,15 @@ def test_shared_estimators_on_chain_draws(m, boundary, regime):
     assert_close(exact_mean(dist), mean)
     for xi, want in zip(probes, mgfs):
         assert_close(mgf(dist, xi), want)
-    summary = empirical_fluctuations(dist, sol, spec)
+    acc = empirical_fluctuations(dist, sol, spec)
     if not boundary:
-        assert_close(summary.scaled_covariance, cov)
+        assert_close(acc.covariance(), cov)
         return
     # the in-plane block is (m-2)x(m-2): empty at m = 2
-    assert summary.scaled_covariance.shape == (m - 2, m - 2)
-    assert_close(summary.scaled_covariance, cov[: m - 2, : m - 2])
+    assert acc.covariance().shape == (m - 2, m - 2)
+    assert_close(acc.covariance(), cov[: m - 2, : m - 2])
     assert masses.size > 2
-    assert np.all(np.abs(summary.layer_masses - masses) <= 1e-12 * masses)
+    assert np.all(np.abs(acc.layers().masses - masses) <= 1e-12 * masses)
 
 
 @st.composite
