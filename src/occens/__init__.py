@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "ensemble": (
         "Distribution", "LayerDecomposition", "build_distribution",
-        "draws_distribution", "enumerate_states", "exact_covariance",
-        "exact_mean", "layer_decomposition", "mgf",
+        "enumerate_states", "exact_covariance", "exact_mean",
+        "layer_decomposition", "mgf",
     ),
     "entropy": (
         "approximation_error", "level_log_weights", "limit_entropy",

@@ -3,8 +3,8 @@
 An instance is a fixed set of m energy levels with strictly increasing
 rational energies, level weights g_i summing to 1, a per-particle energy
 cap E, and a total degeneracy G(N) whose growth regime selects which
-limiting statistics apply.  Energies are kept as exact rationals so
-the energy constraint can be evaluated in integer arithmetic.
+limiting statistics apply.  Energies are exact rationals, read everywhere
+but in solve's nu and threshold_energy as integer heights above eps_1.
 """
 
 from __future__ import annotations
@@ -77,34 +77,37 @@ class EnsembleSpec:
 
     @cached_property
     def energy_units(self) -> tuple[int, ...]:
-        """Level energies as integers in units of 1/q."""
-        return tuple(int(e * self.q) for e in self.energies)
+        """Heights eps_i - eps_1 in 1/q units; a height u is the float u/q."""
+        return tuple(int((e - self.energies[0]) * self.q) for e in self.energies)
+
+    @cached_property
+    def cap_height(self) -> Fraction:
+        """The cap's height E - eps_1 above the lowest level."""
+        return self.energy_cap - self.energies[0]
 
     @cached_property
     def lattice_step(self) -> int:
-        """Spacing, in 1/q units, of the total energies realized at fixed N:
-        moving a particle between levels changes the energy by a difference
-        of level energies, so every two realized totals differ by a
-        multiple of the gcd d of the differences; 1 when m = 1."""
-        e = self.energy_units
-        return math.gcd(*(x - e[0] for x in e[1:])) or 1
+        """Spacing d of the total heights realized at fixed N, in 1/q units:
+        moving a particle between levels changes the total by a difference
+        of heights, a multiple of their gcd; 1 when m = 1."""
+        return math.gcd(*self.energy_units[1:]) or 1
 
     @cached_property
     def energies_float(self) -> tuple[float, ...]:
         return tuple(float(e) for e in self.energies)
 
     def energy_cap_units(self, n: int) -> int:
-        """Integer energy bound floor(q*E*N); ties in the cap are included."""
-        return math.floor(self.q * self.energy_cap * n)
+        """Integer cap height floor(q*(E - eps_1)*N); ties are included."""
+        return math.floor(self.q * self.cap_height * n)
 
     def energy_bound_units(self, n: int) -> int:
         """The bound at N that int64 arithmetic over states uses:
-        energy_cap_units(n), clamped to the top energy q*eps_m*N.  No state
-        exceeds that, so a higher cap admits the same states and the bound
-        fits int64; OverflowError when q*eps_m*N does not."""
+        energy_cap_units(n), clamped to the top height q*(eps_m - eps_1)*N,
+        which bounds every int64 value of the walk, the slack keys and the
+        i.i.d. draws; OverflowError when it passes int64."""
         top = self.energy_units[-1] * n
         if top >= 2**63:
-            raise OverflowError(f"N*q*eps_m = {top} overflows int64")
+            raise OverflowError(f"N*q*(eps_m - eps_1) = {top} overflows int64")
         return min(self.energy_cap_units(n), top)
 
     def schedule(self, n: int) -> int:

@@ -5,8 +5,8 @@ constraints and weights each state by exp(S).  The sweeps stream the
 support through blocks of at most BLOCK_STATES states, split by the first
 level's count, and one Accumulator reads each block once: moments, the
 moment generating function and the decomposition of the support into exact
-energy-slack layers.  The int64 walk works under spec.energy_bound_units;
-the layers are keyed apart from the cap, so each slack is exact at any cap.
+energy-slack layers.  The int64 walk works on heights above eps_1, under
+spec.energy_bound_units; layers keyed apart from the cap are exact at any cap.
 A Distribution record, the whole support weighed as one block and
 normalised, or equally weighted chain draws, enters the same Accumulator as
 one block, so one set of estimators serves every backend.
@@ -189,13 +189,13 @@ class Accumulator:
         self.probe_shifts = [(-math.inf, 0.0)] * len(self.probes)
         self.layer_mass = None
         if layers:
-            # A state's int64 key is -sum_i key_coef_i*n_i, in lattice steps
-            # d, which the bound's guard keeps in range; its slack is the
-            # Python int excess + d*key, excess the all-lowest state's.
+            # A state's int64 key is -sum_i key_coef_i*n_i, minus its height
+            # in lattice steps d, which the bound's guard keeps in range; its
+            # slack is the Python int excess + d*key, excess the cap height.
             spec.energy_bound_units(n)
-            e, d = spec.energy_units, spec.lattice_step
-            self.excess = spec.energy_cap_units(n) - n * e[0]
-            self.key_coef = [(x - e[0]) // d for x in e[1:]]
+            d = spec.lattice_step
+            self.excess = spec.energy_cap_units(n)
+            self.key_coef = [x // d for x in spec.energy_units[1:]]
             self.layer_keys = np.zeros(0, dtype=np.int64)
             self.layer_mass = np.zeros(0)
 
@@ -390,17 +390,6 @@ def build_distribution(spec: EnsembleSpec, n: int,
     total = float(pmf.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise ArithmeticError(f"pmf sums to {total!r}; log-sum-exp unstable")
-    for arr in (counts, pmf):
-        arr.setflags(write=False)
-    return Distribution(spec=spec, n=n, counts=counts, pmf=pmf)
-
-
-def draws_distribution(spec: EnsembleSpec, n: int,
-                       draws: np.ndarray) -> Distribution:
-    """K chain draws as a distribution, each row weighted 1/K; the draws
-    are copied into the column-major layout of an enumerated support."""
-    counts = np.asfortranarray(draws, dtype=np.int64)
-    pmf = np.full(counts.shape[0], 1.0 / counts.shape[0])
     for arr in (counts, pmf):
         arr.setflags(write=False)
     return Distribution(spec=spec, n=n, counts=counts, pmf=pmf)

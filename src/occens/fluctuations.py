@@ -84,11 +84,11 @@ def rotation_basis(spec: EnsembleSpec) -> np.ndarray:
 
     In reduced coordinates the energy hyperplane is
     sum (eps_i - eps_m) x_i = E - eps_m, so the first basis vector is the
-    normalized (eps_i - eps_m) direction; the rest come from Gram-Schmidt
-    over canonical directions.
+    normalized (eps_i - eps_m) direction, read off the integer heights; the
+    rest come from Gram-Schmidt over canonical directions.
     """
-    m, eps = spec.m, spec.energies_float
-    w = [e - eps[-1] for e in eps[:-1]]
+    m, e = spec.m, spec.energy_units
+    w = [(u - e[-1]) / spec.q for u in e[:-1]]
     norm = math.sqrt(_dot(w, w))
     if norm < 1e-12:
         raise ValueError("degenerate normal: energies do not separate levels")
@@ -124,7 +124,7 @@ def predict_boundary(spec: EnsembleSpec, n: int) -> FluctuationPrediction:
     if classify_maximum(spec) is not MaximumKind.BOUNDARY:
         raise ValueError("wrong kind: interior instance; use predict_interior")
     sol = solve(spec)
-    layer_log_ratio = (-sol.lam * spec.lattice_step / spec.q
+    layer_log_ratio = (-sol.lam * (spec.lattice_step / spec.q)
                        * scaling_factor(spec, n) / n)
     if not layer_log_ratio < 0.0:
         raise ArithmeticError(

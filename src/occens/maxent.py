@@ -16,10 +16,10 @@ subject to sum x_i = 1 and sum eps_i x_i = E.  One nested solve serves all
 three regimes.  For fixed lam >= 0, sum x_i = 1 fixes t_1 inside the
 closed-form bracket [phi^-1(1/g_1), phi^-1(1)]: x_1 alone is 1 at the lower
 end and every x_i <= g_i at the upper end.  The mean energy then falls from
-the interior threshold at lam = 0 towards eps_1, which fixes lam.  x is
-computed from t_i = t_1 + lam*(eps_i - eps_1), so no large lam*eps_i
-cancels against nu.  Everything here is arithmetic on m numbers, in plain
-Python.
+the interior threshold at lam = 0 towards eps_1, which fixes lam.  The
+classification, x (from t_i = t_1 + lam*(eps_i - eps_1)) and the residuals
+read heights above eps_1, so only nu moves with a common energy shift.
+Everything here is arithmetic on m numbers, in plain Python.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EnsembleSpec, Regime, SolverError, threshold_energy
+from .core import EnsembleSpec, Regime, SolverError
 
 RESIDUAL_TOL = 1e-10
 _ROOT_MAX_ITER = 300
@@ -55,10 +55,11 @@ class MaxEntSolution:
 
 def classify_maximum(spec: EnsembleSpec) -> MaximumKind:
     """Interior iff E >= sum(g_i*eps_i); boundary iff eps_1 < E below that."""
-    if not spec.energy_cap > spec.energies[0]:
+    if not spec.cap_height > 0:
         raise ValueError("empty domain: E <= eps_1")
-    threshold = threshold_energy(spec)
-    if float(spec.energy_cap) >= threshold - 1e-12 * max(1.0, abs(threshold)):
+    threshold = sum(g * (u / spec.q) for g, u in zip(spec.weights,
+                                                     spec.energy_units))
+    if float(spec.cap_height) >= threshold - 1e-12 * max(1.0, threshold):
         return MaximumKind.INTERIOR
     return MaximumKind.BOUNDARY
 
@@ -118,7 +119,7 @@ def _stationarity(spec: EnsembleSpec):
 def _boundary_root(spec: EnsembleSpec, phi, t_lo: float, t_hi: float):
     """(lam, t_1, x) at the boundary maximum: the nested solve."""
     weights = spec.weights
-    gaps = [float(e - spec.energies[0]) for e in spec.energies]
+    gaps = [u / spec.q for u in spec.energy_units]
 
     def fractions(lam):
         def excess(t1):
@@ -129,7 +130,7 @@ def _boundary_root(spec: EnsembleSpec, phi, t_lo: float, t_hi: float):
 
     # E(lam) - E, written as sum (eps_i - eps_1) x_i - (E - eps_1) given
     # sum x_i = 1, so nothing cancels when E is close to eps_1
-    target = float(spec.energy_cap - spec.energies[0])
+    target = float(spec.cap_height)
 
     def surplus(lam):
         return sum(d * v for d, v in zip(gaps, fractions(lam)[1])) - target
@@ -142,8 +143,8 @@ def _boundary_root(spec: EnsembleSpec, phi, t_lo: float, t_hi: float):
             break
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
     else:
-        raise SolverError(f"no bracket for lam: E({hi}) still above "
-                          f"{float(spec.energy_cap)}")
+        raise SolverError(f"no bracket for lam: E({hi}) - eps_1 still above "
+                          f"{target}")
     lam = _falling_root(surplus, lo, hi, f_lo, f_hi)
     return (lam, *fractions(lam))
 
@@ -159,10 +160,10 @@ def solve(spec: EnsembleSpec) -> MaxEntSolution:
         residual_energy = None
     else:
         lam, t1, x = _boundary_root(spec, phi, t_lo, t_hi)
-        nu = t1 - lam * spec.energies_float[0]
+        nu = t1 - lam * float(spec.energies[0])
         residual_norm = abs(sum(x) - 1.0)
-        residual_energy = abs(sum(e * v for e, v in zip(spec.energies_float, x))
-                              - float(spec.energy_cap))
+        residual_energy = abs(sum(u / spec.q * v for u, v in zip(
+            spec.energy_units, x)) - float(spec.cap_height))
         if residual_norm > RESIDUAL_TOL or residual_energy > RESIDUAL_TOL:
             raise SolverError(
                 f"multiplier solve left residuals (|sum x - 1|, |sum eps*x - E|)"

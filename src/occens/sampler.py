@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from operator import length_hint
 from typing import TYPE_CHECKING
@@ -103,19 +104,20 @@ def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
 
 
 def _tilt(spec: EnsembleSpec, n: int, degs) -> tuple[float, list[float]]:
-    """(lam, t) with t_i = lam*eps_i + nu: the maximum-entropy tilt of the
-    proportional spec with weights G_i/G(N) and c = G(N)/N, under which the
-    level means G_i/(e^t_i - 1) sum to N and the mean energy meets the cap
-    (lam > 0) or lies below it (lam = 0).  If that solve fails, lam = 0 and
-    the means are proportional to the G_i."""
-    total = sum(degs)
+    """(lam, t) with t_i = lam*h_i + nu, h_i = eps_i - eps_1: the maximum-
+    entropy tilt of the proportional spec measured from eps_1, with weights
+    G_i/G(N) and c = G(N)/N, under which the level means G_i/(e^t_i - 1) sum
+    to N and the mean energy meets the cap (lam > 0) or lies below it
+    (lam = 0).  If that solve fails, lam = 0 and the means follow the G_i."""
+    total, q = sum(degs), spec.q
     try:
-        sol = solve(make_spec(spec.energies, [g / total for g in degs],
-                              spec.energy_cap, "proportional", c=total / n))
+        sol = solve(make_spec([Fraction(u, q) for u in spec.energy_units],
+                              [g / total for g in degs], spec.cap_height,
+                              "proportional", c=total / n))
         lam, nu = sol.lam, sol.nu
     except (SolverError, ArithmeticError):
         lam, nu = 0.0, math.log1p(total / n)
-    return lam, [lam * eps + nu for eps in spec.energies_float]
+    return lam, [lam * (u / q) + nu for u in spec.energy_units]
 
 
 def _closing_level(means: list[float]) -> int:
@@ -128,11 +130,11 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
               seed: int) -> np.ndarray:
     """`count` i.i.d. draws of the pmf proportional to exp(S) at N.
 
-    With the tilt t_i = lam*eps_i + nu (lam >= 0) and z_i = e^-t_i, every
+    With the tilt t_i = lam*h_i + nu (lam >= 0) and z_i = e^-t_i, every
     level i but the closing one l (the level of largest mean) is drawn as
     a negative binomial with pmf C(k+G_i-1, k) z_i^k (1-z_i)^G_i, and
     n_l = N - sum of the others.  The proposal is accepted, when n_l >= 0
-    and the energy U (in 1/q units) is within the cap C, with probability
+    and the height U (in 1/q units) is within the cap C, with probability
 
         f_l(n_l) / max_k f_l(k) * exp(lam*(U - C)/q),
 
@@ -203,8 +205,8 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
     e = spec.energy_units
-    cap = spec.energy_cap_units(n)
-    if n * e[0] > cap:
+    room = spec.energy_cap_units(n)  # height left under the cap
+    if room < 0:
         raise ValueError(f"no feasible initial state at N={n}")
     if m == 1:
         kept = range(burn_in, steps, thinning)
@@ -236,7 +238,6 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
         uniforms.integers(0, m * (m - 1), size=min(_BLOCK, steps - start))
     pairs = np.random.default_rng(cfg.seed)
     state = [n] + [0] * (m - 1)
-    room = cap - n * e[0]  # energy left under the cap
     kept = []
     # The state is kept after steps burn_in, burn_in + thinning, ...; no
     # step after the last of these is run, as no kept state reads it.

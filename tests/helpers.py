@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from occens import (
     DegeneracyAssignment,
+    Distribution,
     EnumerationBudgetError,
     FluctuationPrediction,
     LayerDecomposition,
@@ -183,6 +184,17 @@ def log_weights_and_z(dist):
     shift = float(log_weights.max())
     log_z = shift + math.log(float(np.exp(log_weights - shift).sum()))
     return log_weights, log_z
+
+
+def draws_distribution(spec: EnsembleSpec, n: int,
+                       draws: np.ndarray) -> Distribution:
+    """K chain draws as a distribution, each row weighted 1/K; the draws
+    are copied into the column-major layout of an enumerated support."""
+    counts = np.asfortranarray(draws, dtype=np.int64)
+    pmf = np.full(counts.shape[0], 1.0 / counts.shape[0])
+    for arr in (counts, pmf):
+        arr.setflags(write=False)
+    return Distribution(spec=spec, n=n, counts=counts, pmf=pmf)
 
 
 def dump_distribution(dist) -> str:

@@ -66,13 +66,13 @@ class TestValidation:
     def test_energies_reduced_to_common_denominator(self):
         spec = make_spec(["2/4", "6/4"], [0.5, 0.5], 2, "proportional", c=1.0)
         assert spec.q == 2
-        assert spec.energy_units == (1, 3)
+        assert spec.energy_units == (0, 2)  # heights above eps_1
 
     def test_exact_cap_units(self):
         spec = make_spec(["1", "2"], [0.5, 0.5], "7/5", "proportional", c=1.0)
-        # floor(q*E*N) with q=1, E=7/5: N=4 -> floor(28/5) = 5
-        assert spec.energy_cap_units(4) == 5
-        assert spec.energy_cap_units(5) == 7
+        # floor(q*(E - eps_1)*N) with q=1, E - eps_1 = 2/5: N=4 -> 1
+        assert spec.energy_cap_units(4) == 1
+        assert spec.energy_cap_units(5) == 2
 
 
 def _schedule_spec(regime, **kwargs):

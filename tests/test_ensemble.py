@@ -14,10 +14,11 @@ from occens import (
     Distribution,
     EnumerationBudgetError,
     MaximumKind,
+    SolverError,
     SpecValidationError,
     build_distribution,
+    classify_maximum,
     degeneracies_for,
-    draws_distribution,
     empirical_fluctuations,
     enumerate_states,
     exact_covariance,
@@ -38,6 +39,7 @@ from occens.entropy import log_multiplicity
 
 from helpers import (
     brute_force_state_count,
+    draws_distribution,
     dump_distribution,
     edge_specs,
     log_weights_and_z,
@@ -111,7 +113,7 @@ class TestEnumeration:
 
     def test_int64_overflow_rejected(self):
         # 1e12 - ceil(9998e12 / 9999) + 1 states; at N=1e15,
-        # q*eps_m*N = 1e19 would wrap in the int64 prefix arithmetic
+        # q*(eps_m - eps_1)*N = 9.999e18 would wrap in the int64 walk
         spec = make_spec(["1", "10000"], [0.5, 0.5], 2, "proportional", c=1.0)
         with pytest.raises(EnumerationBudgetError, match="exact state count 100010002 "):
             enumerate_states(spec, 10**12)
@@ -516,8 +518,7 @@ def test_sparse_slacks_hold_no_span_sized_array():
     accumulate_support(acc)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    steps = ((spec.energy_cap_units(1000) - 1000 * spec.energy_units[0])
-             // spec.lattice_step)
+    steps = spec.energy_cap_units(1000) // spec.lattice_step
     assert peak < 2 * steps
     assert len(acc.layers().slacks) == len(np.unique(
         spec.energy_cap_units(1000)
@@ -543,11 +544,12 @@ def test_cap_past_int64_keeps_layers_exact():
 
 
 def test_bound_past_int64_raises_one_error():
-    # q*eps_m*N = 1e19: the count pass, the i.i.d. sampler and a layered
-    # Accumulator share the one guard on the bound
+    # q*(eps_m - eps_1)*N = 9.999e18: the count pass, the i.i.d. sampler
+    # and a layered Accumulator share the one guard on the bound
     spec = make_spec(["1", "10000"], [0.5, 0.5], 2, "proportional", c=1.0)
     n = 10**15
-    message = re.escape(f"N*q*eps_m = {10**19} overflows int64")
+    message = re.escape("N*q*(eps_m - eps_1) = 9999000000000000000 "
+                        "overflows int64")
     with pytest.raises(OverflowError, match=message):
         ensemble._first_counts(spec, n, 10**6)
     with pytest.raises(OverflowError, match=message):
@@ -579,6 +581,78 @@ def test_caps_past_the_top_energy_admit_the_same_support(spec, data):
     masses = [layer_decomposition(build_distribution(s, n)).masses
               for s in specs]
     assert all(np.array_equal(got, masses[0]) for got in masses[1:])
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the numeric failure it raised."""
+    try:
+        return fn(*args)
+    except (SolverError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=edge_specs().filter(lambda spec: spec.m <= 4), data=st.data())
+def test_common_energy_shift_changes_nothing(spec, data):
+    # A state is admissible when sum eps_i*N_i <= E*N with sum N_i = N, so
+    # adding one integer to every energy and the cap moves no support, weight,
+    # draw, classification, x* or lam; only solve's nu moves.
+    shift = data.draw(st.integers(-10**18, 10**18), label="shift")
+    moved = validate_spec(replace(
+        spec, energies=tuple(e + shift for e in spec.energies),
+        energy_cap=spec.energy_cap + shift))
+    n = data.draw(st.integers(1, 40 if spec.m < 4 else 20), label="n")
+    assert np.array_equal(enumerate_states(moved, n), enumerate_states(spec, n))
+    assert classify_maximum(moved) is classify_maximum(spec)
+    got, want = _outcome(solve, moved), _outcome(solve, spec)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got.x_star, got.lam) == (want.x_star, want.lam)
+    try:
+        degeneracies_for(spec, n)
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    seed = data.draw(st.integers(0, 2**63 - 1), label="seed")
+    assert iid_draws(moved, n, 20, seed).tobytes() == iid_draws(
+        spec, n, 20, seed).tobytes()
+    cfg = ChainConfig(steps=2000, seed=seed, burn_in=100, thinning=10)
+    assert metropolis_chain(moved, n, cfg).tobytes() == metropolis_chain(
+        spec, n, cfg).tobytes()
+    got, want = (layer_decomposition(build_distribution(s, n))
+                 for s in (moved, spec))
+    assert got.slacks == want.slacks
+    assert np.array_equal(got.masses, want.masses)
+
+
+def test_lattice_past_int64_raises_one_error():
+    # Energies far below zero once passed the guard on q*eps_m*N alone, and
+    # the int64 walk silently dropped 3 of the 11 states at N=4.
+    spec = make_spec([-4 * 10**18, 1, 2], [0.3, 0.4, 0.3], 1, "proportional",
+                     c=1.0)
+    message = re.escape("N*q*(eps_m - eps_1) = 16000000000000000008 "
+                        "overflows int64")
+    for run in (lambda: enumerate_states(spec, 4),
+                lambda: iid_draws(spec, 4, 1, 0),
+                lambda: Accumulator(spec, 4, layers=True)):
+        with pytest.raises(OverflowError, match=message):
+            run()
+
+
+def test_energies_far_from_zero_enumerate_exactly():
+    # Energies 1e18 + (1, 2, 3) overflowed int64 from zero; measured from
+    # eps_1 they are heights 0, 1, 2 under a cap height of 1.
+    base = 10**18
+    spec = make_spec([base + 1, base + 2, base + 3], [0.3, 0.4, 0.3],
+                     base + 2, "proportional", c=1.0)
+    n = 10
+    cap = spec.energy_cap * n
+    brute = {(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)
+             if a * spec.energies[0] + b * spec.energies[1]
+             + (n - a - b) * spec.energies[2] <= cap}
+    states = enumerate_states(spec, n)
+    assert len(brute) == len(states) == 36
+    assert {tuple(row) for row in states.tolist()} == brute
 
 
 def test_estimators_hold_no_support_sized_copy():

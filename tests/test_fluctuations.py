@@ -13,7 +13,6 @@ from occens import (
     MaximumKind,
     build_distribution,
     classify_maximum,
-    draws_distribution,
     empirical_fluctuations,
     exact_covariance,
     exact_mean,
@@ -31,10 +30,10 @@ from occens import (
 from occens import fluctuations
 from occens.cli import main
 
-from helpers import (lapack_predict_boundary, lapack_predict_interior,
-                     limit_entropy_grad, predict, random_spec, reduced_hessian,
-                     reference_sampled_estimates, third_std_moments,
-                     two_level_spec)
+from helpers import (draws_distribution, lapack_predict_boundary,
+                     lapack_predict_interior, limit_entropy_grad, predict,
+                     random_spec, reduced_hessian, reference_sampled_estimates,
+                     third_std_moments, two_level_spec)
 
 EPS = sys.float_info.epsilon
 

@@ -7,7 +7,11 @@ fluct-check at m = 2, 3, 4 at interior and boundary maxima, with exact
 rows and fallback rows of i.i.d. draws, lln-sweep with mgf probes and
 entropy-probe, each at N <= 200, and sample by both methods, with a full
 chain block and with steps alone; the Metropolis cases pin the chain's
-step loop.
+step loop.  Every case also runs with every energy and the cap shifted by
+one integer (-10**18, -7 and 10**18) against the same file: every path
+measures energies from eps_1, so no output byte depends on where energy
+zero sits.  The shifts are integers, as a rational one can change the
+common denominator q, which boundary N must be divisible by.
 
 No cell goes through BLAS or LAPACK, so the goldens hold under every
 OpenBLAS kernel; test_goldens_hold_on_other_openblas_kernels reruns them in
@@ -31,6 +35,7 @@ import platform
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -106,8 +111,15 @@ CASES = {
 }
 
 
-def run_case(name: str, tmp: Path) -> str:
+SHIFTS = (-10**18, -7, 10**18)
+
+
+def run_case(name: str, tmp: Path, shift: int = 0) -> str:
+    """The case's output, with `shift` added to every energy and the cap."""
     command, config = CASES[name]
+    config = {**config,
+              "energies": [str(Fraction(e) + shift) for e in config["energies"]],
+              "energy_cap": str(Fraction(config["energy_cap"]) + shift)}
     path, out = tmp / f"{name}.json", tmp / f"{name}.csv"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(out)]) == 0
@@ -130,10 +142,12 @@ def normalise(text: str) -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_output_matches_golden(name, tmp_path):
+@pytest.mark.parametrize("name, shift", [
+    pytest.param(name, shift, id=f"{name}-shift{shift}" if shift else name)
+    for name in CASES for shift in (0, *SHIFTS)])
+def test_output_matches_golden(name, shift, tmp_path):
     want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
-    assert normalise(run_case(name, tmp_path)) == normalise(want)
+    assert normalise(run_case(name, tmp_path, shift)) == normalise(want)
 
 
 def _openblas_cores() -> list[str]:
