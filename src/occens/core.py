@@ -69,10 +69,11 @@ class EnsembleSpec:
 
     @cached_property
     def q(self) -> int:
-        """Least common denominator of the level energies."""
+        """Least common denominator of the heights eps_i - eps_1."""
         q = 1
         for e in self.energies:
-            q = q * e.denominator // math.gcd(q, e.denominator)
+            d = (e - self.energies[0]).denominator
+            q = q * d // math.gcd(q, d)
         return q
 
     @cached_property
@@ -84,6 +85,13 @@ class EnsembleSpec:
     def cap_height(self) -> Fraction:
         """The cap's height E - eps_1 above the lowest level."""
         return self.energy_cap - self.energies[0]
+
+    @cached_property
+    def threshold_height(self) -> float:
+        """Mean height sum g_i*(eps_i - eps_1) at x = g, where a cap height
+        turns from boundary to interior maxima."""
+        return sum(g * (u / self.q) for g, u in zip(self.weights,
+                                                    self.energy_units))
 
     @cached_property
     def lattice_step(self) -> int:
@@ -249,9 +257,9 @@ def degeneracies_for(spec: EnsembleSpec, n: int) -> DegeneracyAssignment:
 
 
 def threshold_energy(spec: EnsembleSpec) -> float:
-    """Energy sum(g_i * eps_i) separating interior from boundary maxima.
+    """Energy eps_1 + threshold_height separating interior from boundary.
 
     At or above this value the limiting distribution sits at x* = g strictly
     inside the energy cap; below it the cap is active.
     """
-    return sum(w * e for w, e in zip(spec.weights, spec.energies_float))
+    return float(spec.energies[0]) + spec.threshold_height

@@ -141,9 +141,9 @@ def _batches(first: np.ndarray, sizes: np.ndarray):
 class LayerDecomposition:
     """Support partitioned by exact energy slack, indexed from the boundary.
 
-    Layer k holds the states whose integer slack (cap minus used energy, in
-    1/q units per particle pair qE*N - sum q*eps_i*N_i) is the (k+1)-smallest
-    realized value; layer 0 carries the maximal-energy states.
+    Layer k holds the states whose slack in 1/q units, floor(q(E - eps_1)N)
+    - sum q(eps_i - eps_1)N_i, is the (k+1)-smallest realized value; layer
+    0 carries the maximal-energy states.
     """
 
     slacks: tuple[int, ...]          # realized slack per layer, ascending

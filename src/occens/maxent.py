@@ -19,7 +19,10 @@ end and every x_i <= g_i at the upper end.  The mean energy then falls from
 the interior threshold at lam = 0 towards eps_1, which fixes lam.  The
 classification, x (from t_i = t_1 + lam*(eps_i - eps_1)) and the residuals
 read heights above eps_1, so only nu moves with a common energy shift.
-Everything here is arithmetic on m numbers, in plain Python.
+One unchecked root gives (kind, lam, t_1, x): `solve` adds nu and the
+checks, and `finite_n_tilt` is the i.i.d. sampler's tilt at N, whose N*x_i
+are its level means.  Everything here is arithmetic on m numbers, in plain
+Python.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import EnsembleSpec, Regime, SolverError
+from .core import EnsembleSpec, Regime, SolverError, make_spec
 
 RESIDUAL_TOL = 1e-10
 _ROOT_MAX_ITER = 300
@@ -54,12 +57,11 @@ class MaxEntSolution:
 
 
 def classify_maximum(spec: EnsembleSpec) -> MaximumKind:
-    """Interior iff E >= sum(g_i*eps_i); boundary iff eps_1 < E below that."""
+    """Interior iff E - eps_1 >= spec.threshold_height within a relative
+    1e-12, whatever the energy unit; boundary iff eps_1 < E below that."""
     if not spec.cap_height > 0:
         raise ValueError("empty domain: E <= eps_1")
-    threshold = sum(g * (u / spec.q) for g, u in zip(spec.weights,
-                                                     spec.energy_units))
-    if float(spec.cap_height) >= threshold - 1e-12 * max(1.0, threshold):
+    if float(spec.cap_height) >= (1.0 - 1e-12) * spec.threshold_height:
         return MaximumKind.INTERIOR
     return MaximumKind.BOUNDARY
 
@@ -116,8 +118,15 @@ def _stationarity(spec: EnsembleSpec):
     return (lambda t: 1.0 / t), g1, 1.0
 
 
-def _boundary_root(spec: EnsembleSpec, phi, t_lo: float, t_hi: float):
-    """(lam, t_1, x) at the boundary maximum: the nested solve."""
+def _maximum(spec: EnsembleSpec):
+    """(kind, lam, t_1, x) of the spec's maximum, with x_i = g_i*phi(t_i)
+    and t_i = t_1 + lam*h_i, h_i = eps_i - eps_1: the classification, then
+    at a boundary maximum the nested solve.  Nothing here checks x."""
+    kind = classify_maximum(spec)
+    phi, t_lo, t_hi = _stationarity(spec)
+    if kind is MaximumKind.INTERIOR:
+        # lam = 0 puts t_1 at the bracket's upper end, phi(t_i) = 1
+        return kind, 0.0, t_hi, spec.weights
     weights = spec.weights
     gaps = [u / spec.q for u in spec.energy_units]
 
@@ -146,22 +155,15 @@ def _boundary_root(spec: EnsembleSpec, phi, t_lo: float, t_hi: float):
         raise SolverError(f"no bracket for lam: E({hi}) - eps_1 still above "
                           f"{target}")
     lam = _falling_root(surplus, lo, hi, f_lo, f_hi)
-    return (lam, *fractions(lam))
+    return (kind, lam, *fractions(lam))
 
 
 def solve(spec: EnsembleSpec) -> MaxEntSolution:
     """Limiting distribution x* and multipliers for a validated spec."""
-    kind = classify_maximum(spec)
-    phi, t_lo, t_hi = _stationarity(spec)
-    if kind is MaximumKind.INTERIOR:
-        # lam = 0 puts t_1 at the bracket's upper end, phi(t_i) = 1
-        x, lam, nu = spec.weights, 0.0, t_hi
-        residual_norm = abs(sum(x) - 1.0)
-        residual_energy = None
-    else:
-        lam, t1, x = _boundary_root(spec, phi, t_lo, t_hi)
-        nu = t1 - lam * float(spec.energies[0])
-        residual_norm = abs(sum(x) - 1.0)
+    kind, lam, t1, x = _maximum(spec)
+    residual_norm = abs(sum(x) - 1.0)
+    residual_energy = None  # None for interior maxima
+    if kind is MaximumKind.BOUNDARY:
         residual_energy = abs(sum(u / spec.q * v for u, v in zip(
             spec.energy_units, x)) - float(spec.cap_height))
         if residual_norm > RESIDUAL_TOL or residual_energy > RESIDUAL_TOL:
@@ -170,6 +172,17 @@ def solve(spec: EnsembleSpec) -> MaxEntSolution:
                 f" = ({residual_norm:.3e}, {residual_energy:.3e})")
     if min(x) <= 0.0:
         raise SolverError(f"solution left the positive simplex: {x}")
-    return MaxEntSolution(x_star=x, kind=kind, lam=lam, nu=nu,
+    return MaxEntSolution(x_star=x, kind=kind, lam=lam,
+                          nu=t1 - lam * float(spec.energies[0]),
                           regime=spec.regime, residual_norm=residual_norm,
                           residual_energy=residual_energy)
+
+
+def finite_n_tilt(spec: EnsembleSpec, n: int, degs):
+    """(lam, t, x) of the tilt at N: t_i = lam*h_i + t_1 and x from the root
+    of the proportional problem with weights G_i/G(N) and c = G(N)/N."""
+    total = sum(degs)
+    _, lam, t1, x = _maximum(make_spec(
+        spec.energies, [g / total for g in degs], spec.energy_cap,
+        Regime.PROPORTIONAL, c=total / n))
+    return lam, [lam * (u / spec.q) + t1 for u in spec.energy_units], x

@@ -3,8 +3,9 @@
 Exact inverse-CDF sampling works from an enumerated distribution.  Past the
 budget, `iid_draws` makes exact i.i.d. draws of the pmf proportional to
 exp(S) on the constraint set: every level but one is an independent
-negative binomial under the finite-N maximum-entropy tilt, the last level
-closes the particle count, and a rejection step corrects the law exactly
+negative binomial under the finite-N maximum-entropy tilt (`solve`'s root,
+read by `maxent.finite_n_tilt`), the level of largest tilted mean closes
+the particle count, and a rejection step corrects the law exactly
 (probabilistic divide-and-conquer, Arratia & DeSalvo, Combin. Probab.
 Comput. 25, 2016).  The sweeps' fallback rows read these draws.
 
@@ -25,16 +26,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import length_hint
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EnsembleSpec, SolverError, degeneracies_for, make_spec
+from .core import EnsembleSpec, SolverError, degeneracies_for
 from .entropy import level_log_weights
-from .maxent import solve
+from .maxent import finite_n_tilt
 
 if TYPE_CHECKING:
     from .ensemble import Distribution
@@ -103,55 +103,32 @@ def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
     return dist.counts[idx].copy()
 
 
-def _tilt(spec: EnsembleSpec, n: int, degs) -> tuple[float, list[float]]:
-    """(lam, t) with t_i = lam*h_i + nu, h_i = eps_i - eps_1: the maximum-
-    entropy tilt of the proportional spec measured from eps_1, with weights
-    G_i/G(N) and c = G(N)/N, under which the level means G_i/(e^t_i - 1) sum
-    to N and the mean energy meets the cap (lam > 0) or lies below it
-    (lam = 0).  If that solve fails, lam = 0 and the means follow the G_i."""
-    total, q = sum(degs), spec.q
-    try:
-        sol = solve(make_spec([Fraction(u, q) for u in spec.energy_units],
-                              [g / total for g in degs], spec.cap_height,
-                              "proportional", c=total / n))
-        lam, nu = sol.lam, sol.nu
-    except (SolverError, ArithmeticError):
-        lam, nu = 0.0, math.log1p(total / n)
-    return lam, [lam * (u / q) + nu for u in spec.energy_units]
-
-
-def _closing_level(means: list[float]) -> int:
-    """The level that closes the particle count: the one of largest mean,
-    whose closed count is least often negative."""
-    return means.index(max(means))
-
-
 def iid_draws(spec: EnsembleSpec, n: int, count: int,
               seed: int) -> np.ndarray:
     """`count` i.i.d. draws of the pmf proportional to exp(S) at N.
 
-    With the tilt t_i = lam*h_i + nu (lam >= 0) and z_i = e^-t_i, every
-    level i but the closing one l (the level of largest mean) is drawn as
-    a negative binomial with pmf C(k+G_i-1, k) z_i^k (1-z_i)^G_i, and
+    With the tilt t_i = lam*h_i + t_1 (lam >= 0) and z_i = e^-t_i, every
+    level i but the closing one l (the level of largest mean N*x_l) is drawn
+    as a negative binomial with pmf C(k+G_i-1, k) z_i^k (1-z_i)^G_i, and
     n_l = N - sum of the others.  The proposal is accepted, when n_l >= 0
     and the height U (in 1/q units) is within the cap C, with probability
 
         f_l(n_l) / max_k f_l(k) * exp(lam*(U - C)/q),
 
-    where f_l(k) = C(k+G_l-1, k) z_l^k.  Since sum_i t_i*n_i = nu*N +
+    where f_l(k) = C(k+G_l-1, k) z_l^k.  Since sum_i t_i*n_i = t_1*N +
     lam*U/q, the accepted rows are exact draws for any tilt; the tilt only
     sets the acceptance rate.  Rows are seeded by (seed, N), so a row does
     not depend on which other rows run or where.  Returns a (count, m)
-    int64 array.  SolverError when _MAX_LEVEL_DRAWS level draws have not
-    made `count` rows.
+    int64 array.  SolverError when the tilt's root finds no bracket, or
+    when _MAX_LEVEL_DRAWS level draws have not made `count` rows.
     """
     m, e, q = spec.m, spec.energy_units, spec.q
     if m == 1:  # the one state
         return np.full((count, 1), n, dtype=np.int64)
     cap = spec.energy_bound_units(n)
     degs = degeneracies_for(spec, n).per_level
-    lam, t = _tilt(spec, n, degs)
-    close = _closing_level([g / math.expm1(ti) for g, ti in zip(degs, t)])
+    lam, t, x = finite_n_tilt(spec, n, degs)
+    close = x.index(max(x))
     drawn = [i for i in range(m) if i != close]
     log_f = level_log_weights([degs[close]], n)[0]
     log_f -= t[close] * np.arange(n + 1)

@@ -64,9 +64,10 @@ class TestValidation:
         assert "empty domain" in text
 
     def test_energies_reduced_to_common_denominator(self):
+        # q is the common denominator of the heights, here 0 and 1
         spec = make_spec(["2/4", "6/4"], [0.5, 0.5], 2, "proportional", c=1.0)
-        assert spec.q == 2
-        assert spec.energy_units == (0, 2)  # heights above eps_1
+        assert spec.q == 1
+        assert spec.energy_units == (0, 1)  # heights above eps_1
 
     def test_exact_cap_units(self):
         spec = make_spec(["1", "2"], [0.5, 0.5], "7/5", "proportional", c=1.0)

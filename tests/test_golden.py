@@ -8,10 +8,10 @@ rows and fallback rows of i.i.d. draws, lln-sweep with mgf probes and
 entropy-probe, each at N <= 200, and sample by both methods, with a full
 chain block and with steps alone; the Metropolis cases pin the chain's
 step loop.  Every case also runs with every energy and the cap shifted by
-one integer (-10**18, -7 and 10**18) against the same file: every path
-measures energies from eps_1, so no output byte depends on where energy
-zero sits.  The shifts are integers, as a rational one can change the
-common denominator q, which boundary N must be divisible by.
+one constant (-10**18, -7, 10**18, 7/3 and -5/6) against the same file:
+every path measures energies from eps_1, and q, which boundary N must be
+divisible by, is the common denominator of the heights eps_i - eps_1, so
+no output byte depends on where energy zero sits.
 
 No cell goes through BLAS or LAPACK, so the goldens hold under every
 OpenBLAS kernel; test_goldens_hold_on_other_openblas_kernels reruns them in
@@ -111,7 +111,7 @@ CASES = {
 }
 
 
-SHIFTS = (-10**18, -7, 10**18)
+SHIFTS = (-10**18, -7, 10**18, Fraction(7, 3), Fraction(-5, 6))
 
 
 def run_case(name: str, tmp: Path, shift: int = 0) -> str:

@@ -40,6 +40,16 @@ class TestClassify:
         spec = two_level_spec("high_degeneracy", energy_cap="3/2")
         assert classify_maximum(spec) is MaximumKind.INTERIOR
 
+    @pytest.mark.parametrize("scale", [Fraction(1, 10**13), 1, 10**13])
+    def test_energy_unit_changes_nothing(self, scale):
+        # heights 0, 1, 2 and cap height 3/5 below the threshold height 1,
+        # in three units of energy: the tie tolerance is relative
+        spec = make_spec([scale * k for k in (1, 2, 3)], [0.3, 0.4, 0.3],
+                         scale * Fraction(8, 5), "proportional", c=1.0)
+        assert classify_maximum(spec) is MaximumKind.BOUNDARY
+        assert solve(spec).x_star == pytest.approx(
+            (0.537199, 0.325602, 0.137199), abs=1e-6)
+
     def test_empty_domain_error(self):
         # bypass make_spec validation to reach the classifier's own check
         spec = EnsembleSpec(

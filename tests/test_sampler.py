@@ -1,10 +1,12 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from occens import (
@@ -18,7 +20,7 @@ from occens import (
     metropolis_chain,
 )
 from occens import sampler
-from occens.core import SolverError, SpecValidationError
+from occens.core import SpecValidationError
 
 from helpers import (
     Occupancy,
@@ -339,15 +341,19 @@ class TestIidDraws:
     def test_law_does_not_depend_on_closing_level(self, monkeypatch, close,
                                                   tilt):
         # Any closing level and any tilt give exact draws; they only set the
-        # acceptance rate.  A failed tilt solve falls back to lam = 0.  The
-        # seed is fixed, so each p-value is too.
+        # acceptance rate.  The patched tilt's x puts the largest mean on
+        # `close`, and a failed tilt is the flat one, lam = 0 and
+        # t_i = log(1 + G(N)/N).  The seed is fixed, so each p-value is too.
         spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
                          "proportional", c=1.0)
-        monkeypatch.setattr(sampler, "_closing_level", lambda means: close)
-        if tilt == "failed":
-            def no_tilt(spec):
-                raise SolverError("no tilt")
-            monkeypatch.setattr(sampler, "solve", no_tilt)
+        solved = sampler.finite_n_tilt
+
+        def patched(spec, n, degs):
+            lam, t, _ = solved(spec, n, degs)
+            if tilt == "failed":
+                lam, t = 0.0, [math.log1p(sum(degs) / n)] * spec.m
+            return lam, t, [float(i == close) for i in range(spec.m)]
+        monkeypatch.setattr(sampler, "finite_n_tilt", patched)
         draws = iid_draws(spec, 30, 20_000, seed=1)
         assert chi_square_p(build_distribution(spec, 30), draws) > 1e-3
 
@@ -371,23 +377,38 @@ def iid_runs(draw):
 # When the draws follow the pmf, an example fails with probability 1e-6
 # (nominal: the pooled Pearson statistic's chi-square law), so a run of 60
 # examples raises a false alarm with probability below 1e-4.
+# Both tests below cap the sampler at 10**6 level draws, not 10**8: no
+# passing example comes near it, and a tilt that stops accepting fails in
+# seconds.
 @settings(max_examples=60, deadline=None)
 @given(iid_runs())
 def test_iid_draws_follow_enumerated_pmf(run):
     spec, n, seed = run
-    draws = iid_draws(spec, n, 4000, seed)
+    with patch.object(sampler, "_MAX_LEVEL_DRAWS", 10**6):
+        draws = iid_draws(spec, n, 4000, seed)
     assert chi_square_p(build_distribution(spec, n), draws) > 1e-6
 
 
+# Two caps 1e-12 above eps_1, where the top level's tilted mean N*x_5
+# underflows: under lam = 0 the first accepts no proposal, and at the second
+# t_5 = 711 lies past the float range of math.expm1.
+_NEAR_EPS_1 = Fraction(1, 6) + Fraction(1, 10**12)
+
+
 @settings(max_examples=100, deadline=None)
-@given(spec=edge_specs(), data=st.data())
-def test_iid_draws_stay_on_constraint_set(spec, data):
-    n = data.draw(st.integers(1, 40), label="n")
+@given(spec=edge_specs(), n=st.integers(1, 40), seed=st.integers(0, 2**63 - 1))
+@example(spec=make_spec(["1/6", "1/3", "1/2", "2/3", "5"],
+                        [1 / 6, 1 / 3, 1 / 6, 1 / 6, 1 / 6], _NEAR_EPS_1,
+                        "high_degeneracy"), n=9, seed=0)
+@example(spec=make_spec(["1/6", "1/3", "1/2", "2/3", "29/6"], [0.2] * 5,
+                        _NEAR_EPS_1, "high_degeneracy"), n=8, seed=0)
+def test_iid_draws_stay_on_constraint_set(spec, n, seed):
     try:
         degeneracies_for(spec, n)
     except SpecValidationError:  # G(N) < m at small N
         return
-    draws = iid_draws(spec, n, 50, data.draw(st.integers(0, 2**63 - 1)))
+    with patch.object(sampler, "_MAX_LEVEL_DRAWS", 10**6):
+        draws = iid_draws(spec, n, 50, seed)
     assert draws.shape == (50, spec.m) and draws.dtype == np.int64
     assert draws.min() >= 0 and np.all(draws.sum(axis=1) == n)
     energy = draws @ np.array(spec.energy_units)
