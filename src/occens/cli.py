@@ -388,10 +388,8 @@ def cmd_sample(args, spec, config) -> int:
     n = config["N"]
     degeneracies_for(spec, n)
     if config["method"] == "exact":
-        from .ensemble import build_distribution
-        from .sampler import exact_sample
-        dist = build_distribution(spec, n, budget=config["budget"])
-        draws = exact_sample(dist, config["count"], config["seed"])
+        from .sampler import iid_draws
+        draws = iid_draws(spec, n, config["count"], config["seed"])
         comments = [f"method=exact count={config['count']} seed={config['seed']}"]
     else:
         from .sampler import ChainConfig, metropolis_chain
@@ -429,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         cmd_fluct_check, ("N_list",)),
         "entropy-probe": ("limit-entropy approximation error sweep",
                           cmd_entropy_probe, ("N_list", "x_probe")),
-        "sample": ("draw occupancies (exact inverse-CDF or Metropolis)",
+        "sample": ("draw occupancies (exact i.i.d. or Metropolis)",
                    cmd_sample, ("N",)),
     }
     for name, (help_text, handler, required) in specs.items():

@@ -100,10 +100,6 @@ class EnsembleSpec:
         of heights, a multiple of their gcd; 1 when m = 1."""
         return math.gcd(*self.energy_units[1:]) or 1
 
-    @cached_property
-    def energies_float(self) -> tuple[float, ...]:
-        return tuple(float(e) for e in self.energies)
-
     def energy_cap_units(self, n: int) -> int:
         """Integer cap height floor(q*(E - eps_1)*N); ties are included."""
         return math.floor(self.q * self.cap_height * n)

@@ -1,13 +1,12 @@
-"""Sampling from occupancy ensembles beyond the enumeration budget.
+"""Sampling from occupancy ensembles without enumerating them.
 
-Exact inverse-CDF sampling works from an enumerated distribution.  Past the
-budget, `iid_draws` makes exact i.i.d. draws of the pmf proportional to
-exp(S) on the constraint set: every level but one is an independent
-negative binomial under the finite-N maximum-entropy tilt (`solve`'s root,
-read by `maxent.finite_n_tilt`), the level of largest tilted mean closes
-the particle count, and a rejection step corrects the law exactly
-(probabilistic divide-and-conquer, Arratia & DeSalvo, Combin. Probab.
-Comput. 25, 2016).  The sweeps' fallback rows read these draws.
+`iid_draws` makes exact i.i.d. draws of the pmf proportional to exp(S) on
+the constraint set at any N, by probabilistic divide-and-conquer (Arratia &
+DeSalvo, Combin. Probab. Comput. 25, 2016) under the finite-N
+maximum-entropy tilt (`solve`'s root, read by `maxent.finite_n_tilt`);
+`sample --method exact` and the sweeps' fallback rows read it.
+`exact_sample`, inverse-CDF draws over an enumerated pmf, is the reference
+that the tests and the benchmark's layer trace read.
 
 A Metropolis chain targets the same pmf with single-ball moves between
 levels.  The proposal picks an ordered level pair uniformly over all
@@ -91,7 +90,9 @@ class ChainConfig:
 
 
 def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
-    """i.i.d. draws by inverse CDF over the enumerated pmf.
+    """i.i.d. draws by inverse CDF over the enumerated pmf: the whole-support
+    reference for `iid_draws`, kept for the tests and the benchmark's layer
+    trace; no command calls it.
 
     Returns a (count, m) int64 array of occupancy rows; deterministic for a
     fixed seed.
@@ -103,24 +104,73 @@ def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
     return dist.counts[idx].copy()
 
 
+def _closing_levels(spec: EnsembleSpec, n: int, degs, lam: float,
+                    x) -> tuple[int, ...]:
+    """The levels that close an i.i.d. proposal, in ascending order: the
+    level of largest x alone, or the two levels a < b of largest x,
+    whichever has the larger Gaussian estimate of its acceptance rate.
+
+    Each estimate reads a closing level's table f_i as a Gaussian of the
+    tilt's level variance v_i = N x_i (1 + N x_i/G_i), so a closing count
+    of proposal covariance P is accepted at about sqrt(det D/det(D + P)),
+    D the diagonal of the v_i.  With h_i the heights and V = sum v_i:
+
+    - one level l: n_l has variance V - v_l, which gives sqrt(v_l/V); the
+      factor exp(lam*(U - C)) over a height of variance sum (h_i - h_l)^2
+      v_i multiplies it by e^(s^2/2) Phi(-s) ~ 1/(2 + 2.5 s), s the
+      height's spread in units of the layers' decay length 1/lam;
+    - two levels: the geometric slack and the drawn levels give (n_a, n_b)
+      its covariance through the two equations, and only d/(q(h_b - h_a))
+      of the slacks solve in whole counts.
+
+    At lam = 0 there is no geometric law, and one level closes.
+    """
+    order = sorted(range(spec.m), key=lambda i: -x[i])
+    if lam == 0.0:
+        return (order[0],)
+    (a, b), first = sorted(order[:2]), order[0]
+    h = [u / spec.q for u in spec.energy_units]
+    v = [n * xi * (1.0 + n * xi / g) for xi, g in zip(x, degs)]
+    s = lam * math.sqrt(sum((hi - h[first]) ** 2 * vi for hi, vi in zip(h, v)))
+    one = math.sqrt(v[first] / sum(v)) / (2.0 + 2.5 * s)
+    step, w = spec.lattice_step / spec.q, h[b] - h[a]
+    drawn = [i for i in range(spec.m) if i not in (a, b)]
+    # n_b = (U - h_a*N - sum (h_i - h_a) n_i)/w and n_a = N - n_b - sum n_i
+    # over the drawn levels i, U falling by `step` per unit of slack
+    slack = math.exp(-lam * step) * (step / math.expm1(-lam * step)) ** 2
+    var_b = (slack + sum((h[i] - h[a]) ** 2 * v[i] for i in drawn)) / w**2
+    pull = sum((h[i] - h[a]) * v[i] for i in drawn) / w
+    var_a = sum(v[i] for i in drawn) + var_b - 2.0 * pull
+    det = (v[a] + var_a) * (v[b] + var_b) - (pull - var_b) ** 2
+    two = math.sqrt(v[a] * v[b] / det) * step / w
+    return (a, b) if two > one else (first,)
+
+
 def iid_draws(spec: EnsembleSpec, n: int, count: int,
               seed: int) -> np.ndarray:
     """`count` i.i.d. draws of the pmf proportional to exp(S) at N.
 
     With the tilt t_i = lam*h_i + t_1 (lam >= 0) and z_i = e^-t_i, every
-    level i but the closing one l (the level of largest mean N*x_l) is drawn
-    as a negative binomial with pmf C(k+G_i-1, k) z_i^k (1-z_i)^G_i, and
-    n_l = N - sum of the others.  The proposal is accepted, when n_l >= 0
-    and the height U (in 1/q units) is within the cap C, with probability
+    level i but the closing ones (`_closing_levels`) is drawn as a negative
+    binomial with pmf C(k+G_i-1, k) z_i^k (1-z_i)^G_i; each proposal makes
+    m - 1 level draws.  With f_i(k) = C(k+G_i-1, k) z_i^k:
 
-        f_l(n_l) / max_k f_l(k) * exp(lam*(U - C)/q),
+    - one closing level l: n_l = N - sum of the others, and the proposal is
+      accepted, when n_l >= 0 and the height U (in 1/q units) is within the
+      cap C, with probability f_l(n_l)/max f_l * exp(lam*(U - C)/q);
+    - two closing levels a < b: the slack k >= 0 is drawn from the
+      geometric law of ratio e^(-lam*d/q), d the lattice step, and
+      U = d*(floor(C/d) - k); n_a + n_b = N - sum of the others and
+      h_a*n_a + h_b*n_b = U - their height are solved, and the proposal is
+      accepted, when both are whole and >= 0, with probability
+      f_a(n_a)/max f_a * f_b(n_b)/max f_b.
 
-    where f_l(k) = C(k+G_l-1, k) z_l^k.  Since sum_i t_i*n_i = t_1*N +
-    lam*U/q, the accepted rows are exact draws for any tilt; the tilt only
-    sets the acceptance rate.  Rows are seeded by (seed, N), so a row does
-    not depend on which other rows run or where.  Returns a (count, m)
-    int64 array.  SolverError when the tilt's root finds no bracket, or
-    when _MAX_LEVEL_DRAWS level draws have not made `count` rows.
+    Since sum_i t_i*n_i = t_1*N + lam*U/q, both are exact draws for any tilt
+    and any closing levels; these set only the acceptance rate.  Rows are
+    seeded by (seed, N), so a row does not depend on which other rows run
+    or where.  Returns a (count, m) int64 array.  SolverError when the
+    tilt's root finds no bracket, or when _MAX_LEVEL_DRAWS level draws have
+    not made `count` rows.
     """
     m, e, q = spec.m, spec.energy_units, spec.q
     if m == 1:  # the one state
@@ -128,11 +178,12 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
     cap = spec.energy_bound_units(n)
     degs = degeneracies_for(spec, n).per_level
     lam, t, x = finite_n_tilt(spec, n, degs)
-    close = x.index(max(x))
-    drawn = [i for i in range(m) if i != close]
-    log_f = level_log_weights([degs[close]], n)[0]
-    log_f -= t[close] * np.arange(n + 1)
-    log_f -= log_f.max()
+    close = _closing_levels(spec, n, degs, lam, x)
+    drawn = [i for i in range(m) if i not in close]
+    log_f = level_log_weights([degs[i] for i in close], n)
+    log_f -= np.outer([t[i] for i in close], np.arange(n + 1))
+    log_f -= log_f.max(axis=1, keepdims=True)
+    d = spec.lattice_step
     rng = np.random.default_rng([seed, n])
     rows, made, proposed = [], 0, 0
     while made < count:
@@ -150,14 +201,31 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
         cols = np.empty((m, size), dtype=np.int64)
         for i in drawn:
             cols[i] = rng.negative_binomial(degs[i], -math.expm1(-t[i]), size)
-        cols[close] = n - cols[drawn].sum(axis=0)
-        cols = cols[:, cols[close] >= 0]
-        used = sum(u * col for u, col in zip(e, cols))
-        cols, used = cols[:, used <= cap], used[used <= cap]
+        cols[close[0]] = n - cols[drawn].sum(axis=0)
+        if len(close) == 1:
+            cols = cols[:, cols[close[0]] >= 0]
+            used = sum(u * col for u, col in zip(e, cols))
+            cols, used = cols[:, used <= cap], used[used <= cap]
+            bound = log_f[0, cols[close[0]]] + (lam / q) * (used - cap)
+        else:
+            a, b = close
+            # U in b: the top layer cap//d less the slack, clipped at layer
+            # -1 (slack cap//d + 1) before d scales it, so nothing overflows
+            slack = rng.geometric(-math.expm1(-lam * d / q), size) - 1
+            cols[b] = d * np.maximum(cap // d - slack, -1)
+            cols = cols[:, (cols[a] >= 0) & (cols[b] >= 0)]
+            # U less the height of the drawn levels and of n_a + n_b at h_a,
+            # each in [0, q*(eps_m - eps_1)*N], over h_b - h_a gives n_b
+            over = cols[b] - sum(e[i] * cols[i] for i in (*drawn, a))
+            n_b, rem = np.divmod(over, e[b] - e[a])
+            whole = (rem == 0) & (n_b >= 0) & (n_b <= cols[a])
+            cols = cols[:, whole]
+            cols[b] = n_b[whole]
+            cols[a] -= cols[b]
+            bound = log_f[0, cols[a]] + log_f[1, cols[b]]
         with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
-            log_u = np.log(rng.random(used.size))
-        keep = log_u < log_f[cols[close]] + (lam / q) * (used - cap)
-        rows.append(cols[:, keep][:, :need])
+            log_u = np.log(rng.random(bound.size))
+        rows.append(cols[:, log_u < bound][:, :need])
         made += rows[-1].shape[1]
     return np.concatenate(rows, axis=1).T
 

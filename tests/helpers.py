@@ -53,8 +53,14 @@ def two_level_spec(regime, energy_cap="7/5", c=1.0, weights=None):
                      energy_cap, regime, **kwargs)
 
 
-def random_spec(rng, regime, m, boundary):
-    """Seeded random instance with small rational energies.
+def energies_float(spec) -> tuple[float, ...]:
+    """The spec's energies as floats."""
+    return tuple(float(e) for e in spec.energies)
+
+
+def random_spec(rng, regime, m, boundary, energies=None):
+    """Seeded random instance with small rational energies, or the given
+    ones.
 
     Weights are 0.05 plus a Dirichlet share of the rest, so every weight is
     at least 0.05 and solutions stay away from the simplex boundary; the cap
@@ -63,7 +69,8 @@ def random_spec(rng, regime, m, boundary):
     """
     q = int(rng.choice([1, 2, 3, 4]))
     numerators = np.sort(rng.choice(np.arange(1, 13), size=m, replace=False))
-    energies = [Fraction(int(v), q) for v in numerators]
+    if energies is None:
+        energies = [Fraction(int(v), q) for v in numerators]
     weights = 0.05 + (1.0 - 0.05 * m) * rng.dirichlet(np.ones(m))
     kwargs = {"c": float(rng.uniform(0.5, 3.0))} if regime == "proportional" else {}
     spec_probe = make_spec(energies, weights, float(energies[-1]) + 1.0,
@@ -247,7 +254,7 @@ def lapack_gaussian_covariance(precision: np.ndarray) -> np.ndarray:
 def lapack_rotation_basis(spec: EnsembleSpec) -> np.ndarray:
     """rotation_basis with BLAS dots and norms."""
     m = spec.m
-    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
+    w = np.subtract(energies_float(spec)[:-1], energies_float(spec)[-1])
     norm = float(np.linalg.norm(w))
     if norm < 1e-12:
         raise ValueError("degenerate normal: energies do not separate levels")
@@ -281,7 +288,7 @@ def lapack_predict_boundary(spec: EnsembleSpec,
     """The in-plane covariance block by BLAS products and np.linalg.inv, and
     the layer log-ratio from the unit cap normal: (block, log-ratio)."""
     sol = solve(spec)
-    w = np.subtract(spec.energies_float[:-1], spec.energies_float[-1])
+    w = np.subtract(energies_float(spec)[:-1], energies_float(spec)[-1])
     w_norm = float(np.linalg.norm(w))
     # derivative of s_l along the inward normal; grad s_l(x*) = lam*eps + nu
     s_prime = -sol.lam * w_norm
@@ -593,7 +600,7 @@ def fraction_vector(spec, x) -> np.ndarray:
         raise ValueError(f"fractions must lie in [0, 1]: {x}")
     if abs(x.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValueError(f"fractions sum to {x.sum()!r}, expected 1")
-    energies = np.array(spec.energies_float)
+    energies = np.array(energies_float(spec))
     if float(x @ energies) > float(spec.energy_cap) + 1e-12:
         raise ValueError(
             f"mean energy {x @ energies} exceeds cap {float(spec.energy_cap)}")
@@ -686,7 +693,7 @@ class _ArraySpec:
 
     def __init__(self, spec):
         self._spec = spec
-        self.energies_float = np.array(spec.energies_float)
+        self.energies_float = np.array(energies_float(spec))
         self.weights_array = np.array(spec.weights)
 
     def __getattr__(self, name):
@@ -977,7 +984,7 @@ def kkt_stationarity_residual(spec: EnsembleSpec,
     """Max-norm of grad s_l(x*) - (lam*eps + nu); ~0 at a valid solution."""
     grad = np.array(limit_entropy_grad(spec, sol.x_star))
     return float(np.max(np.abs(
-        grad - (sol.lam * np.array(spec.energies_float) + sol.nu))))
+        grad - (sol.lam * np.array(energies_float(spec)) + sol.nu))))
 
 
 def oracle_grid_maximize(spec: EnsembleSpec, resolution: int = 1000) -> np.ndarray:
@@ -1016,7 +1023,7 @@ def _refine_once(spec: EnsembleSpec, x0: np.ndarray,
     cand[:, : m - 1] = x0[: m - 1] + offsets * sub
     cand[:, m - 1] = 1.0 - cand[:, : m - 1].sum(axis=1)
     feasible = ((cand > 0.0).all(axis=1)
-                & (cand @ spec.energies_float
+                & (cand @ energies_float(spec)
                    <= float(spec.energy_cap) + 1e-12))
     cand = cand[feasible]
     if cand.shape[0] == 0:

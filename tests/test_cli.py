@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,11 +380,33 @@ class TestSample:
             **BOUNDARY_CONFIG, "N": 6, "method": "bogus"})
         assert main(["sample", "--config", config]) == 2
 
+    def test_exact_draws_read_no_budget(self, tmp_path):
+        # The exact draws enumerate nothing: at N=10000 (9.0M states) a
+        # budget of 10 does not stop them, and they hold the draws, not the
+        # support (some 580 MB for the support and its pmf).
+        config = write_config(tmp_path, {
+            **M3_CONFIG, "regime": "proportional", "c": 1.0, "N": 10_000,
+            "count": 1000, "budget": 10, "method": "exact"})
+        out = tmp_path / "draws.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sample", "--config", config, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 20 * 2**20
+        _, _, rows = read_csv(out)
+        draws = np.array(rows, dtype=np.int64)
+        assert draws.shape == (1000, 3) and draws.min() >= 0
+        assert np.all(draws.sum(axis=1) == 10_000)
+        # heights 0, 1, 2 above eps_1 = 1, under the cap height 3/5 * N
+        assert np.all(draws @ [0, 1, 2] <= 6000)
+
 
 def test_commands_import_only_what_they_use(tmp_path):
     # NumPy is imported only by code that holds arrays over states: the
     # package, the CLI, `solve` and `entropy-probe` load none of it (nor
-    # SciPy, which no command needs); Metropolis sampling does not load the
+    # SciPy, which no command needs); neither sampling method loads the
     # enumerator; and an exact sweep at --jobs 1 loads neither process-pool
     # machinery nor the sampler, which only the fallback needs.  Every
     # exported name still imports lazily.
@@ -397,6 +420,8 @@ def test_commands_import_only_what_they_use(tmp_path):
     chain_config = write_config(tmp_path, {
         **BOUNDARY_CONFIG, "N": 16, "method": "metropolis",
         "chain": {"steps": 1000}}, "chain.json")
+    exact_config = write_config(tmp_path, {
+        **BOUNDARY_CONFIG, "N": 16, "method": "exact"}, "exact.json")
     probe_out = tmp_path / "probe.csv"
     code = f"""
 import sys
@@ -419,13 +444,15 @@ for name in occens.__all__:
     assert name in dir(occens), name
 print('exports', len(occens.__all__))
 """
-    # Metropolis sampling runs in an interpreter of its own, where no sweep
-    # has loaded the enumerator
+    # Both sampling methods run in an interpreter of their own, where no
+    # sweep has loaded the enumerator
     chain_code = f"""
 import sys
 from occens.cli import main
 assert main(['sample', '--config', {chain_config!r}, '--out', {str(tmp_path / 'chain.csv')!r}]) == 0
 print('sample metropolis', 'occens.ensemble' in sys.modules)
+assert main(['sample', '--config', {exact_config!r}, '--out', {str(tmp_path / 'exact.csv')!r}]) == 0
+print('sample exact', 'occens.ensemble' in sys.modules)
 """
     lines = []
     for script in (code, chain_code):
@@ -436,7 +463,8 @@ print('sample metropolis', 'occens.ensemble' in sys.modules)
     assert lines == [
         "import occens []", "import occens.cli []", "solve []",
         "entropy-probe []", "lln-sweep [] False",
-        f"exports {len(occens.__all__)}", "sample metropolis False"]
+        f"exports {len(occens.__all__)}", "sample metropolis False",
+        "sample exact False"]
     _, header, rows = read_csv(probe_out)
     assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0
 
@@ -927,7 +955,7 @@ def test_failed_allocation_is_json(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB")
 
-    monkeypatch.setattr(occens.sampler, "exact_sample", no_memory)
+    monkeypatch.setattr(occens.sampler, "iid_draws", no_memory)
     config = write_config(tmp_path, {**M3_PROPORTIONAL, "N": 10,
                                      "count": 10**12})
     assert main(["sample", "--config", config]) == 1

@@ -26,10 +26,13 @@ After a declared change of output bytes, rewrite the golden files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which writes only the files whose cells moved.
+which writes only the files whose cells moved, and prints for each the
+columns whose cells moved, how many, and their largest relative change:
+the cell diff to quote with the change.
 """
 
 import json
+import math
 import os
 import platform
 import shutil
@@ -181,23 +184,57 @@ def test_goldens_hold_on_other_openblas_kernels(core):
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
 
 
+def cell_diff(old: str, new: str) -> str:
+    """What moved from the CSV text `old` to `new`: per column, the cells
+    that differ, out of the rows compared, and their largest relative
+    change |new - old|/|old|; then any comment lines, header or row count
+    that changed.  The `# generated=` line and wall_time_s are left out."""
+    parts = []
+    (old_notes, old_rows), (new_notes, new_rows) = (
+        ([ln for ln in lines if ln.startswith("#")],
+         [ln.split(",") for ln in lines if ln and not ln.startswith("#")])
+        for lines in (normalise(old), normalise(new)))
+    header = new_rows[0]
+    pairs = list(zip(old_rows[1:], new_rows[1:]))
+    for col, name in enumerate(header):
+        moved = [(float(a[col]), float(b[col])) for a, b in pairs
+                 if col < len(a) and a[col] != b[col]]
+        if moved:
+            rel = max(abs(b - a) / abs(a) if a else math.inf for a, b in moved)
+            parts.append(f"{name} {len(moved)} of {len(pairs)} cells, "
+                         f"max rel {rel:.3g}")
+    if old_notes != new_notes:
+        parts.append("comment lines changed")
+    if old_rows[0] != header:
+        parts.append(f"header was {','.join(old_rows[0])}")
+    if len(old_rows) != len(new_rows):
+        parts.append(f"rows {len(old_rows) - 1} -> {len(new_rows) - 1}")
+    return "; ".join(parts)
+
+
 def regenerate(golden: Path, tmp: Path) -> list[str]:
     """Rerun every case and rewrite the golden files in `golden` whose
     normalised lines differ from the new output, or that are missing, so
     that a file whose cells did not move keeps its `# generated=` line and
-    timings.  Returns the cases written."""
+    timings.  Prints one line per file written, with its cell_diff for a
+    file that was there, and returns the cases written."""
     written = []
     for case in CASES:
         path, text = golden / f"{case}.csv", run_case(case, tmp)
-        if path.exists() and normalise(
-                path.read_text(encoding="utf-8")) == normalise(text):
-            continue
+        if not path.exists():
+            change = "new file"
+        else:
+            old = path.read_text(encoding="utf-8")
+            if normalise(old) == normalise(text):
+                continue
+            change = cell_diff(old, text)
         path.write_text(text, encoding="utf-8")
+        print(f"wrote {case}.csv: {change}", file=sys.stderr)
         written.append(case)
     return written
 
 
-def test_regenerate_writes_only_moved_files(tmp_path):
+def test_regenerate_writes_only_moved_files(tmp_path, capsys):
     # The first pass brings the copy to this host's bits (it writes nothing
     # where the goldens pass); a second pass on the unchanged copy must
     # write nothing.
@@ -206,7 +243,9 @@ def test_regenerate_writes_only_moved_files(tmp_path):
     runs.mkdir()
     regenerate(copy, runs)
     before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    capsys.readouterr()
     assert regenerate(copy, runs) == []
+    assert capsys.readouterr().err == ""
     assert {p.name: p.read_bytes() for p in copy.iterdir()} == before
     # a moved cell and a missing file are written, and nothing else
     moved = copy / "lln_m3_proportional_xi.csv"
@@ -216,6 +255,10 @@ def test_regenerate_writes_only_moved_files(tmp_path):
     (copy / "entropy_m2_high.csv").unlink()
     assert regenerate(copy, runs) == ["lln_m3_proportional_xi",
                                       "entropy_m2_high"]
+    # the one moved cell, 201 back to 200 in the N column of 3 rows
+    assert capsys.readouterr().err.splitlines() == [
+        "wrote lln_m3_proportional_xi.csv: N 1 of 3 cells, max rel 0.00498",
+        "wrote entropy_m2_high.csv: new file"]
     for case in ("lln_m3_proportional_xi", "entropy_m2_high"):
         assert normalise((copy / f"{case}.csv").read_text(
             encoding="utf-8")) == normalise(before[f"{case}.csv"].decode())
@@ -229,5 +272,4 @@ if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in regenerate(GOLDEN, Path(tmp)):
-            print(f"wrote {case}.csv", file=sys.stderr)
+        regenerate(GOLDEN, Path(tmp))

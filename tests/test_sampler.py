@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from occens import (
     metropolis_chain,
 )
 from occens import sampler
-from occens.core import SpecValidationError
+from occens.core import SolverError, SpecValidationError
 
 from helpers import (
     Occupancy,
@@ -336,36 +337,87 @@ class TestIidDraws:
         assert not np.array_equal(draws[:, 1:], iid_draws(
             spec, 501, 2000, seed=7)[:, 1:])
 
-    @pytest.mark.parametrize("tilt", ["solved", "failed"])
-    @pytest.mark.parametrize("close", [0, 1, 2])
+    @pytest.mark.parametrize("close, tilt", [
+        *(pytest.param((level,), tilt, id=f"{level}-{tilt}")
+          for level in range(3) for tilt in ("solved", "failed", "steeper")),
+        *(pytest.param(pair, tilt, id=f"{pair[0]}{pair[1]}-{tilt}")
+          for pair in ((0, 1), (0, 2), (1, 2))
+          for tilt in ("solved", "steeper"))])
     def test_law_does_not_depend_on_closing_level(self, monkeypatch, close,
                                                   tilt):
-        # Any closing level and any tilt give exact draws; they only set the
-        # acceptance rate.  The patched tilt's x puts the largest mean on
-        # `close`, and a failed tilt is the flat one, lam = 0 and
-        # t_i = log(1 + G(N)/N).  The seed is fixed, so each p-value is too.
+        # Any closing levels and any tilt give exact draws; they only set
+        # the acceptance rate.  The patched selection closes on `close`: one
+        # level, or a pair closing count and height.  A failed tilt is the
+        # flat one, lam = 0 and t_i = log(1 + G(N)/N), which only one level
+        # can close; a steeper one doubles lam, and with it the geometric
+        # slack's rate.  The seed is fixed, so each p-value is too.
         spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
                          "proportional", c=1.0)
         solved = sampler.finite_n_tilt
 
         def patched(spec, n, degs):
-            lam, t, _ = solved(spec, n, degs)
+            lam, t, x = solved(spec, n, degs)
             if tilt == "failed":
                 lam, t = 0.0, [math.log1p(sum(degs) / n)] * spec.m
-            return lam, t, [float(i == close) for i in range(spec.m)]
+            elif tilt == "steeper":
+                t = [ti + lam * u / spec.q
+                     for ti, u in zip(t, spec.energy_units)]
+                lam *= 2
+            return lam, t, x
         monkeypatch.setattr(sampler, "finite_n_tilt", patched)
+        monkeypatch.setattr(sampler, "_closing_levels", lambda *args: close)
         draws = iid_draws(spec, 30, 20_000, seed=1)
         assert chi_square_p(build_distribution(spec, 30), draws) > 1e-3
+
+    @pytest.mark.parametrize("cap, close, digest", [
+        # the height spreads over some 11 decay lengths of the slack layers:
+        # two levels accept about 0.59 of their proposals, one about 0.025
+        ("8/5", (0, 1), None),
+        # just below the threshold 2 the height spreads over 0.14 of one
+        # (one level accepts about 0.23, two about 0.06), and an interior
+        # cap has lam = 0: one level closes, and the digests pin its draws
+        ("399/200", (1,), "e8174e26772ecdea62d202959228771c"
+                          "54e8db80794e5071969f5097dccb4959"),
+        ("5/2", (1,), "ae9f55d4fa268c1c862a274b5e2bdf5e"
+                      "3d73bce386135f25f313ccaabdbbb0bb"),
+    ], ids=["boundary", "near-threshold", "interior"])
+    def test_closure_selection(self, cap, close, digest):
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], cap,
+                         "proportional", c=1.0)
+        degs = degeneracies_for(spec, 1000).per_level
+        lam, _, x = sampler.finite_n_tilt(spec, 1000, degs)
+        assert sampler._closing_levels(spec, 1000, degs, lam, x) == close
+        if digest is not None:
+            draws = iid_draws(spec, 1000, 2000, seed=5)
+            assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+    def test_boundary_draws_do_not_slow_with_n(self, monkeypatch):
+        # A count of level draws, not a wall time: at N = 10**5 the two-level
+        # closure makes 20,000 draws in about 8e4 level draws (acceptance
+        # about 0.6), while one level closing, whose acceptance falls like
+        # N**-1/2, would need about 1e7 and runs out of the cap.
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                         "proportional", c=1.0)
+        monkeypatch.setattr(sampler, "_MAX_LEVEL_DRAWS", 2 * 10**5)
+        draws = iid_draws(spec, 10**5, 20_000, seed=1)
+        assert draws.shape == (20_000, 3)
+        assert np.all(draws @ np.array(spec.energy_units)
+                      <= spec.energy_cap_units(10**5))
+        monkeypatch.setattr(sampler, "_closing_levels", lambda *args: (0,))
+        with pytest.raises(SolverError, match="within its cap"):
+            iid_draws(spec, 10**5, 20_000, seed=1)
 
 
 @st.composite
 def iid_runs(draw):
     regime = draw(st.sampled_from(
         ["high_degeneracy", "proportional", "low_degeneracy"]))
-    m = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
     boundary = m > 1 and draw(st.booleans())
+    # rational heights, or the energies 0, 2, 4, ... of lattice step 2
+    energies = draw(st.sampled_from([None, range(0, 2 * m, 2)]))
     spec = random_spec(np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
-                       regime, m, boundary)
+                       regime, m, boundary, energies)
     n = draw(st.integers(1, 40))
     try:
         degeneracies_for(spec, n)
@@ -382,6 +434,14 @@ def iid_runs(draw):
 # seconds.
 @settings(max_examples=60, deadline=None)
 @given(iid_runs())
+# six levels of G_i = 1 at N=10, where the two levels of largest x lie
+# three lattice steps apart: closing them accepts about 0.02 of the
+# proposals (too few for the cap), one level about 0.06
+@example(run=(make_spec(["1/3", "4/3", "2", "7/3", "10/3", "4"], [
+    0.11906193884604716, 0.18796380294137116, 0.17214154959919584,
+    0.07317405981575316, 0.3219958829692257, 0.12566276582840694],
+    Fraction(705841460903371, 562949953421312), "proportional",
+    c=0.5150111024561123), 10, 0))
 def test_iid_draws_follow_enumerated_pmf(run):
     spec, n, seed = run
     with patch.object(sampler, "_MAX_LEVEL_DRAWS", 10**6):
