@@ -13,13 +13,11 @@ command-line error included), found before any row or draw runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import time
-from datetime import datetime, timezone
 
 from . import __version__
 from .core import (
@@ -33,12 +31,12 @@ from .core import (
     has_finite_float,
     make_spec,
 )
-from .entropy import approximation_error, scaling_factor
 from .maxent import MaximumKind, solve
 
 # The array side (ensemble, fluctuations, sampler) and NumPy are imported
 # inside the commands that use them, so `solve` and `entropy-probe` run on
-# the standard library alone.
+# the standard library alone; entropy is imported inside entropy-probe, so
+# `solve` loads only core and maxent.
 CSV_SCHEMA_LINE = "# schema=1"
 
 
@@ -195,8 +193,11 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
 
 def _write_csv(out: str | None, comments: list[str], header: list[str],
                rows: list[list]) -> None:
+    # ISO 8601 UTC, to the microsecond
+    ns = time.time_ns()
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(ns // 10**9))
     lines = [CSV_SCHEMA_LINE,
-             f"# generated={datetime.now(timezone.utc).isoformat()}"]
+             f"# generated={stamp}.{ns // 1000 % 10**6:06d}+00:00"]
     lines.extend(f"# {c}" for c in comments)
     lines.append(",".join(header))
     # every cell is a Python int or float, whose str is its shortest repr
@@ -258,7 +259,7 @@ def _accumulate(spec, n: int, config: dict, acc) -> None:
 
 def cmd_solve(args, spec, config) -> int:
     # the enums are str subclasses, so they are written as their values
-    report = dataclasses.asdict(solve(spec))
+    report = solve(spec)._asdict()
     _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
     return 0
 
@@ -368,6 +369,8 @@ def cmd_fluct_check(spec, config, ns):
 
 @_sweep
 def cmd_entropy_probe(spec, config, ns):
+    from .entropy import approximation_error, scaling_factor
+
     x = [float(v) for v in config["x_probe"]]
     if spec.regime is Regime.LOW_DEGENERACY and 0.0 in x:  # g_i ln x_i
         raise ConfigError(f"x_probe {x} has a zero coordinate, at level "

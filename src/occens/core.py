@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 WEIGHT_SUM_TOL = 1e-12
 DEFAULT_STATE_BUDGET = 10_000_000
@@ -46,22 +45,31 @@ class SolverError(RuntimeError):
     """A numeric solver failed to converge within its iteration cap."""
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """A bounded-energy occupancy ensemble instance.
-
-    energies are exact Fractions (strictly increasing), weights are reals in
-    (0, 1] summing to 1, energy_cap is the per-particle cap E as a Fraction.
-    The total degeneracy is G(N) = ceil(c*N) in the proportional regime and
-    G(N) = ceil(N**p) in the other two.
-    """
-
+class _SpecFields(NamedTuple):
     energies: tuple[Fraction, ...]
     weights: tuple[float, ...]
     energy_cap: Fraction
     regime: Regime
     c: float | None = None
     p: float | None = None
+
+
+class EnsembleSpec(_SpecFields):
+    """A bounded-energy occupancy ensemble instance.
+
+    energies are exact Fractions (strictly increasing), weights are reals in
+    (0, 1] summing to 1, energy_cap is the per-particle cap E as a Fraction.
+    The total degeneracy is G(N) = ceil(c*N) in the proportional regime and
+    G(N) = ceil(N**p) in the other two.  The fields are a NamedTuple's;
+    this subclass keeps an instance dict, where the derived values below
+    are cached on first read.
+    """
+
+    def __setattr__(self, name, value):
+        # cached_property writes the instance dict directly; a set attribute
+        # could only shadow a cached value, so none is allowed
+        raise AttributeError(f"EnsembleSpec is immutable, cannot set {name!r}; "
+                             f"build another with _replace")
 
     @property
     def m(self) -> int:
@@ -201,8 +209,7 @@ def validate_spec(spec: EnsembleSpec) -> EnsembleSpec:
     return spec
 
 
-@dataclass(frozen=True)
-class DegeneracyAssignment:
+class DegeneracyAssignment(NamedTuple):
     """Per-level degeneracies G_1..G_m summing to G(N)."""
 
     total: int

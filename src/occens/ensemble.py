@@ -15,7 +15,7 @@ one block, so one set of estimators serves every backend.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,8 +137,7 @@ def _batches(first: np.ndarray, sizes: np.ndarray):
         start = stop
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
+class LayerDecomposition(NamedTuple):
     """Support partitioned by exact energy slack, indexed from the boundary.
 
     Layer k holds the states whose slack in 1/q units, floor(q(E - eps_1)N)
@@ -358,8 +357,7 @@ def accumulate_support(acc: Accumulator,
         acc.add(*block)
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(NamedTuple):
     """A pmf over occupancy rows: the whole enumerated support or chain
     draws, held at once.
 

@@ -13,7 +13,7 @@ scaled coordinates (and the slack layers at a boundary maximum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .maxent import MaximumKind, MaxEntSolution, classify_maximum, solve
 _ORTHONORMAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FluctuationPrediction:
+class FluctuationPrediction(NamedTuple):
     """Predicted limit law: Gaussian block and/or boundary layer ratio."""
 
     kind: MaximumKind

@@ -28,8 +28,8 @@ Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import EnsembleSpec, Regime, SolverError, make_spec
 
@@ -43,8 +43,7 @@ class MaximumKind(str, Enum):
     BOUNDARY = "boundary"
 
 
-@dataclass(frozen=True)
-class MaxEntSolution:
+class MaxEntSolution(NamedTuple):
     """Limiting distribution x* with multipliers and maximum-type tag."""
 
     x_star: tuple[float, ...]

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from operator import length_hint
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -56,8 +55,7 @@ _LOG_TIE = 1e-9
 _MAX_LEVEL_DRAWS = 10**8
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(NamedTuple):
     """Metropolis run parameters; None fields default from (N, m)."""
 
     steps: int | None

@@ -406,8 +406,11 @@ class TestSample:
 def test_commands_import_only_what_they_use(tmp_path):
     # NumPy is imported only by code that holds arrays over states: the
     # package, the CLI, `solve` and `entropy-probe` load none of it (nor
-    # SciPy, which no command needs); neither sampling method loads the
-    # enumerator; and an exact sweep at --jobs 1 loads neither process-pool
+    # SciPy, which no command needs), and so none of what NumPy loads
+    # (inspect, datetime); `solve` does not load occens.entropy either.  No
+    # command loads dataclasses, whose import chain (inspect, ast, dis)
+    # outweighs what `solve` runs.  Neither sampling method loads the
+    # enumerator; an exact sweep at --jobs 1 loads neither process-pool
     # machinery nor the sampler, which only the fallback needs.  Every
     # exported name still imports lazily.
     env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
@@ -417,6 +420,10 @@ def test_commands_import_only_what_they_use(tmp_path):
         "probe.json")
     sweep_config = write_config(tmp_path, {
         **BOUNDARY_CONFIG, "N_list": [16, 32]}, "sweep.json")
+    # 7 states at N=16 and 13 at N=32, so the second row falls back
+    fallback_config = write_config(tmp_path, {
+        **BOUNDARY_CONFIG, "N_list": [16, 32], "budget": 10,
+        "sampler_fallback": True}, "fallback.json")
     chain_config = write_config(tmp_path, {
         **BOUNDARY_CONFIG, "N": 16, "method": "metropolis",
         "chain": {"steps": 1000}}, "chain.json")
@@ -425,20 +432,22 @@ def test_commands_import_only_what_they_use(tmp_path):
     probe_out = tmp_path / "probe.csv"
     code = f"""
 import sys
-def loaded(*roots):
-    return sorted({{name.split('.')[0] for name in sys.modules}} & set(roots))
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
+BARE = ('numpy', 'scipy', 'dataclasses', 'datetime', 'inspect')
 import occens
-print('import occens', loaded('numpy', 'scipy'))
+print('import occens', loaded(*BARE, 'occens.entropy'))
 import occens.cli
-print('import occens.cli', loaded('numpy', 'scipy'))
+print('import occens.cli', loaded(*BARE, 'occens.entropy'))
 from occens.cli import main
 assert main(['solve', '--config', {solve_config!r}, '--out', {str(tmp_path / 'sol.json')!r}]) == 0
-print('solve', loaded('numpy', 'scipy'))
+print('solve', loaded(*BARE, 'occens.entropy'))
 assert main(['entropy-probe', '--config', {probe_config!r}, '--out', {str(probe_out)!r}]) == 0
-print('entropy-probe', loaded('numpy', 'scipy'))
+print('entropy-probe', loaded(*BARE))
 assert main(['lln-sweep', '--config', {sweep_config!r}, '--out', {str(tmp_path / 'sweep.csv')!r}, '--jobs', '1']) == 0
-print('lln-sweep', loaded('scipy', 'multiprocessing', 'concurrent'),
-      'occens.sampler' in sys.modules)
+print('lln-sweep', loaded('scipy', 'dataclasses', 'multiprocessing', 'concurrent', 'occens.sampler'))
+assert main(['fluct-check', '--config', {fallback_config!r}, '--out', {str(tmp_path / 'fluct.csv')!r}]) == 0
+print('fluct-check', loaded('scipy', 'dataclasses', 'occens.sampler'))
 for name in occens.__all__:
     exec(f'from occens import {{name}}')
     assert name in dir(occens), name
@@ -448,11 +457,13 @@ print('exports', len(occens.__all__))
     # sweep has loaded the enumerator
     chain_code = f"""
 import sys
+def loaded(*names):
+    return [name for name in names if name in sys.modules]
 from occens.cli import main
 assert main(['sample', '--config', {chain_config!r}, '--out', {str(tmp_path / 'chain.csv')!r}]) == 0
-print('sample metropolis', 'occens.ensemble' in sys.modules)
+print('sample metropolis', loaded('occens.ensemble', 'dataclasses'))
 assert main(['sample', '--config', {exact_config!r}, '--out', {str(tmp_path / 'exact.csv')!r}]) == 0
-print('sample exact', 'occens.ensemble' in sys.modules)
+print('sample exact', loaded('occens.ensemble', 'dataclasses'))
 """
     lines = []
     for script in (code, chain_code):
@@ -462,11 +473,40 @@ print('sample exact', 'occens.ensemble' in sys.modules)
         lines += done.stdout.splitlines()
     assert lines == [
         "import occens []", "import occens.cli []", "solve []",
-        "entropy-probe []", "lln-sweep [] False",
-        f"exports {len(occens.__all__)}", "sample metropolis False",
-        "sample exact False"]
+        "entropy-probe []", "lln-sweep []", "fluct-check ['occens.sampler']",
+        f"exports {len(occens.__all__)}", "sample metropolis []",
+        "sample exact []"]
     _, header, rows = read_csv(probe_out)
     assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0
+
+
+def test_generated_stamp_is_utc(tmp_path, monkeypatch):
+    # The stamp is written from `time` alone; it reads back with datetime
+    # as the UTC instant of the run, offset 0, to the microsecond, at a
+    # whole second too.
+    from datetime import datetime, timedelta, timezone
+
+    def stamp():
+        config = write_config(tmp_path, {**BOUNDARY_CONFIG, "N": 5, "count": 2})
+        out = tmp_path / "draws.csv"
+        assert main(["sample", "--config", config, "--out", str(out)]) == 0
+        line = out.read_text(encoding="utf-8").splitlines()[1]
+        assert line.startswith("# generated=")
+        text = line.removeprefix("# generated=")
+        value = datetime.fromisoformat(text)
+        assert value.utcoffset() == timedelta(0)
+        assert value.isoformat(timespec="microseconds") == text
+        return value
+
+    before = datetime.now(timezone.utc)
+    value = stamp()
+    assert before - timedelta(milliseconds=1) <= value <= datetime.now(
+        timezone.utc)
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    for ns in (1_700_000_000_000_000_000, 1_700_000_000_999_999_999,
+               4_102_444_800_000_123_456):
+        monkeypatch.setattr("time.time_ns", lambda ns=ns: ns)
+        assert stamp() == epoch + timedelta(microseconds=ns // 1000)
 
 
 M3_PROPORTIONAL = {**M3_CONFIG, "regime": "proportional", "c": 1.0}
@@ -835,12 +875,13 @@ def test_unwritable_out_fails_before_any_row(tmp_path, capsys, monkeypatch):
     # the boundary sweep that enumerated for 0.6 s before it found the
     # missing directory now fails before a distribution is built
     import occens.ensemble
+    import occens.sampler
 
     def no_rows(*args, **kwargs):
         raise AssertionError("a row ran before --out was checked")
 
-    for name in ("build_distribution", "accumulate_support"):
-        monkeypatch.setattr(occens.ensemble, name, no_rows)
+    monkeypatch.setattr(occens.ensemble, "accumulate_support", no_rows)
+    monkeypatch.setattr(occens.sampler, "iid_draws", no_rows)
     config = write_config(tmp_path, {**M3_PROPORTIONAL,
                                      "N_list": [500, 1000, 2000, 3000]})
     out = tmp_path / "missing" / "x.csv"
@@ -918,23 +959,46 @@ EARLY_IDS = [*MALFORMED_IDS, *REJECTED_IDS, "chain.burn_in-reaches-steps",
              "x_probe-unrepresentable", "x_probe-zero-low", "out-unwritable"]
 
 
-@pytest.mark.parametrize("command, extra, args", EARLY_CONFIG_ERRORS,
-                         ids=EARLY_IDS)
-def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
-                                      extra, args):
+def _no_work(monkeypatch):
+    """Make the first unit of work of every command raise: a sweep row's
+    enumeration and its fallback draws, entropy-probe's row, and both
+    sampling methods."""
     import occens.ensemble
+    import occens.entropy
     import occens.sampler
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the config was checked")
 
-    for module, name in [(occens.ensemble, "build_distribution"),
-                         (occens.ensemble, "accumulate_support"),
+    for module, name in [(occens.ensemble, "accumulate_support"),
                          (occens.sampler, "metropolis_chain"),
                          (occens.sampler, "iid_draws"),
-                         (occens.sampler, "exact_sample"),
-                         (occens.cli, "approximation_error")]:
+                         (occens.entropy, "approximation_error")]:
         monkeypatch.setattr(module, name, no_work)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("lln-sweep", {"N_list": [10]}),
+    ("fluct-check", {"N_list": [10]}),
+    ("entropy-probe", {"N_list": [10], "x_probe": [0.5, 0.3, 0.2]}),
+    ("sample", {"N": 10}),
+    ("sample", {"N": 10, "method": "metropolis"}),
+], ids=["lln-sweep", "fluct-check", "entropy-probe", "sample-exact",
+        "sample-metropolis"])
+def test_no_work_patches_what_commands_call(tmp_path, monkeypatch, command,
+                                            extra):
+    # each patched name is on its command's path, so the test below guards
+    # every command; a patch of a name no command calls would guard nothing
+    _no_work(monkeypatch)
+    with pytest.raises(AssertionError, match="work started"):
+        run_args(tmp_path, command, extra, WITH_CONFIG)
+
+
+@pytest.mark.parametrize("command, extra, args", EARLY_CONFIG_ERRORS,
+                         ids=EARLY_IDS)
+def test_config_error_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                      extra, args):
+    _no_work(monkeypatch)
     assert_config_error(capsys, run_args(tmp_path, command, extra, args))
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -47,8 +48,6 @@ class TestValidation:
             make_spec(["1", "2"], [0.5, 0.5], 1.4, "proportional")
 
     def test_reports_every_violation(self):
-        from fractions import Fraction
-
         spec = EnsembleSpec(
             energies=(Fraction(2), Fraction(1)),
             weights=(0.5, 0.6),
@@ -74,6 +73,23 @@ class TestValidation:
         # floor(q*(E - eps_1)*N) with q=1, E - eps_1 = 2/5: N=4 -> 1
         assert spec.energy_cap_units(4) == 1
         assert spec.energy_cap_units(5) == 2
+
+    def test_record_is_immutable_and_replace_derives_afresh(self):
+        # the derived values are cached on the instance: no attribute may be
+        # set over them, and _replace builds a record that derives its own
+        spec = make_spec(["1", "2"], [0.5, 0.5], "7/5", "proportional", c=1.0)
+        assert (spec.q, spec.energy_units, spec.cap_height) == (
+            1, (0, 1), Fraction(2, 5))
+        for name, value in [("q", 2), ("energy_cap", 2), ("note", "x")]:
+            with pytest.raises(AttributeError):
+                setattr(spec, name, value)
+        moved = validate_spec(spec._replace(
+            energies=(Fraction(1), Fraction(3, 2)), energy_cap=Fraction(5, 4)))
+        assert isinstance(moved, EnsembleSpec)
+        assert (moved.q, moved.energy_units, moved.cap_height) == (
+            2, (0, 1), Fraction(1, 4))
+        assert (spec.q, spec.energy_units) == (1, (0, 1))
+        assert spec._asdict()["energy_cap"] == Fraction(7, 5)
 
 
 def _schedule_spec(regime, **kwargs):

@@ -7,8 +7,10 @@ fluct-check at m = 2, 3, 4 at interior and boundary maxima, with exact
 rows and fallback rows of i.i.d. draws, lln-sweep with mgf probes and
 entropy-probe, each at N <= 200, and sample by both methods, with a full
 chain block and with steps alone; the Metropolis cases pin the chain's
-step loop.  Every case also runs with every energy and the cap shifted by
-one constant (-10**18, -7, 10**18, 7/3 and -5/6) against the same file:
+step loop.  solve's JSON, which has no timestamp, is pinned whole in
+tests/golden/<case>.json at one boundary and one interior maximum.  Every
+CSV case also runs with every energy and the cap shifted by one constant
+(-10**18, -7, 10**18, 7/3 and -5/6) against the same file:
 every path measures energies from eps_1, and q, which boundary N must be
 divisible by, is the common denominator of the heights eps_i - eps_1, so
 no output byte depends on where energy zero sits.
@@ -71,8 +73,9 @@ CASES = {
         **M3, **PROPORTIONAL, "energy_cap": "5/2", "N_list": [20, 60, 120]}),
     "fluct_m3_boundary_low": ("fluct-check", {
         **M3, **LOW, "energy_cap": "8/5", "N_list": [50, 100, 200]}),
+    # 16 states at N=10 and 169 at N=40, so the N=40 row is i.i.d. draws
     "fluct_m3_boundary_high_fallback": ("fluct-check", {
-        **M3, **HIGH, "energy_cap": "8/5", "N_list": [10, 40], "budget": 300,
+        **M3, **HIGH, "energy_cap": "8/5", "N_list": [10, 40], "budget": 100,
         **CHAIN}),
     "fluct_m3_interior_low_fallback": ("fluct-check", {
         **M3, **LOW, "energy_cap": "5/2", "N_list": [10, 40], "budget": 300,
@@ -114,6 +117,12 @@ CASES = {
 }
 
 
+# solve's JSON, pinned byte for byte at a boundary and an interior maximum
+SOLVE_CASES = {
+    "solve_m3_boundary_proportional": {**M3, **PROPORTIONAL, "energy_cap": "8/5"},
+    "solve_m3_interior_proportional": {**M3, **PROPORTIONAL, "energy_cap": "5/2"},
+}
+
 SHIFTS = (-10**18, -7, 10**18, Fraction(7, 3), Fraction(-5, 6))
 
 
@@ -151,6 +160,14 @@ def normalise(text: str) -> list[str]:
 def test_output_matches_golden(name, shift, tmp_path):
     want = (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
     assert normalise(run_case(name, tmp_path, shift)) == normalise(want)
+
+
+@pytest.mark.parametrize("name", SOLVE_CASES)
+def test_solve_matches_golden(name, tmp_path):
+    path, out = tmp_path / "config.json", tmp_path / "solve.json"
+    path.write_text(json.dumps(SOLVE_CASES[name]), encoding="utf-8")
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def _openblas_cores() -> list[str]:
