@@ -141,19 +141,21 @@ def _check(table: dict, values: dict, m: int, prefix: str = "",
     return True
 
 
-def _read_config(args):
-    """The spec and the config, its defaults filled in, from --config."""
+def _read_config(path: str, required):
+    """The spec and the config, its defaults filled in, from the file at
+    path, which must hold the keys `required` beyond those every command
+    needs."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or JSON
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
     energies = config.get("energies")
     _check(CONFIG_KEYS, config,
            len(energies) if isinstance(energies, list) else 0,
-           required=args.required)
+           required=required)
     config = {**{key: default for key, (_, _, default)
                  in CONFIG_KEYS.items()}, **config}
     try:
@@ -206,38 +208,19 @@ def _write_csv(out: str | None, comments: list[str], header: list[str],
 
 
 def _map_ordered(fn, items, jobs: int):
-    """[fn(item) for item in items], over up to `jobs` forked processes.
+    """[fn(item) for item in items], over up to `jobs` threads.
 
-    Rows are closures over the parsed spec, solution and config, which cannot
-    be pickled; forked workers inherit `fn` instead (see _run_row), and skip
-    the re-import a spawned worker would pay, which is as long as a short
-    row.  A row's exception is raised here, the first in item order.
+    A row's work is NumPy block arithmetic, which releases the interpreter
+    lock, and every row builds its own accumulator and generator, so rows
+    share nothing they write.  Results come in item order, and a row's
+    exception is raised here, the first in item order, as in the loop.
     """
     workers = min(jobs, len(items))
-    if workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_set_row, initargs=(fn,)) as pool:
-                return list(pool.map(_run_row, items))
-    return [fn(item) for item in items]
-
-
-# Set only inside forked workers: the initializer's arguments reach a forked
-# child by inheritance, not by pickling, so the parent's globals never change.
-_row = None
-
-
-def _set_row(fn) -> None:
-    global _row
-    _row = fn
-
-
-def _run_row(item):
-    return _row(item)
+    if workers < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _accumulate(spec, n: int, config: dict, acc) -> None:
@@ -407,40 +390,42 @@ def cmd_sample(args, spec, config) -> int:
     return 0
 
 
+# command: (handler, the config keys it needs beyond the spec)
+COMMANDS = {
+    "solve": (cmd_solve, ()),
+    "lln-sweep": (cmd_lln_sweep, ("N_list",)),
+    "fluct-check": (cmd_fluct_check, ("N_list",)),
+    "entropy-probe": (cmd_entropy_probe, ("N_list", "x_probe")),
+    "sample": (cmd_sample, ("N",)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """A command-line mistake is a config error, reported as JSON like every
-    other; the subcommand parsers are of this class too."""
+    other."""
 
     def error(self, message):
         raise ConfigError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: each takes the same flags."""
     parser = _Parser(
         prog="occens",
         description="occupancy-ensemble solver and verification workflows")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    # command: (help, handler, the config keys it needs beyond the spec)
-    specs = {
-        "solve": ("solve the limiting maximum-entropy problem", cmd_solve, ()),
-        "lln-sweep": ("mean/mgf convergence sweep over N_list", cmd_lln_sweep,
-                      ("N_list",)),
-        "fluct-check": ("fluctuation predictions vs exact enumeration",
-                        cmd_fluct_check, ("N_list",)),
-        "entropy-probe": ("limit-entropy approximation error sweep",
-                          cmd_entropy_probe, ("N_list", "x_probe")),
-        "sample": ("draw occupancies (exact i.i.d. or Metropolis)",
-                   cmd_sample, ("N",)),
-    }
-    for name, (help_text, handler, required) in specs.items():
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="path to JSON config")
-        cmd.add_argument("--out", default=None, help="output path (default stdout)")
-        cmd.add_argument("--jobs", type=int, default=1,
-                         help="per-N rows run in this many forked worker "
-                              "processes")
-        cmd.set_defaults(handler=handler, required=required)
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="command",
+        help="solve: the limiting maximum-entropy problem; lln-sweep: "
+             "mean/mgf convergence over N_list; fluct-check: fluctuation "
+             "predictions vs exact enumeration; entropy-probe: limit-entropy "
+             "approximation error over N_list; sample: draw occupancies "
+             "(exact i.i.d. or Metropolis)")
+    parser.add_argument("--config", required=True, help="path to JSON config")
+    parser.add_argument("--out", default=None,
+                        help="output path (default stdout)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="per-N rows run in up to this many threads")
     return parser
 
 
@@ -449,9 +434,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        spec, config = _read_config(args)
+        handler, required = COMMANDS[args.command]
+        spec, config = _read_config(args.config, required)
         _check_out(args.out)
-        return args.handler(args, spec, config)
+        return handler(args, spec, config)
     except (ConfigError, SpecValidationError) as exc:
         error, status, detail = "config", 2, str(exc)
     except (SolverError, EnumerationBudgetError, ArithmeticError) as exc:

@@ -8,8 +8,9 @@ moment generating function and the decomposition of the support into exact
 energy-slack layers.  The int64 walk works on heights above eps_1, under
 spec.energy_bound_units; layers keyed apart from the cap are exact at any cap.
 A Distribution record, the whole support weighed as one block and
-normalised, or equally weighted chain draws, enters the same Accumulator as
-one block, so one set of estimators serves every backend.
+normalised, enters the same Accumulator as one block, as a fallback row's
+i.i.d. draws do, each weighted 1, so one set of estimators serves every
+backend.
 """
 
 from __future__ import annotations
@@ -358,12 +359,13 @@ def accumulate_support(acc: Accumulator,
 
 
 class Distribution(NamedTuple):
-    """A pmf over occupancy rows: the whole enumerated support or chain
-    draws, held at once.
+    """A pmf over occupancy rows held at once: the whole enumerated support
+    (build_distribution), or any pmf a caller builds, such as equally
+    weighted chain draws.
 
-    `sample --method exact` reads the whole pmf; the estimators below pass
-    the record to an Accumulator as one block weighted by its pmf, so they
-    give what a streamed row gives, up to rounding.
+    No command reads one; the estimators below pass the record to an
+    Accumulator as one block weighted by its pmf, so on the whole support
+    they give what a streamed row gives, up to rounding.
     """
 
     spec: EnsembleSpec

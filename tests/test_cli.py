@@ -248,6 +248,25 @@ class TestLlnSweep:
         _, _, rows2 = read_csv(out2)
         assert [r[:-1] for r in rows1] == [r[:-1] for r in rows2]
 
+    def test_jobs_run_rows_at_once(self, tmp_path, monkeypatch):
+        # each row waits on one barrier of two before it enumerates, so the
+        # sweep ends only if both rows run at once and share the barrier
+        import threading
+
+        import occens.ensemble
+        barrier = threading.Barrier(2, timeout=10)
+        accumulate = occens.ensemble.accumulate_support
+
+        def accumulate_together(*args, **kwargs):
+            barrier.wait()
+            return accumulate(*args, **kwargs)
+
+        monkeypatch.setattr(occens.ensemble, "accumulate_support",
+                            accumulate_together)
+        config = self.config(tmp_path, N_list=[16, 32])
+        assert main(["lln-sweep", "--config", config, "--out",
+                     str(tmp_path / "sweep.csv"), "--jobs", "2"]) == 0
+
     @pytest.mark.parametrize("extra, code", [
         ({}, 1),
         ({"sampler_fallback": True,
@@ -410,8 +429,9 @@ def test_commands_import_only_what_they_use(tmp_path):
     # (inspect, datetime); `solve` does not load occens.entropy either.  No
     # command loads dataclasses, whose import chain (inspect, ast, dis)
     # outweighs what `solve` runs.  Neither sampling method loads the
-    # enumerator; an exact sweep at --jobs 1 loads neither process-pool
-    # machinery nor the sampler, which only the fallback needs.  Every
+    # enumerator; an exact sweep at --jobs 1 loads neither the thread pool
+    # nor the sampler, which only the fallback needs, and no command loads
+    # multiprocessing: --jobs 2 loads concurrent.futures alone.  Every
     # exported name still imports lazily.
     env = dict(os.environ, PYTHONPATH=str(Path(occens.__file__).parents[1]))
     solve_config = write_config(tmp_path, BOUNDARY_CONFIG, "solve.json")
@@ -434,7 +454,8 @@ def test_commands_import_only_what_they_use(tmp_path):
 import sys
 def loaded(*names):
     return [name for name in names if name in sys.modules]
-BARE = ('numpy', 'scipy', 'dataclasses', 'datetime', 'inspect')
+BARE = ('numpy', 'scipy', 'dataclasses', 'datetime', 'inspect',
+        'multiprocessing', 'concurrent')
 import occens
 print('import occens', loaded(*BARE, 'occens.entropy'))
 import occens.cli
@@ -446,6 +467,8 @@ assert main(['entropy-probe', '--config', {probe_config!r}, '--out', {str(probe_
 print('entropy-probe', loaded(*BARE))
 assert main(['lln-sweep', '--config', {sweep_config!r}, '--out', {str(tmp_path / 'sweep.csv')!r}, '--jobs', '1']) == 0
 print('lln-sweep', loaded('scipy', 'dataclasses', 'multiprocessing', 'concurrent', 'occens.sampler'))
+assert main(['lln-sweep', '--config', {sweep_config!r}, '--out', {str(tmp_path / 'sweep2.csv')!r}, '--jobs', '2']) == 0
+print('lln-sweep --jobs 2', loaded('multiprocessing', 'concurrent'))
 assert main(['fluct-check', '--config', {fallback_config!r}, '--out', {str(tmp_path / 'fluct.csv')!r}]) == 0
 print('fluct-check', loaded('scipy', 'dataclasses', 'occens.sampler'))
 for name in occens.__all__:
@@ -461,9 +484,9 @@ def loaded(*names):
     return [name for name in names if name in sys.modules]
 from occens.cli import main
 assert main(['sample', '--config', {chain_config!r}, '--out', {str(tmp_path / 'chain.csv')!r}]) == 0
-print('sample metropolis', loaded('occens.ensemble', 'dataclasses'))
+print('sample metropolis', loaded('occens.ensemble', 'dataclasses', 'multiprocessing', 'concurrent'))
 assert main(['sample', '--config', {exact_config!r}, '--out', {str(tmp_path / 'exact.csv')!r}]) == 0
-print('sample exact', loaded('occens.ensemble', 'dataclasses'))
+print('sample exact', loaded('occens.ensemble', 'dataclasses', 'multiprocessing', 'concurrent'))
 """
     lines = []
     for script in (code, chain_code):
@@ -473,7 +496,8 @@ print('sample exact', loaded('occens.ensemble', 'dataclasses'))
         lines += done.stdout.splitlines()
     assert lines == [
         "import occens []", "import occens.cli []", "solve []",
-        "entropy-probe []", "lln-sweep []", "fluct-check ['occens.sampler']",
+        "entropy-probe []", "lln-sweep []", "lln-sweep --jobs 2 ['concurrent']",
+        "fluct-check ['occens.sampler']",
         f"exports {len(occens.__all__)}", "sample metropolis []",
         "sample exact []"]
     _, header, rows = read_csv(probe_out)

@@ -1,7 +1,6 @@
 """The README's code blocks run as written, its config table lists the
 CLI's config keys, and its flags line the CLI's flags."""
 
-import argparse
 import os
 import re
 import subprocess
@@ -34,10 +33,6 @@ def test_config_table_names_every_key():
 
 def test_common_flags_line_names_every_flag():
     flags = README.read_text().split("Common flags:")[1].split(". ")[0]
-    parser = _build_parser()
-    commands = next(action.choices for action in parser._actions
-                    if isinstance(action, argparse._SubParsersAction))
-    for command in commands.values():
-        given = {flag for action in command._actions
-                 for flag in action.option_strings} - {"-h", "--help"}
-        assert sorted(re.findall(r"`(--[a-z-]+)`", flags)) == sorted(given)
+    given = {flag for action in _build_parser()._actions
+             for flag in action.option_strings} - {"-h", "--help", "--version"}
+    assert sorted(re.findall(r"`(--[a-z-]+)`", flags)) == sorted(given)
