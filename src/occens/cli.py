@@ -94,7 +94,8 @@ CHAIN_KEYS = {"steps": _at_least(1), "burn_in": _at_least(0),
               "thinning": _at_least(1), "seed": _at_least(0)}
 CONFIG_KEYS = {
     "energies": _EXACT_LIST,
-    "weights": _EXACT_LIST,
+    "weights": ("a list of numbers",
+                lambda v, m: isinstance(v, list) and all(map(_is_number, v)), ...),
     "energy_cap": ("a number or a rational string", lambda v, m: _is_exact(v), ...),
     "regime": (f"one of {', '.join(_REGIMES)}", lambda v, m: v in _REGIMES, ...),
     "c": _NUMBER,

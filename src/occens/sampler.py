@@ -11,13 +11,12 @@ that the tests and the benchmark's layer trace read.
 A Metropolis chain targets the same pmf with single-ball moves between
 levels.  The proposal picks an ordered level pair uniformly over all
 m*(m-1) pairs and rejects moves from empty levels, which keeps the base
-kernel symmetric so min(1, exp(dS)) acceptance is exact for the target.
-Its step loop is plain Python over Python scalars: dS is one read from a
+kernel symmetric, and a move is accepted when log(u) < dS, u uniform on
+[0, 1): that is min(1, exp(dS)) acceptance, exact for the target.  The
+step loop is plain Python over Python scalars: dS is one read from a
 per-level removal table and one from an insertion table, and the NumPy
-draws are turned into Python numbers a block at a time.  Its draws and
-decisions are those of the same loop written over NumPy scalars with
-np.exp acceptance (kept in the tests as the reference), so a seed gives
-the same bytes.
+draws are turned into Python numbers a block at a time, so a seed gives
+the same bytes at any block size.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import math
 import sys
 from itertools import islice
-from operator import length_hint
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -41,16 +39,6 @@ if TYPE_CHECKING:
 # so the chain's memory is one block of draws plus the states it keeps;
 # iid_draws proposes at most this many rows at a time.
 _BLOCK = 1 << 16
-# The chain accepts when u < np.exp(dS).  It tests log(u) < dS instead,
-# which rounds differently only within a few ulps of log(u) (|log u| <= 37
-# for u >= 2**-53, so some 1e-14).  Its dS, a sum of two table entries,
-# differs from the reference's four-read sum by a few ulps of the largest
-# log-weight.  With tie = max(_LOG_TIE, 64 ulps of that log-weight), it
-# accepts when dS > log(u) + tie and rejects when dS < log(u) - tie; in the
-# band between, it takes the reference's own dS and np.exp test, so every
-# decision is the reference's.  exp(dS) > 0 always, as dS >= -ln(G_i + N), so a
-# draw of 0.0 (log -inf) accepts in both.
-_LOG_TIE = 1e-9
 # Level draws one call of iid_draws may make before it gives up.
 _MAX_LEVEL_DRAWS = 10**8
 
@@ -228,21 +216,14 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
     return np.concatenate(rows, axis=1).T
 
 
-def _tie_accept(logw, i: int, j: int, ni: int, nj: int, u: float) -> bool:
-    """The reference decision for a move i -> j at counts (ni, nj) and
-    accept uniform u: its dS from four reads of the log-weight table, then
-    u < np.exp(dS)."""
-    delta = logw[i, ni - 1] - logw[i, ni] + logw[j, nj + 1] - logw[j, nj]
-    return bool(delta >= 0.0 or u < np.exp(delta))
-
-
 def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray:
     """Post-burn-in, thinned states of a single-ball Metropolis chain.
 
     The chain starts from the always-feasible state with every particle on
     the lowest level; each step proposes moving one ball between a uniformly
-    chosen ordered level pair and accepts with min(1, exp(dS)), where dS
-    reads the per-level log-weight table at the two touched levels only.
+    chosen ordered level pair and accepts when log(u) < dS, u uniform on
+    [0, 1), where dS is one entry of a per-level removal table plus one of
+    an insertion table, each a difference of neighbouring log-weights.
     Returns a (kept, m) int64 array; a fixed seed gives the same bytes.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
@@ -269,9 +250,6 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
         if j >= i:
             j += 1
         moves.append((out[i], into[j], i, j, e[j] - e[i]))
-    # the table is nonnegative and increasing in k
-    tie = max(_LOG_TIE, 64 * math.ulp(float(logw[:, n].max())))
-    band = -2 * tie
 
     # The seed's stream holds every pair draw, then every accept uniform.
     # Both are drawn a block at a time: a discarded pass over the pair draws
@@ -288,27 +266,20 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     last = burn_in + (steps - 1 - burn_in) // thinning * thinning
     for start in range(0, last + 1, _BLOCK):
         size = min(_BLOCK, steps - start)
-        accept_draws = uniforms.random(size)
-        with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
-            lows = np.log(accept_draws)
-        # a move is accepted at once when dS > log(u) + tie
-        lows = iter((lows + tie).tolist())
+        # a draw of 0.0 gives -inf, which accepts: dS is finite
+        with np.errstate(divide="ignore"):
+            log_u = np.log(uniforms.random(size)).tolist()
         block = zip(map(moves.__getitem__,
                         pairs.integers(0, m * (m - 1), size=size).tolist()),
-                    lows)
+                    log_u)
         end = min(start + size, last + 1)
         while start < end:  # the steps up to the next kept state
             stop = min(next_keep + 1, end)
-            for (ri, aj, i, j, de), low in islice(block, stop - start):
+            for (ri, aj, i, j, de), lu in islice(block, stop - start):
                 ni = state[i]
                 if ni and de <= room:
                     nj = state[j]
-                    ds = ri[ni] + aj[nj]
-                    # within 2*tie below `low`, the reference decides; the
-                    # step's uniform is the one `lows` has just passed
-                    if ds > low or (ds - low >= band and _tie_accept(
-                            logw, i, j, ni, nj,
-                            accept_draws[size - length_hint(lows) - 1])):
+                    if lu < ri[ni] + aj[nj]:
                         state[i] = ni - 1
                         state[j] = nj + 1
                         room -= de

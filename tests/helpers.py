@@ -455,8 +455,10 @@ def reference_resolve(cfg, n: int, m: int) -> tuple[int, int, int]:
 def reference_metropolis_chain(spec, n, cfg):
     """The single-ball chain as a NumPy-scalar loop, kept as the oracle.
 
-    Same draws, table reads and np.exp acceptance as the original
-    implementation; `metropolis_chain` must return the same array.
+    Same draws as the original implementation: every pair draw, then every
+    accept uniform, for the whole run.  A move is accepted when log(u) < dS,
+    dS the removal step w_i[ni-1] - w_i[ni] plus the insertion step
+    w_j[nj+1] - w_j[nj]; `metropolis_chain` must return the same array.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
@@ -476,7 +478,8 @@ def reference_metropolis_chain(spec, n, cfg):
         return np.full((len(kept), 1), n, dtype=np.int64)
 
     pair_draws = rng.integers(0, m * (m - 1), size=steps)
-    accept_draws = rng.random(steps)
+    with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
+        log_u = np.log(rng.random(steps))
     kept = []
     for step in range(steps):
         pair = int(pair_draws[step])
@@ -488,9 +491,9 @@ def reference_metropolis_chain(spec, n, cfg):
             new_energy = energy + int(e[j] - e[i])
             if new_energy <= cap:
                 ni, nj = int(state[i]), int(state[j])
-                delta = (level_logw[i, ni - 1] - level_logw[i, ni]
-                         + level_logw[j, nj + 1] - level_logw[j, nj])
-                if delta >= 0.0 or accept_draws[step] < np.exp(delta):
+                delta = ((level_logw[i, ni - 1] - level_logw[i, ni])
+                         + (level_logw[j, nj + 1] - level_logw[j, nj]))
+                if log_u[step] < delta:
                     state[i] -= 1
                     state[j] += 1
                     energy = new_energy

@@ -15,7 +15,6 @@ from occens import (
     build_distribution,
     empirical_fluctuations,
     exact_mean,
-    exact_sample,
     layer_decomposition,
     make_spec,
     metropolis_chain,

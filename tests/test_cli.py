@@ -666,6 +666,16 @@ def test_malformed_value_is_config_error(tmp_path, capsys, command, extra):
     assert_config_error(capsys, main([command, "--config", config]))
 
 
+@pytest.mark.parametrize("weights", [["3/10", "2/5", "3/10"],
+                                     ["0.3", "0.4", "0.3"]])
+def test_string_weights_rejected_by_key(tmp_path, capsys, weights):
+    # "3/10" passed the table and then failed in make_spec's float() as an
+    # invalid spec; the error now names the key and what it must be
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, "weights": weights})
+    detail = assert_config_error(capsys, main(["solve", "--config", config]))
+    assert detail.startswith("weights must be a list of numbers, got ")
+
+
 @pytest.mark.parametrize("payload", [
     {**M3_CONFIG, "energy_cap": "1000001/1000000", "regime": "low_degeneracy"},
     {"energies": ["5/8", "1", "13/8", "53/8"],

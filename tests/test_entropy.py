@@ -12,7 +12,6 @@ from occens import (
     level_log_weights,
     limit_entropy,
     limit_entropy_hessian_diag,
-    make_spec,
     scaling_factor,
 )
 from occens.entropy import log_multiplicity
