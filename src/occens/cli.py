@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .core import (
@@ -53,8 +54,15 @@ def _is_number(value) -> bool:
 
 
 def _is_exact(value) -> bool:
-    """A number or a rational string: what make_spec reads as a Fraction."""
-    return _is_number(value) or isinstance(value, str)
+    """A finite number or a rational string: what make_spec reads as a
+    Fraction."""
+    if not (_is_number(value) or isinstance(value, str)):
+        return False
+    try:
+        Fraction(value)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return False
+    return True
 
 
 def _is_vector(value, m: int) -> bool:
@@ -87,7 +95,7 @@ def _check_chain(chain: dict, m: int) -> bool:
 # fields from (N, m), and N_list, x_probe and N are required by the commands
 # that read them.  The spec keys come first, in make_spec's order.
 _REGIMES = tuple(regime.value for regime in Regime)
-_EXACT_LIST = ("a list of numbers or rational strings",
+_EXACT_LIST = ("a list of finite numbers or rational strings",
                lambda v, m: isinstance(v, list) and all(map(_is_exact, v)), ...)
 _NUMBER = ("a number, or null", lambda v, m: v is None or _is_number(v), None)
 CHAIN_KEYS = {"steps": _at_least(1), "burn_in": _at_least(0),
@@ -96,7 +104,8 @@ CONFIG_KEYS = {
     "energies": _EXACT_LIST,
     "weights": ("a list of numbers",
                 lambda v, m: isinstance(v, list) and all(map(_is_number, v)), ...),
-    "energy_cap": ("a number or a rational string", lambda v, m: _is_exact(v), ...),
+    "energy_cap": ("a finite number or a rational string",
+                   lambda v, m: _is_exact(v), ...),
     "regime": (f"one of {', '.join(_REGIMES)}", lambda v, m: v in _REGIMES, ...),
     "c": _NUMBER,
     "p": _NUMBER,

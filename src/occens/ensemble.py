@@ -337,7 +337,7 @@ def _weighed_blocks(spec: EnsembleSpec, n: int, budget: int,
     `whole`.  The states are counted before any is filled, so a support
     past the budget raises EnumerationBudgetError before any block is
     weighed.  The log-weight table is built once; each block goes through
-    the same gather and sorting network as log_multiplicity and is shifted
+    the same gather and level-order sum as log_multiplicity and is shifted
     by its largest log-weight."""
     first, sizes = _first_counts(spec, n, budget)
     table = level_log_weights(degeneracies_for(spec, n).as_array, n)

@@ -14,9 +14,11 @@ m*(m-1) pairs and rejects moves from empty levels, which keeps the base
 kernel symmetric, and a move is accepted when log(u) < dS, u uniform on
 [0, 1): that is min(1, exp(dS)) acceptance, exact for the target.  The
 step loop is plain Python over Python scalars: dS is one read from a
-per-level removal table and one from an insertion table, and the NumPy
-draws are turned into Python numbers a block at a time, so a seed gives
-the same bytes at any block size.
+per-level removal table and one from an insertion table.  The pair draws
+and the uniforms come from two streams spawned from the seed and are
+turned into Python numbers a block at a time; the block is even and
+bounded int64 draws below 2**32 come in pairs of 32-bit halves, so a seed
+gives the same bytes at any block size.
 """
 
 from __future__ import annotations
@@ -224,7 +226,11 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     chosen ordered level pair and accepts when log(u) < dS, u uniform on
     [0, 1), where dS is one entry of a per-level removal table plus one of
     an insertion table, each a difference of neighbouring log-weights.
-    Returns a (kept, m) int64 array; a fixed seed gives the same bytes.
+    The pair draws and the uniforms come from the two streams that
+    SeedSequence(seed).spawn(2) gives, and no step past the last kept state
+    is drawn, so the kept states of a run are a prefix of those of any
+    longer run with the same seed, burn-in and thinning.  Returns a
+    (kept, m) int64 array; a fixed seed gives the same bytes.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
@@ -251,28 +257,23 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
             j += 1
         moves.append((out[i], into[j], i, j, e[j] - e[i]))
 
-    # The seed's stream holds every pair draw, then every accept uniform.
-    # Both are drawn a block at a time: a discarded pass over the pair draws
-    # moves `uniforms` to where the uniforms start, and `pairs` replays them.
-    uniforms = np.random.default_rng(cfg.seed)
-    for start in range(0, steps, _BLOCK):
-        uniforms.integers(0, m * (m - 1), size=min(_BLOCK, steps - start))
-    pairs = np.random.default_rng(cfg.seed)
+    pairs, uniforms = map(np.random.default_rng,
+                          np.random.SeedSequence(cfg.seed).spawn(2))
     state = [n] + [0] * (m - 1)
     kept = []
     # The state is kept after steps burn_in, burn_in + thinning, ...; no
-    # step after the last of these is run, as no kept state reads it.
+    # step after the last of these is run or drawn, as no kept state reads it.
     next_keep = burn_in
     last = burn_in + (steps - 1 - burn_in) // thinning * thinning
     for start in range(0, last + 1, _BLOCK):
-        size = min(_BLOCK, steps - start)
+        size = min(_BLOCK, last + 1 - start)
         # a draw of 0.0 gives -inf, which accepts: dS is finite
         with np.errstate(divide="ignore"):
             log_u = np.log(uniforms.random(size)).tolist()
         block = zip(map(moves.__getitem__,
                         pairs.integers(0, m * (m - 1), size=size).tolist()),
                     log_u)
-        end = min(start + size, last + 1)
+        end = start + size
         while start < end:  # the steps up to the next kept state
             stop = min(next_keep + 1, end)
             for (ri, aj, i, j, de), lu in islice(block, stop - start):

@@ -455,8 +455,9 @@ def reference_resolve(cfg, n: int, m: int) -> tuple[int, int, int]:
 def reference_metropolis_chain(spec, n, cfg):
     """The single-ball chain as a NumPy-scalar loop, kept as the oracle.
 
-    Same draws as the original implementation: every pair draw, then every
-    accept uniform, for the whole run.  A move is accepted when log(u) < dS,
+    The pair draws and the accept uniforms, one per step of the whole run,
+    each come in one call from their own stream of the two that
+    SeedSequence(seed).spawn(2) gives.  A move is accepted when log(u) < dS,
     dS the removal step w_i[ni-1] - w_i[ni] plus the insertion step
     w_j[nj+1] - w_j[nj]; `metropolis_chain` must return the same array.
     """
@@ -471,15 +472,16 @@ def reference_metropolis_chain(spec, n, cfg):
     state = np.zeros(m, dtype=np.int64)
     state[0] = n
     energy = int(n * e[0])
-    rng = np.random.default_rng(cfg.seed)
+    pairs, uniforms = map(np.random.default_rng,
+                          np.random.SeedSequence(cfg.seed).spawn(2))
 
     if m == 1:
         kept = range(burn_in, steps, thinning)
         return np.full((len(kept), 1), n, dtype=np.int64)
 
-    pair_draws = rng.integers(0, m * (m - 1), size=steps)
+    pair_draws = pairs.integers(0, m * (m - 1), size=steps)
     with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
-        log_u = np.log(rng.random(steps))
+        log_u = np.log(uniforms.random(steps))
     kept = []
     for step in range(steps):
         pair = int(pair_draws[step])
@@ -551,15 +553,20 @@ def reference_enumerate_states(spec, n, budget=10_000_000):
 
 
 def reference_log_multiplicity(counts, degs):
-    """Table lookup plus a row-wise sort and sum, kept as the oracle;
-    `log_multiplicity` must match it bit for bit for m <= 7."""
+    """Table lookup plus a sum over the levels in their order, one level
+    at a time, kept as the oracle; `log_multiplicity` must match it bit for
+    bit at every m.  (A `.sum(axis=-1)` would not: NumPy sums
+    pairwise from m = 8 on.)"""
     counts = np.asarray(counts, dtype=np.int64)
     degs = np.asarray(degs, dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
     table = level_log_weights(degs, int(counts.max(initial=0)))
     terms = table[np.arange(degs.size), counts]
-    return np.sort(terms, axis=-1, kind="stable").sum(axis=-1)
+    total = terms[..., 0].copy()
+    for i in range(1, degs.size):
+        total += terms[..., i]
+    return total
 
 
 def brute_force_state_count(spec, n):

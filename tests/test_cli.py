@@ -676,6 +676,22 @@ def test_string_weights_rejected_by_key(tmp_path, capsys, weights):
     assert detail.startswith("weights must be a list of numbers, got ")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("energies", ["a", "2", "3"]), ("energies", [1, 2, math.nan]),
+    ("energies", [1, "2", "inf"]), ("energy_cap", "1/0"),
+    ("energy_cap", math.inf), ("energy_cap", "x")],
+    ids=["energies-str", "energies-nan", "energies-str-inf", "energy_cap-1/0",
+         "energy_cap-inf", "energy_cap-str"])
+def test_non_rational_spec_value_rejected_by_key(tmp_path, capsys, key, value):
+    # each passed the table and failed in make_spec's Fraction() as an
+    # invalid spec whose message named no key
+    config = write_config(tmp_path, {**M3_PROPORTIONAL, key: value})
+    detail = assert_config_error(capsys, main(["solve", "--config", config]))
+    what = ("a list of finite numbers or rational strings"
+            if key == "energies" else "a finite number or a rational string")
+    assert detail.startswith(f"{key} must be {what}, got ")
+
+
 @pytest.mark.parametrize("payload", [
     {**M3_CONFIG, "energy_cap": "1000001/1000000", "regime": "low_degeneracy"},
     {"energies": ["5/8", "1", "13/8", "53/8"],

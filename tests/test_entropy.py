@@ -23,6 +23,8 @@ from helpers import (Occupancy, _rows_limit_entropy, central_diff,
                      reference_log_multiplicity, stirling_log_gamma,
                      two_level_spec)
 
+EPS = np.finfo(float).eps
+
 
 class TestLevelLogWeights:
     def test_exact_against_comb(self):
@@ -124,13 +126,15 @@ class TestEntropyExact:
             entropy_exact(Occupancy(2, (1, 1)), DegeneracyAssignment(3, (3,)))
 
     def test_permutation_symmetry(self):
+        # the terms are added in level order, so reordering the levels
+        # moves the sum of m nonnegative terms by 2(m - 1) eps at most
         a = log_multiplicity([4, 2, 4], [3, 5, 3])
         b = log_multiplicity([4, 4, 2], [3, 3, 5])
-        assert a == b
+        assert abs(a - b) <= 2 * 2 * EPS * a
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 7), st.integers(0, 2**32 - 1))
-    def test_matches_sorted_sum_up_to_m7(self, m, seed):
+    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_matches_level_order_sum(self, m, seed):
         rng = np.random.default_rng(seed)
         degs = rng.integers(1, 10 ** int(rng.integers(1, 9)), size=m)
         counts = rng.integers(0, int(rng.integers(1, 5000)), size=(64, m))
@@ -138,18 +142,15 @@ class TestEntropyExact:
                               reference_log_multiplicity(counts, degs))
 
     def test_permutation_symmetry_at_m10(self):
-        # from m = 8 on the sum may differ from a pairwise sorted sum by
-        # rounding, but not between orderings of the levels
         rng = np.random.default_rng(10)
         degs = rng.integers(1, 10**6, size=10)
         counts = rng.integers(0, 2000, size=(500, 10))
         base = log_multiplicity(counts, degs)
-        np.testing.assert_allclose(
-            base, reference_log_multiplicity(counts, degs), rtol=1e-14)
+        assert np.array_equal(base, reference_log_multiplicity(counts, degs))
         for _ in range(5):
             perm = rng.permutation(10)
-            assert np.array_equal(
-                log_multiplicity(counts[:, perm], degs[perm]), base)
+            permuted = log_multiplicity(counts[:, perm], degs[perm])
+            assert np.all(np.abs(permuted - base) <= 2 * 9 * EPS * base)
 
     def test_discrete_concavity_along_each_coordinate(self):
         spec = two_level_spec("proportional", energy_cap=2)

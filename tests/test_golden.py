@@ -22,7 +22,9 @@ SIMD np.exp and np.log1p still dispatch on the CPU's features, so the
 mgf_abs_err_*, ratio_*, emp_cov_* and emp_inplane_cov_* cells are promised
 only on a host with the same dispatch as the one that wrote the files (an
 x86-64 host with AVX-512): with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR", 7 of the 19 goldens fail on those cells.
+AVX512_SPR", the SIMD_DEPENDENT goldens, 6 of the 19, fail on those cells,
+and test_goldens_hold_without_avx512 reruns the cases in a child
+interpreter that way to check that no other golden does.
 
 After a declared change of output bytes, rewrite the golden files with
 
@@ -37,6 +39,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -199,6 +202,44 @@ def test_goldens_hold_on_other_openblas_kernels(core):
         env=env, cwd=Path(__file__).resolve().parent.parent,
         capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+
+
+# The goldens whose cells move when NumPy dispatches its AVX2 loops in place
+# of the AVX-512 ones (NumPy 2.4, x86-64); every other golden holds on both.
+SIMD_DEPENDENT = {
+    "fluct_m2_boundary_high", "fluct_m2_interior_high", "fluct_m3_boundary_low",
+    "fluct_m4_interior_proportional", "fluct_m4_boundary_high",
+    "fluct_m4_boundary_proportional_fallback"}
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _dispatches_x86_v4() -> bool:
+    """Whether NumPy can dispatch its X86_V4 (AVX-512) loops on this host,
+    so that NO_AVX512 switches them off."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:  # NumPy before 2.0
+        return False
+    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4", False)
+
+
+def test_goldens_hold_without_avx512():
+    # Only the SIMD_DEPENDENT goldens may fail with NumPy's AVX-512 loops
+    # switched off in a child interpreter; the others hold on either path.
+    if not _dispatches_x86_v4():
+        pytest.skip("needs NumPy >= 2 dispatching X86_V4 loops on this CPU")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+         f"{__file__}::test_output_matches_golden"],
+        env=env, cwd=Path(__file__).resolve().parent.parent,
+        capture_output=True, text=True, timeout=600)
+    assert run.returncode in (0, 1) and " passed" in run.stdout, (
+        run.stdout[-3000:] + run.stderr[-3000:])
+    failed = set(re.findall(r"^FAILED \S*test_output_matches_golden"
+                            r"\[([a-z0-9_]+)", run.stdout, re.MULTILINE))
+    assert failed <= SIMD_DEPENDENT, sorted(failed - SIMD_DEPENDENT)
 
 
 def cell_diff(old: str, new: str) -> str:

@@ -241,6 +241,19 @@ class TestMetropolis:
         assert np.array_equal(metropolis_chain(spec, 40, cfg),
                               reference_metropolis_chain(spec, 40, cfg))
 
+    def test_kept_states_are_a_prefix_of_a_longer_run(self):
+        # no step past the last kept state is drawn, and the pair draws and
+        # uniforms have a stream each, so the steps add kept states to a
+        # run and change none of those it had
+        spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                         "proportional", c=1.0)
+        short, long = (
+            metropolis_chain(spec, 30, ChainConfig(steps=steps, seed=17,
+                                                   burn_in=500, thinning=7))
+            for steps in (70_001, 150_000))
+        assert len(short) == 9929 and len(long) == 21_358
+        assert np.array_equal(long[:len(short)], short)
+
     def test_memory_does_not_grow_with_steps(self, monkeypatch):
         # The draws for all steps took 16 bytes a step (66.6 MB at 4e6
         # steps).  A small block shows the same at steps tracemalloc can
