@@ -6,8 +6,9 @@ regimes, and the interior/boundary fluctuation laws, with exact enumeration
 and sampling utilities for desk-scale verification.
 
 Names are loaded on first use (PEP 562), so importing the package loads no
-submodule; NumPy is imported only by the modules that hold arrays over
-states (ensemble, fluctuations, sampler).
+submodule; NumPy is imported only by the code that holds arrays over
+states (ensemble, fluctuations, the sampler's array functions), so the
+limit side and the Metropolis chain's step loop run without it.
 """
 
 import importlib

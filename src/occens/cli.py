@@ -35,9 +35,9 @@ from .core import (
 from .maxent import MaximumKind, solve
 
 # The array side (ensemble, fluctuations, sampler) and NumPy are imported
-# inside the commands that use them, so `solve` and `entropy-probe` run on
-# the standard library alone; entropy is imported inside entropy-probe, so
-# `solve` loads only core and maxent.
+# inside the commands that use them, so `solve`, `entropy-probe` and
+# `sample --method metropolis` run on the standard library alone; entropy
+# is imported inside entropy-probe, so `solve` loads only core and maxent.
 CSV_SCHEMA_LINE = "# schema=1"
 
 
@@ -385,18 +385,21 @@ def cmd_sample(args, spec, config) -> int:
     degeneracies_for(spec, n)
     if config["method"] == "exact":
         from .sampler import iid_draws
-        draws = iid_draws(spec, n, config["count"], config["seed"])
+        rows = iid_draws(spec, n, config["count"], config["seed"]).tolist()
         comments = [f"method=exact count={config['count']} seed={config['seed']}"]
     else:
-        from .sampler import ChainConfig, metropolis_chain
+        from .sampler import MAX_CHAIN_LEVELS, ChainConfig, metropolis_rows
+        if spec.m > MAX_CHAIN_LEVELS:
+            raise ConfigError(f"method metropolis takes at most "
+                              f"{MAX_CHAIN_LEVELS} levels, got {spec.m}")
         # the chain block's seed defaults to the run seed
         cfg = ChainConfig(**{"steps": None, "seed": config["seed"],
                              **config["chain"]})
         steps = cfg.resolve(n, spec.m)[0]
-        draws = metropolis_chain(spec, n, cfg)
+        rows = metropolis_rows(spec, n, cfg)
         comments = [f"method=metropolis steps={steps} seed={cfg.seed}"]
     header = [f"N{k + 1}" for k in range(spec.m)]
-    _write_csv(args.out, comments, header, draws.tolist())
+    _write_csv(args.out, comments, header, rows)
     return 0
 
 

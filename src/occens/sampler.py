@@ -11,36 +11,38 @@ that the tests and the benchmark's layer trace read.
 A Metropolis chain targets the same pmf with single-ball moves between
 levels.  The proposal picks an ordered level pair uniformly over all
 m*(m-1) pairs and rejects moves from empty levels, which keeps the base
-kernel symmetric, and a move is accepted when log(u) < dS, u uniform on
-[0, 1): that is min(1, exp(dS)) acceptance, exact for the target.  The
-step loop is plain Python over Python scalars: dS is one read from a
-per-level removal table and one from an insertion table.  The pair draws
-and the uniforms come from two streams spawned from the seed and are
-turned into Python numbers a block at a time; the block is even and
-bounded int64 draws below 2**32 come in pairs of 32-bit halves, so a seed
-gives the same bytes at any block size.
+kernel symmetric, and a move is accepted when u < w'/w, u uniform on
+[0, 1): that is min(1, w'/w) acceptance, exact for the target.  w'/w is
+one entry of a per-level removal table times one of an insertion table,
+and the pairs and uniforms come from two `random.Random` streams, so
+`metropolis_rows`, which `sample --method metropolis` reads, is a plain
+Python loop on the standard library alone.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
-from itertools import islice
+from array import array
+from itertools import chain, islice, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from .core import EnsembleSpec, SolverError, degeneracies_for
-from .entropy import level_log_weights
 from .maxent import finite_n_tilt
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .ensemble import Distribution
 
-# Draws are made and turned into Python scalars this many steps at a time,
-# so the chain's memory is one block of draws plus the states it keeps;
-# iid_draws proposes at most this many rows at a time.
+# The chain draws pairs this many at a time, so its memory is one block of
+# draws plus the states it keeps; iid_draws proposes at most this many rows
+# at a time.  A multiple of 4, as randbytes gives a stream the same bytes in
+# blocks of any multiple of 4, so a chain does not depend on the block.
 _BLOCK = 1 << 16
+# A pair draw is at most a 16-bit word: at most 2**16 ordered level pairs.
+MAX_CHAIN_LEVELS = 256
 # Level draws one call of iid_draws may make before it gives up.
 _MAX_LEVEL_DRAWS = 10**8
 
@@ -85,6 +87,8 @@ def exact_sample(dist: Distribution, count: int, seed: int) -> np.ndarray:
     Returns a (count, m) int64 array of occupancy rows; deterministic for a
     fixed seed.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(dist.pmf)
     cdf[-1] = 1.0  # close the tiny rounding gap at the top
@@ -160,6 +164,10 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
     tilt's root finds no bracket, or when _MAX_LEVEL_DRAWS level draws have
     not made `count` rows.
     """
+    import numpy as np
+
+    from .entropy import level_log_weights
+
     m, e, q = spec.m, spec.energy_units, spec.q
     if m == 1:  # the one state
         return np.full((count, 1), n, dtype=np.int64)
@@ -218,19 +226,43 @@ def iid_draws(spec: EnsembleSpec, n: int, count: int,
     return np.concatenate(rows, axis=1).T
 
 
-def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray:
-    """Post-burn-in, thinned states of a single-ball Metropolis chain.
+def _uniform_choices(rng: random.Random, items: list):
+    """An endless iterator of independent uniform draws from at most 2**16
+    true items.  A draw is a byte of rng's stream, or a little-endian 16-bit
+    word past 256 items; a value v below the largest multiple of len(items)
+    that it can hold gives items[v % len(items)], and one above is dropped.
+    """
+    size = len(items)
+    width = 1 if size <= 256 else 2
+    span = 256**width
+    table = [items[v % size] if v < span - span % size else None
+             for v in range(span)]
 
-    The chain starts from the always-feasible state with every particle on
-    the lowest level; each step proposes moving one ball between a uniformly
-    chosen ordered level pair and accepts when log(u) < dS, u uniform on
-    [0, 1), where dS is one entry of a per-level removal table plus one of
-    an insertion table, each a difference of neighbouring log-weights.
-    The pair draws and the uniforms come from the two streams that
-    SeedSequence(seed).spawn(2) gives, and no step past the last kept state
-    is drawn, so the kept states of a run are a prefix of those of any
-    longer run with the same seed, burn-in and thinning.  Returns a
-    (kept, m) int64 array; a fixed seed gives the same bytes.
+    def block():
+        words = array("BH"[width - 1], rng.randbytes(width * _BLOCK))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words
+
+    return chain.from_iterable(filter(None, map(table.__getitem__, block()))
+                               for _ in repeat(None))
+
+
+def metropolis_rows(spec: EnsembleSpec, n: int,
+                    cfg: ChainConfig) -> list[list[int]]:
+    """Post-burn-in, thinned states of a single-ball Metropolis chain, as
+    lists of m ints; the same states for a fixed seed.
+
+    The chain starts with every particle on the lowest level; each step
+    proposes moving one ball between a uniformly chosen ordered level pair
+    and accepts when u < w'/w, u uniform on [0, 1).  A move i -> j at counts
+    (ni, nj) multiplies the weight by ni/(ni + G_i - 1) * (nj + G_j)/(nj + 1),
+    read from a removal and an insertion table of correctly rounded int
+    quotients.  Pairs and uniforms come from random.Random(f"{seed}/pairs")
+    and random.Random(f"{seed}/uniforms"), and no step past the last kept
+    state is drawn, so a run's kept states are a prefix of those of any
+    longer run with the same seed, burn-in and thinning.  ValueError past
+    MAX_CHAIN_LEVELS levels.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
@@ -238,17 +270,18 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
     room = spec.energy_cap_units(n)  # height left under the cap
     if room < 0:
         raise ValueError(f"no feasible initial state at N={n}")
+    kept = range(burn_in, steps, thinning)
     if m == 1:
-        kept = range(burn_in, steps, thinning)
-        return np.full((len(kept), 1), n, dtype=np.int64)
-    logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
-    # A move i -> j at counts (ni, nj) changes S by out[i][ni] + into[j][nj]:
-    # into[j][k] = w_j[k+1] - w_j[k] and out[i][k] = -into[i][k-1].
-    into = np.diff(logw, axis=1)
-    out = np.empty_like(logw)
-    out[:, 0] = math.nan  # never read: an empty level gives no ball
-    np.negative(into, out=out[:, 1:])
-    into, out = into.tolist(), out.tolist()
+        return [[n] for _ in kept]
+    if m > MAX_CHAIN_LEVELS:
+        raise ValueError(f"a chain takes at most {MAX_CHAIN_LEVELS} levels, "
+                         f"got {m}")
+    degs = degeneracies_for(spec, n).per_level
+    # out[i][0] is never read and into[j] stops at N - 1: an empty level
+    # gives no ball
+    out = [[math.nan, *(k / (k + g - 1) for k in range(1, n + 1))]
+           for g in degs]
+    into = [[(k + g) / (k + 1) for k in range(n)] for g in degs]
     # moves[pair] decodes a pair draw into the ordered levels (i, j), j != i.
     moves = []
     for pair in range(m * (m - 1)):
@@ -256,36 +289,30 @@ def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray
         if j >= i:
             j += 1
         moves.append((out[i], into[j], i, j, e[j] - e[i]))
-
-    pairs, uniforms = map(np.random.default_rng,
-                          np.random.SeedSequence(cfg.seed).spawn(2))
+    uniform = random.Random(f"{cfg.seed}/uniforms").random
+    # starmap calls uniform() endlessly with no test of what it returns
+    draws = zip(_uniform_choices(random.Random(f"{cfg.seed}/pairs"), moves),
+                starmap(uniform, repeat(())))
     state = [n] + [0] * (m - 1)
-    kept = []
+    rows = []
     # The state is kept after steps burn_in, burn_in + thinning, ...; no
     # step after the last of these is run or drawn, as no kept state reads it.
-    next_keep = burn_in
-    last = burn_in + (steps - 1 - burn_in) // thinning * thinning
-    for start in range(0, last + 1, _BLOCK):
-        size = min(_BLOCK, last + 1 - start)
-        # a draw of 0.0 gives -inf, which accepts: dS is finite
-        with np.errstate(divide="ignore"):
-            log_u = np.log(uniforms.random(size)).tolist()
-        block = zip(map(moves.__getitem__,
-                        pairs.integers(0, m * (m - 1), size=size).tolist()),
-                    log_u)
-        end = start + size
-        while start < end:  # the steps up to the next kept state
-            stop = min(next_keep + 1, end)
-            for (ri, aj, i, j, de), lu in islice(block, stop - start):
-                ni = state[i]
-                if ni and de <= room:
-                    nj = state[j]
-                    if lu < ri[ni] + aj[nj]:
-                        state[i] = ni - 1
-                        state[j] = nj + 1
-                        room -= de
-            if stop == next_keep + 1:
-                kept.extend(state)
-                next_keep += thinning
-            start = stop
-    return np.array(kept, dtype=np.int64).reshape(-1, m)
+    for size in chain((burn_in + 1,), repeat(thinning, len(kept) - 1)):
+        for (out_i, into_j, i, j, de), u in islice(draws, size):
+            ni = state[i]
+            if ni and de <= room:
+                nj = state[j]
+                if u < out_i[ni] * into_j[nj]:  # a draw of 0.0 accepts
+                    state[i] = ni - 1
+                    state[j] = nj + 1
+                    room -= de
+        rows.append(state.copy())
+    return rows
+
+
+def metropolis_chain(spec: EnsembleSpec, n: int, cfg: ChainConfig) -> np.ndarray:
+    """`metropolis_rows` as a (kept, m) int64 array."""
+    import numpy as np
+
+    return np.array(metropolis_rows(spec, n, cfg),
+                    dtype=np.int64).reshape(-1, spec.m)

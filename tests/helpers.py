@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -455,11 +456,14 @@ def reference_resolve(cfg, n: int, m: int) -> tuple[int, int, int]:
 def reference_metropolis_chain(spec, n, cfg):
     """The single-ball chain as a NumPy-scalar loop, kept as the oracle.
 
-    The pair draws and the accept uniforms, one per step of the whole run,
-    each come in one call from their own stream of the two that
-    SeedSequence(seed).spawn(2) gives.  A move is accepted when log(u) < dS,
-    dS the removal step w_i[ni-1] - w_i[ni] plus the insertion step
-    w_j[nj+1] - w_j[nj]; `metropolis_chain` must return the same array.
+    The pair bytes for the whole run come in one randbytes call on
+    random.Random(f"{seed}/pairs"), and one uniform per step from
+    random.Random(f"{seed}/uniforms").  A pair draw is a byte, or a 16-bit
+    little-endian word past 16 levels: a value v at or above the largest
+    multiple of m*(m-1) it can hold is dropped, and the others give the
+    pair v % (m*(m-1)).  A move is accepted when u is below the weight
+    ratio ni/(ni + G_i - 1) * ((nj + G_j)/(nj + 1)); `metropolis_chain`
+    must return the same array.
     """
     steps, burn_in, thinning = cfg.resolve(n, spec.m)
     m = spec.m
@@ -467,24 +471,32 @@ def reference_metropolis_chain(spec, n, cfg):
     cap = spec.energy_cap_units(n)
     if n * e[0] > cap:
         raise ValueError(f"no feasible initial state at N={n}")
-    level_logw = level_log_weights(degeneracies_for(spec, n).as_array, n)
+    degs = degeneracies_for(spec, n).per_level
 
     state = np.zeros(m, dtype=np.int64)
     state[0] = n
     energy = int(n * e[0])
-    pairs, uniforms = map(np.random.default_rng,
-                          np.random.SeedSequence(cfg.seed).spawn(2))
 
     if m == 1:
         kept = range(burn_in, steps, thinning)
         return np.full((len(kept), 1), n, dtype=np.int64)
 
-    pair_draws = pairs.integers(0, m * (m - 1), size=steps)
-    with np.errstate(divide="ignore"):  # a draw of 0.0 gives -inf
-        log_u = np.log(uniforms.random(steps))
+    size = m * (m - 1)
+    width = 1 if size <= 256 else 2
+    limit = 256**width - 256**width % size
+    # at least half of the values are kept, so 4*steps + 64 hold steps pairs
+    raw = random.Random(f"{cfg.seed}/pairs").randbytes(width * (4 * steps + 64))
+    pair_draws = []
+    for k in range(0, len(raw), width):
+        value = int.from_bytes(raw[k:k + width], "little")
+        if value < limit:
+            pair_draws.append(value % size)
+    assert len(pair_draws) >= steps
+    uniforms = random.Random(f"{cfg.seed}/uniforms")
+    u = [uniforms.random() for _ in range(steps)]
     kept = []
     for step in range(steps):
-        pair = int(pair_draws[step])
+        pair = pair_draws[step]
         i = pair // (m - 1)
         j = pair % (m - 1)
         if j >= i:
@@ -493,9 +505,8 @@ def reference_metropolis_chain(spec, n, cfg):
             new_energy = energy + int(e[j] - e[i])
             if new_energy <= cap:
                 ni, nj = int(state[i]), int(state[j])
-                delta = ((level_logw[i, ni - 1] - level_logw[i, ni])
-                         + (level_logw[j, nj + 1] - level_logw[j, nj]))
-                if log_u[step] < delta:
+                ratio = ni / (ni + degs[i] - 1) * ((nj + degs[j]) / (nj + 1))
+                if u[step] < ratio:
                     state[i] -= 1
                     state[j] += 1
                     energy = new_energy
@@ -674,14 +685,17 @@ def reference_weighted_covariance(y, pmf):
 # The NumPy multiplier solver, kept as the oracle for `solve`.  It reads
 # the spec's float vectors as arrays (_ArraySpec); apart from the _ref
 # prefix, that view and the threshold energy written out as the np.dot it
-# was, the code below is the solver as it was, with its bisection.
+# was, the code below is the solver as it was, with its bisection, which
+# now runs to adjacent floats: its old stop at 1e-13 of |x| left x* 2e-12
+# off at alpha near 11, past the 1e-12 that the solve tests allow.
 
 _BISECT_MAX_ITER = 300
 _BRACKET_GROWTH_CAP = 200
 
 
-def _bisect_monotone(f, target, lo, hi, increasing, xtol=1e-13):
-    """Solve f(x) = target for monotone f on a valid bracket [lo, hi]."""
+def _bisect_monotone(f, target, lo, hi, increasing):
+    """Solve f(x) = target for monotone f on a valid bracket [lo, hi],
+    halving it until its ends are adjacent floats."""
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -693,8 +707,6 @@ def _bisect_monotone(f, target, lo, hi, increasing, xtol=1e-13):
             hi = mid
         else:
             lo = mid
-        if hi - lo < xtol * max(1.0, abs(lo), abs(hi)):
-            break
     return 0.5 * (lo + hi)
 
 

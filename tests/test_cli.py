@@ -426,7 +426,8 @@ def test_commands_import_only_what_they_use(tmp_path):
     # NumPy is imported only by code that holds arrays over states: the
     # package, the CLI, `solve` and `entropy-probe` load none of it (nor
     # SciPy, which no command needs), and so none of what NumPy loads
-    # (inspect, datetime); `solve` does not load occens.entropy either.  No
+    # (inspect, datetime); `solve` does not load occens.entropy either, and
+    # a Metropolis `sample` loads no NumPy, but an exact one does.  No
     # command loads dataclasses, whose import chain (inspect, ast, dis)
     # outweighs what `solve` runs.  Neither sampling method loads the
     # enumerator; an exact sweep at --jobs 1 loads neither the thread pool
@@ -484,9 +485,9 @@ def loaded(*names):
     return [name for name in names if name in sys.modules]
 from occens.cli import main
 assert main(['sample', '--config', {chain_config!r}, '--out', {str(tmp_path / 'chain.csv')!r}]) == 0
-print('sample metropolis', loaded('occens.ensemble', 'dataclasses', 'multiprocessing', 'concurrent'))
+print('sample metropolis', loaded('numpy', 'occens.ensemble', 'dataclasses', 'multiprocessing', 'concurrent'))
 assert main(['sample', '--config', {exact_config!r}, '--out', {str(tmp_path / 'exact.csv')!r}]) == 0
-print('sample exact', loaded('occens.ensemble', 'dataclasses', 'multiprocessing', 'concurrent'))
+print('sample exact', loaded('numpy', 'occens.ensemble', 'dataclasses', 'multiprocessing', 'concurrent'))
 """
     lines = []
     for script in (code, chain_code):
@@ -499,7 +500,7 @@ print('sample exact', loaded('occens.ensemble', 'dataclasses', 'multiprocessing'
         "entropy-probe []", "lln-sweep []", "lln-sweep --jobs 2 ['concurrent']",
         "fluct-check ['occens.sampler']",
         f"exports {len(occens.__all__)}", "sample metropolis []",
-        "sample exact []"]
+        "sample exact ['numpy']"]
     _, header, rows = read_csv(probe_out)
     assert len(rows) == 3 and float(rows[-1][header.index("approx_error")]) > 0
 
@@ -726,10 +727,14 @@ REJECTED = [
     ("sample", {"N": 10}, [*WITH_CONFIG, "--seed", "4"],
      "unrecognized arguments: --seed 4"),
     ("sample", {"N": 10}, [], "--config"),
+    # 257 levels make more ordered pairs than a 16-bit pair draw holds
+    ("sample", {"energies": list(range(1, 258)), "weights": [1 / 257] * 257,
+                "N": 1000, "method": "metropolis"}, WITH_CONFIG,
+     "method metropolis takes at most 256 levels, got 257"),
 ]
 REJECTED_IDS = ["budget-flag", "budget-0", "budget-bool", "jobs-0",
                 "jobs-not-int", "N_list-bool", "N-bool", "count-bool",
-                "seed-flag", "no-config"]
+                "seed-flag", "no-config", "metropolis-past-256-levels"]
 
 
 def run_args(tmp_path, command, extra, args):
@@ -1021,7 +1026,7 @@ def _no_work(monkeypatch):
         raise AssertionError("work started before the config was checked")
 
     for module, name in [(occens.ensemble, "accumulate_support"),
-                         (occens.sampler, "metropolis_chain"),
+                         (occens.sampler, "metropolis_rows"),
                          (occens.sampler, "iid_draws"),
                          (occens.entropy, "approximation_error")]:
         monkeypatch.setattr(module, name, no_work)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from occens import (
@@ -224,6 +224,9 @@ class TestGridOracle:
 @given(seed=st.integers(0, 2**32 - 1),
        regime=st.sampled_from([r for r, _ in REGIMES]),
        m=st.integers(2, 6), boundary=st.booleans())
+# the reference's bisection, stopped at 1e-13 of |alpha| ~ 11, was 2.0e-12
+# off here; run to adjacent floats it is 5e-14 off
+@example(seed=265252, regime="low_degeneracy", m=2, boundary=True)
 def test_solve_matches_numpy_reference(seed, regime, m, boundary):
     # The NumPy solver ran per-regime bisection and Newton paths; the one
     # nested solve agrees with it to the reference's own error.

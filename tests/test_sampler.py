@@ -1,8 +1,10 @@
 import hashlib
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from unittest.mock import patch
 
 import numpy as np
@@ -147,16 +149,15 @@ class TestMetropolis:
         n = 6
         dist = build_distribution(spec, n)
         deg = degeneracies_for(spec, n)
-        logw = level_log_weights(deg.as_array, n)
+        g = deg.per_level
         for counts in dist.counts.tolist():
             for i, j, new in single_ball_moves(tuple(counts), 2):
-                # the chain's four table reads for a move i -> j
+                # the chain's two table reads for a move i -> j
                 ni, nj = counts[i], counts[j]
-                inc = (logw[i, ni - 1] - logw[i, ni]
-                       + logw[j, nj + 1] - logw[j, nj])
+                ratio = ni / (ni + g[i] - 1) * ((nj + g[j]) / (nj + 1))
                 full = (entropy_exact(Occupancy(n, new), deg)
                         - entropy_exact(Occupancy(n, tuple(counts)), deg))
-                assert inc == pytest.approx(full, abs=1e-10)
+                assert math.log(ratio) == pytest.approx(full, abs=1e-10)
 
     def test_detailed_balance_on_enumerated_kernel(self):
         dist, _, kernel = enumerated_kernel(sampler_spec(), 6)
@@ -198,8 +199,9 @@ class TestMetropolis:
         assert tv < 0.05
 
     def test_matches_reference_at_huge_log_weights(self):
-        # ln C(N+G_i-1, N) passes 1e7 here (G(N) = N^3 = 6.4e16), so each
-        # step of dS is a difference of neighbouring entries near 1e7
+        # ln C(N+G_i-1, N) passes 1e7 here (G(N) = N^3 = 6.4e16), where a
+        # log-domain step would be a difference of neighbouring entries
+        # near 1e7; the chain reads quotients of ints near 1e16 instead
         spec = make_spec(["1", "2"], [0.5, 0.5], "7/5", "high_degeneracy",
                          p=3)
         n = 400_000
@@ -230,16 +232,54 @@ class TestMetropolis:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
-    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("m", [2, 3, 5, 17])
     def test_matches_reference_across_blocks(self, m):
         # the draws are made a block at a time; past two blocks the chain
-        # must still make the reference's one-shot draws
+        # must still make the reference's one-shot draws, of bytes and, at
+        # m = 17, of 16-bit words
         spec = make_spec([str(k + 1) for k in range(m)], [1 / m] * m,
                          (m + 1) / 2, "proportional", c=1.0)
         cfg = ChainConfig(steps=2 * sampler._BLOCK + 4321, seed=11,
                           burn_in=5, thinning=97)
         assert np.array_equal(metropolis_chain(spec, 40, cfg),
                               reference_metropolis_chain(spec, 40, cfg))
+
+    @pytest.mark.parametrize("m", [3, 17])
+    def test_states_do_not_depend_on_block(self, monkeypatch, m):
+        # blocks of any multiple of 4 bytes read the same stream
+        spec = make_spec([str(k + 1) for k in range(m)], [1 / m] * m,
+                         (m + 1) / 2, "proportional", c=1.0)
+        cfg = ChainConfig(steps=3000, seed=23, burn_in=10, thinning=3)
+        chains = []
+        for block in (4, 12, 1 << 16):
+            monkeypatch.setattr(sampler, "_BLOCK", block)
+            chains.append(metropolis_chain(spec, 40, cfg))
+        assert np.array_equal(chains[0], chains[1])
+        assert np.array_equal(chains[0], chains[2])
+
+    @pytest.mark.parametrize("m", [3, 17], ids=["bytes", "words"])
+    def test_pair_draws_are_uniform(self, m):
+        # the m*(m-1) ordered pairs by rejection from bytes (m <= 16) or
+        # from 16-bit words: 200 draws a pair, a fixed seed, so a fixed p
+        import mpmath
+
+        size = m * (m - 1)
+        draws = sampler._uniform_choices(random.Random("uniformity"),
+                                         [(k,) for k in range(size)])
+        seen = [0] * size
+        for (k,) in islice(draws, 200 * size):
+            seen[k] += 1
+        stat = math.fsum((c - 200) ** 2 / 200 for c in seen)
+        p = float(mpmath.gammainc((size - 1) / 2, stat / 2, mpmath.inf,
+                                  regularized=True))
+        assert p > 1e-3
+
+    def test_more_than_256_levels_rejected(self):
+        # 257 levels make 65,792 ordered pairs, more than a 16-bit word holds
+        spec = make_spec(list(range(1, 258)), [1 / 257] * 257, 2,
+                         "proportional", c=1.0)
+        with pytest.raises(ValueError, match="at most 256 levels"):
+            metropolis_chain(spec, 1000, ChainConfig(steps=10, seed=0))
 
     def test_kept_states_are_a_prefix_of_a_longer_run(self):
         # no step past the last kept state is drawn, and the pair draws and
