@@ -234,9 +234,10 @@ def _map_ordered(fn, items, jobs: int):
 
 
 def _accumulate(spec, n: int, config: dict, acc) -> None:
-    """Add the enumerated support at N to acc; past the budget, `count`
-    i.i.d. draws each weighted 1 when the config sets sampler_fallback, else
-    the budget error, raised before any block is weighed."""
+    """Add the states at N above the row's cut to acc; past the budget,
+    `count` i.i.d. draws each weighted 1 when the config sets
+    sampler_fallback, else the budget error, raised before any block is
+    weighed."""
     from .ensemble import accumulate_support
     try:
         accumulate_support(acc, budget=config["budget"])

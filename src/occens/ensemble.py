@@ -1,16 +1,22 @@
 """Finite-N distributions over the occupancy lattice.
 
 Enumerates every count vector satisfying the particle-number and energy
-constraints and weights each state by exp(S).  The sweeps stream the
-support through blocks of at most BLOCK_STATES states, split by the first
-level's count, and one Accumulator reads each block once: moments, the
-moment generating function and the decomposition of the support into exact
-energy-slack layers.  The int64 walk works on heights above eps_1, under
-spec.energy_bound_units; layers keyed apart from the cap are exact at any cap.
-A Distribution record, the whole support weighed as one block and
-normalised, enters the same Accumulator as one block, as a fallback row's
-i.i.d. draws do, each weighted 1, so one set of estimators serves every
-backend.
+constraints and weights each state by exp(S).  One prefix walk counts the
+states before any is filled: every level but the last two is expanded for
+all viable prefixes at once, and each final prefix holds the counts k of
+level m-1 in an interval, the level m closing the count.  The whole support
+takes every viable k.  A streamed row (lln-sweep, fluct-check) takes only
+the k whose log-weight lies within a cut of the row's largest: the
+log-weight is concave in k, so those form one interval per prefix, found by
+bisection, and the states left out hold at most DROPPED_SHARE of Z.  The
+streamed states go through blocks of at most BLOCK_STATES states, and one
+Accumulator reads each block once: moments, the moment generating function
+and the decomposition of the support into exact energy-slack layers.  The
+int64 walk works on heights above eps_1, under spec.energy_bound_units;
+layers keyed apart from the cap are exact at any cap.  A Distribution
+record, the whole support weighed as one block and normalised, enters the
+same Accumulator as one block, as a fallback row's i.i.d. draws do, each
+weighted 1, so one set of estimators serves every backend.
 """
 
 from __future__ import annotations
@@ -29,47 +35,76 @@ from .core import (
 from .entropy import level_log_weights, table_log_multiplicity
 
 PMF_SUM_TOL = 1e-12
-# States per block of the streamed support; a first-level count n_1 whose
-# states alone are more than this is one block.
+# States per block of the streamed support.
 BLOCK_STATES = 1 << 16
+# A streamed row weighs the states whose log-weight is at least its largest
+# minus ln S + ln(1/DROPPED_SHARE) + CUT_MARGIN, plus the largest range
+# max xi_i - min xi_i of its mgf probes: each state left out then weighs at
+# most DROPPED_SHARE/S of the top state's weight, in Z and in every probe's
+# sum.  CUT_MARGIN (nats) covers the rounding of the log-weights.
+DROPPED_SHARE = 1e-16
+CUT_MARGIN = 1.0
 
 
-def _rest(width, out=None):
-    """Particles left after the level, one entry per child prefix: within
-    each prefix they run from remaining - k_min down to 0."""
-    ends = np.repeat(np.cumsum(width) - 1, width)
+class Support(NamedTuple):
+    """What a row weighed: the exact state count S, the states weighed, and
+    a bound on the share of Z, and of each mgf probe's sum, held by the
+    states left out (0 when none is)."""
+
+    states: int
+    weighed: int
+    dropped: float
+
+
+class _Rows(NamedTuple):
+    """The weighed states as final prefixes: per prefix the counts of the
+    levels before the last two (one column per level), the particles left
+    for those two, the first weighed count of level m-1, the states
+    weighed and their running total; the log-weight table of a cut
+    support."""
+
+    columns: list
+    rest: np.ndarray
+    first: np.ndarray
+    width: np.ndarray
+    ends: np.ndarray
+    table: np.ndarray | None
+    report: Support
+
+
+def _rest(width, out=None, offset=0):
+    """Per run of `width` entries, offset + width - 1 down to offset, with
+    one offset per run or one for all."""
+    ends = np.repeat(np.cumsum(width) - 1 + offset, width)
     return np.subtract(ends, np.arange(ends.size, dtype=np.int64), out=out)
 
 
-def _walk(spec: EnsembleSpec, n: int, carry: list, budget: int | None = None):
-    """The viable prefixes that extend the counts in `carry` (one column per
-    level filled) through level m - 2, expanded one level at a time for all
-    prefixes at once.  Returns the carried columns, the particles left and
-    the widths (viable counts) at level m - 2, which sum to the number of
-    states.  Every viable prefix has a completion, so a budget is checked
-    against the prefix count at each level and against the exact S at the
-    last."""
+def _walk(spec: EnsembleSpec, n: int, budget: int):
+    """The viable prefixes through level m-2, expanded one level at a time
+    for all prefixes at once: their columns, the particles left for the last
+    two levels and the least viable count of level m-1.  Every viable
+    prefix has a completion, so the budget is checked against the prefix
+    count at each level before the last two."""
     e, m = spec.energy_units, spec.m
     cap = spec.energy_bound_units(n)
-    root = np.zeros(1, dtype=np.int64)
-    used = sum((e[j] * col for j, col in enumerate(carry)), root)
-    remaining = n - sum(carry, root)
-    for level in range(len(carry), m - 1):
+    carry = []
+    used = np.zeros(1, dtype=np.int64)
+    remaining = np.full(1, n, dtype=np.int64)
+    for level in range(m - 1):
         # since energies increase with the level index, counts[level] = k
         # stays viable iff routing the rest to level + 1 stays under the
         # cap, a closed-form lower bound on k:
         # k >= (used + e[level+1]*remaining - cap) / (e[level+1] - e[level])
         num = used + e[level + 1] * remaining - cap
         k_min = np.maximum(-((-num) // (e[level + 1] - e[level])), 0)
-        width = np.maximum(remaining - k_min + 1, 0)
-        if budget is not None and (total := int(width.sum())) > budget:
-            found = (f"exact state count {total}" if level == m - 2 else
-                     f"state count (at least {total} viable prefixes "
-                     f"of {level + 1} levels)")
-            raise EnumerationBudgetError(
-                f"{found} exceeds budget {budget}; use the sampler module")
         if level == m - 2:
-            return carry, remaining, width
+            return carry, remaining, k_min
+        width = np.maximum(remaining - k_min + 1, 0)
+        if (total := int(width.sum())) > budget:
+            raise EnumerationBudgetError(
+                f"state count (at least {total} viable prefixes of "
+                f"{level + 1} levels) exceeds budget {budget}; use the "
+                f"sampler module")
         rest = _rest(width)
         k = np.repeat(remaining, width) - rest
         carry = [np.repeat(col, width) for col in carry] + [k]
@@ -77,38 +112,110 @@ def _walk(spec: EnsembleSpec, n: int, carry: list, budget: int | None = None):
         remaining = rest
 
 
-def _first_counts(spec: EnsembleSpec, n: int, budget: int):
-    """The viable first-level counts n_1, ascending, and the number of
-    states with each, from the prefix widths alone: no state is filled."""
+def _bisect(lo, hi, test):
+    """Per prefix, the least k in [lo, hi] where test(k) holds, test being
+    false and then true along each range (hi if it never holds); test reads
+    every prefix at once."""
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        ok = test(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, np.minimum(mid + 1, hi))
+    return lo
+
+
+def _cut(table, columns, rest, low, cut):
+    """The prefixes holding a state within `cut` of the largest log-weight,
+    with the first and the number of their counts k of level m-1 that do.
+    A state's log-weight is summed in level order, as table_log_multiplicity
+    sums it: the prefix's terms, then the term of k, then that of rest - k.
+    Each term ln C(k + G - 1, k) is concave in k, so the log-weight is
+    concave along a prefix's k and its states above any threshold are one
+    interval: bisections find its peak, then its two ends."""
+    base = 0.0
+    for i, col in enumerate(columns):
+        base = base + np.take(table[i], col)
+
+    def weight(k):
+        return (base + np.take(table[-2], k)) + np.take(table[-1], rest - k)
+
+    def step(k):  # the log-weight at k + 1, that at k when k = rest
+        return weight(np.minimum(k + 1, rest))
+
+    top = _bisect(low, rest, lambda k: step(k) <= weight(k))
+    peak = weight(top)
+    threshold = float(peak.max()) - cut
+    keep = np.flatnonzero(peak >= threshold)
+    columns = [col[keep] for col in columns]
+    rest, low, top = rest[keep], low[keep], top[keep]
+    if columns:
+        base = base[keep]
+    first = _bisect(low, top, lambda k: weight(k) >= threshold)
+    last = _bisect(top, rest, lambda k: (k == rest) | (step(k) < threshold))
+    return columns, rest, first, last - first + 1
+
+
+def _support(spec: EnsembleSpec, n: int, budget: int,
+             widen: float | None = None) -> _Rows:
+    """The states a row at N weighs, counted before any is filled: the whole
+    support with widen None, else those above the cut, widened by `widen`
+    nats.  The viable prefixes are checked against the budget level by
+    level; a cut support builds the log-weight table, and when its S passes
+    the budget, only if the table's N + 1 columns fit it.  The states
+    weighed are then checked against the budget."""
     if n < 1:
         raise ValueError(f"N must be >= 1, got {n}")
-    if spec.m == 1:
-        return np.array([n], dtype=np.int64), np.ones(1, dtype=np.int64)
-    carry, _, width = _walk(spec, n, [], budget)
-    if not carry:  # m = 2: one state per viable n_1
-        carry, width = [np.arange(n + 1 - width[0], n + 1)], np.ones(width[0])
-    # the viable n_1 are consecutive, each one run of final prefixes
-    low = int(carry[0][0])
-    sizes = np.bincount(carry[0] - low, weights=width).astype(np.int64)
-    return np.arange(low, low + sizes.size, dtype=np.int64), sizes
+    if spec.m == 1:  # one state, its count n alone
+        columns, rest, low = [], np.full(1, n), np.full(1, n)
+    else:
+        columns, rest, low = _walk(spec, n, budget)
+    width = rest - low + 1
+    states = int(width.sum())
+    table = None
+    if widen is not None:
+        if states > budget and n + 1 > budget:
+            raise EnumerationBudgetError(
+                f"exact state count {states}, and log-weight table of {n + 1} "
+                f"columns, exceed budget {budget}; use the sampler module")
+        table = level_log_weights(degeneracies_for(spec, n).as_array, n)
+        cut = (math.log(states) - math.log(DROPPED_SHARE) + CUT_MARGIN
+               + widen)
+        if spec.m > 1:
+            columns, rest, low, width = _cut(table, columns, rest, low, cut)
+    ends = np.cumsum(width)
+    weighed = int(ends[-1])
+    if weighed > budget:
+        raise EnumerationBudgetError(
+            f"{weighed} weighed states of exact state count {states} exceed "
+            f"budget {budget}; use the sampler module")
+    dropped = (states - weighed) / states * DROPPED_SHARE
+    return _Rows(columns, rest, low, width, ends, table,
+                 Support(states=states, weighed=weighed, dropped=dropped))
 
 
-def _fill(spec: EnsembleSpec, n: int, first: np.ndarray) -> np.ndarray:
-    """Every state whose first count is in `first`, consecutive viable
-    values ascending, as an (S_b, m) int64 array in lexicographic row order
-    laid out column-major.  The walk fills the levels up to m - 2 for all
-    prefixes at once, and the last two follow in closed form."""
+def _fill(spec: EnsembleSpec, n: int, rows: _Rows, start: int, stop: int,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """The weighed states start..stop-1, in lexicographic row order, as a
+    (stop - start, m) int64 array laid out column-major, the transpose of
+    `out` when given: the prefixes' columns repeated, and the last two
+    levels in closed form."""
     m = spec.m
     if m == 1:
-        return first.reshape(1, 1)
-    if m == 2:
-        return np.stack([first, n - first]).T
-    prefix, remaining, width = _walk(spec, n, [first])
-    out = np.empty((m, int(width.sum())), dtype=np.int64)
-    for j, col in enumerate(prefix):
-        out[j] = np.repeat(col, width)
-    rest = _rest(width, out=out[m - 1])
-    np.subtract(np.repeat(remaining, width), rest, out=out[m - 2])
+        return np.full((1, 1), n, dtype=np.int64)
+    ends = rows.ends
+    i = int(np.searchsorted(ends, start, side="right"))
+    j = int(np.searchsorted(ends, stop, side="left")) + 1
+    begin = ends[i:j] - rows.width[i:j]
+    low = np.maximum(begin, start)
+    width = np.minimum(ends[i:j], stop) - low
+    last = rows.first[i:j] + (low - begin) + (width - 1)  # per prefix
+    rest = rows.rest[i:j]
+    if out is None:
+        out = np.empty((m, stop - start), dtype=np.int64)
+    for row, col in zip(out, rows.columns):
+        row[:] = np.repeat(col[i:j], width)
+    _rest(width, out=out[m - 1], offset=rest - last)
+    np.subtract(np.repeat(rest, width), out[m - 1], out=out[m - 2])
     return out.T
 
 
@@ -118,24 +225,11 @@ def enumerate_states(spec: EnsembleSpec, n: int,
 
     Returns an (S, m) int64 array in lexicographic row order, laid out
     column-major: it is the transpose of an (m, S) buffer, so each level's
-    counts are one contiguous column.  This is the one-block case of the
-    streamed support: the states are counted from the prefix widths alone,
-    and the budget checked, before any is filled.
+    counts are one contiguous column.  The states are counted from the
+    prefix walk alone, and the budget checked, before any is filled.
     """
-    return _fill(spec, n, _first_counts(spec, n, budget)[0])
-
-
-def _batches(first: np.ndarray, sizes: np.ndarray):
-    """Consecutive runs of `first` holding at most BLOCK_STATES states, or
-    one value that alone holds more."""
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < first.size:
-        done = int(ends[start - 1]) if start else 0
-        stop = int(np.searchsorted(ends, done + BLOCK_STATES, side="right"))
-        stop = max(stop, start + 1)
-        yield first[start:stop]
-        start = stop
+    rows = _support(spec, n, budget)
+    return _fill(spec, n, rows, 0, rows.report.states)
 
 
 class LayerDecomposition(NamedTuple):
@@ -265,6 +359,9 @@ class Accumulator:
 
     def _add_layers(self, keys: np.ndarray, mass: np.ndarray):
         """Add masses at sorted distinct keys, inserting any not seen yet."""
+        if not self.layer_keys.size:  # the first block's keys, as they are
+            self.layer_keys, self.layer_mass = keys, mass
+            return
         at = np.searchsorted(self.layer_keys, keys)
         new = at == self.layer_keys.size
         new[~new] = self.layer_keys[at[~new]] != keys[~new]
@@ -322,7 +419,9 @@ class Accumulator:
         return math.exp(offset) * self.probe_sums[p] / self.total()
 
     def layers(self) -> LayerDecomposition:
-        """Mass of each realized energy slack, ascending."""
+        """Mass of each realized energy slack, ascending, over the states
+        added: a streamed row leaves out the layers whose states all fall
+        below its cut, which hold at most its Support.dropped share."""
         masses = self.layer_mass / self.total()
         masses.setflags(write=False)
         d = self.spec.lattice_step
@@ -330,19 +429,24 @@ class Accumulator:
         return LayerDecomposition(slacks=slacks, masses=masses)
 
 
-def _weighed_blocks(spec: EnsembleSpec, n: int, budget: int,
-                    whole: bool = False):
-    """The support at N as blocks (counts, w, shift) weighted w*exp(shift)
-    = exp(S): blocks of at most BLOCK_STATES states, or one block with
-    `whole`.  The states are counted before any is filled, so a support
-    past the budget raises EnumerationBudgetError before any block is
-    weighed.  The log-weight table is built once; each block goes through
-    the same gather and level-order sum as log_multiplicity and is shifted
-    by its largest log-weight."""
-    first, sizes = _first_counts(spec, n, budget)
-    table = level_log_weights(degeneracies_for(spec, n).as_array, n)
-    for batch in [first] if whole else _batches(first, sizes):
-        counts = _fill(spec, n, batch)
+def _weighed_blocks(spec: EnsembleSpec, n: int, rows: _Rows, block: int):
+    """The weighed states as blocks (counts, w, shift) of `block` states,
+    the last one shorter, weighted w*exp(shift) = exp(S).  Every block's
+    counts are written into one buffer per row, so they hold until the next
+    block is made: a fresh array per block made the allocator fault its
+    pages in anew, about a sixth of the time of an m=3 row of 1.7M states.
+    The log-weight table is built once per row; each block goes through the
+    same gather and level-order sum as log_multiplicity and is shifted by
+    its largest log-weight."""
+    table = rows.table
+    if table is None:
+        table = level_log_weights(degeneracies_for(spec, n).as_array, n)
+    m, total = spec.m, rows.report.weighed
+    buffer = np.empty(m * min(block, total), dtype=np.int64)
+    for start in range(0, total, block):
+        size = min(block, total - start)
+        counts = _fill(spec, n, rows, start, start + size,
+                       buffer[:m * size].reshape(m, size))
         w = table_log_multiplicity(table, counts)
         shift = float(w.max())
         w -= shift
@@ -351,11 +455,19 @@ def _weighed_blocks(spec: EnsembleSpec, n: int, budget: int,
 
 
 def accumulate_support(acc: Accumulator,
-                       budget: int = DEFAULT_STATE_BUDGET) -> None:
-    """Add the support of acc's spec at N to acc, weighted by exp(S), in
-    blocks of at most BLOCK_STATES states."""
-    for block in _weighed_blocks(acc.spec, acc.n, budget):
+                       budget: int = DEFAULT_STATE_BUDGET) -> Support:
+    """Add the states of acc's spec at N that carry mass to acc, weighted
+    by exp(S), in blocks of BLOCK_STATES states: those within the cut of
+    the largest log-weight, widened by the largest range of acc's probes.
+    The budget is checked before any block is weighed.  Returns the row's
+    Support: S, the states weighed and the bound on the share of Z, and of
+    each probe's sum, left out."""
+    widen = max((float(xi.max() - xi.min()) for xi in acc.probes),
+                default=0.0)
+    rows = _support(acc.spec, acc.n, budget, widen)
+    for block in _weighed_blocks(acc.spec, acc.n, rows, BLOCK_STATES):
         acc.add(*block)
+    return rows.report
 
 
 class Distribution(NamedTuple):
@@ -381,9 +493,10 @@ class Distribution(NamedTuple):
 
 def build_distribution(spec: EnsembleSpec, n: int,
                        budget: int = DEFAULT_STATE_BUDGET) -> Distribution:
-    """Enumerate the support and normalize exp(S) into a pmf: the streamed
+    """Enumerate the support and normalize exp(S) into a pmf: the whole
     support as one block, its weights divided by their sum in place."""
-    [(counts, pmf, _)] = _weighed_blocks(spec, n, budget, whole=True)
+    rows = _support(spec, n, budget)
+    [(counts, pmf, _)] = _weighed_blocks(spec, n, rows, rows.report.states)
     # Dividing by the sum normalizes to rounding, where exp(lw - log Z)
     # would inherit half an ulp of a large log Z.
     np.divide(pmf, pmf.sum(), out=pmf)

@@ -13,6 +13,7 @@ scaled coordinates (and the slack layers at a boundary maximum).
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +24,10 @@ from .entropy import limit_entropy_hessian_diag, scaling_factor
 from .maxent import MaximumKind, MaxEntSolution, classify_maximum, solve
 
 _ORTHONORMAL_TOL = 1e-12
+_EPS = sys.float_info.epsilon
+# The largest relative error, estimated as condition estimate times eps,
+# that a predicted covariance block may carry.
+CONDITION_LIMIT = 1e-8
 
 
 class FluctuationPrediction(NamedTuple):
@@ -37,7 +42,10 @@ def _gaussian_block(spec: EnsembleSpec, x, axes) -> np.ndarray:
     """Covariance (B^T P B)^-1 over the reduced directions B = `axes`, each
     a list of m-1 numbers.  P = diag(a) + b*11^T is minus the reduced
     Hessian of s_l at x: a_i = -s''_i for i < m and b = -s''_m.  A Cholesky
-    pivot that is not positive raises ArithmeticError."""
+    pivot that is not positive raises ArithmeticError, and so does a block
+    whose condition estimate, the squared ratio of its largest to its
+    smallest pivot (at most its condition number), passes
+    CONDITION_LIMIT/eps: its inverse is not held to 1e-8."""
     *a, b = (-h for h in limit_entropy_hessian_diag(spec, x))
     sums = [math.fsum(u) for u in axes]
     low = []  # the Cholesky factor of B^T P B, row by row
@@ -54,6 +62,12 @@ def _gaussian_block(spec: EnsembleSpec, x, axes) -> np.ndarray:
             else:
                 raise ArithmeticError(
                     f"covariance block not positive definite: pivot {r}")
+    pivots = [row[i] for i, row in enumerate(low)]
+    if pivots and (kappa := (max(pivots) / min(pivots)) ** 2) * _EPS > \
+            CONDITION_LIMIT:
+        raise ArithmeticError(
+            f"covariance block ill-conditioned: pivot condition estimate "
+            f"{kappa:.3e} times eps exceeds {CONDITION_LIMIT}")
     inv = []  # the inverse of the factor, row by row
     for i, row in enumerate(low):
         inv.append([(float(i == j) - math.fsum(

@@ -39,6 +39,7 @@ from occens import (
     threshold_energy,
 )
 from occens.core import WEIGHT_SUM_TOL, EnsembleSpec
+from occens import ensemble
 from occens.entropy import _require_interior, log_multiplicity
 from occens.fluctuations import _ORTHONORMAL_TOL
 from occens.maxent import RESIDUAL_TOL
@@ -578,6 +579,18 @@ def reference_log_multiplicity(counts, degs):
     for i in range(1, degs.size):
         total += terms[..., i]
     return total
+
+
+def reference_cut(spec, n, widen=0.0):
+    """The whole support at N, its log_multiplicity and the mask of the
+    states a streamed row weighs: those at least the cut ln S +
+    ln(1/DROPPED_SHARE) + CUT_MARGIN + widen below the largest, the
+    constants read from the ensemble module at the call."""
+    states = enumerate_states(spec, n, budget=10**8)
+    lw = log_multiplicity(states, degeneracies_for(spec, n).as_array)
+    cut = (math.log(len(states)) - math.log(ensemble.DROPPED_SHARE)
+           + ensemble.CUT_MARGIN + widen)
+    return states, lw, lw >= lw.max() - cut
 
 
 def brute_force_state_count(spec, n):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -44,6 +45,7 @@ from helpers import (
     edge_specs,
     log_weights_and_z,
     random_spec,
+    reference_cut,
     reference_enumerate_states,
     reference_layer_decomposition,
     reference_log_multiplicity,
@@ -372,13 +374,14 @@ def test_column_layout_keeps_estimators(seed, regime, m, boundary, chain,
 
 def blocked_sums(spec, n, block, centre, xi):
     """An Accumulator over the support at N streamed in blocks of `block`
-    states: the mean and covariance of X - centre, one probe, the layers."""
+    states: the mean and covariance of X - centre, one probe, the layers;
+    and the row's Support."""
     acc = Accumulator(spec, n, centre=centre, basis=np.eye(spec.m),
                       covariance=True, probes=[xi], layers=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble, "BLOCK_STATES", block)
-        accumulate_support(acc)
-    return acc
+        support = accumulate_support(acc)
+    return acc, support
 
 
 BLOCK_MAX_N = {1: 30, 2: 80, 3: 40, 4: 20, 5: 12, 6: 9}
@@ -390,12 +393,11 @@ BLOCK_MAX_N = {1: 30, 2: 80, 3: 40, 4: 20, 5: 12, 6: 9}
                                "low_degeneracy"]),
        m=st.integers(1, 6), boundary=st.booleans(), data=st.data())
 def test_blocks_match_one_block(seed, regime, m, boundary, data):
-    # Blocks of B states (B from 1 to S; one first count n_1 may hold more)
-    # against one block of the whole support.  The two runs take each
-    # weight exp(lw - shift) at another shift: the subtraction is exact
-    # within a factor 2 and else rounds by under |lw - shift| * 2**-53, so
-    # the weights differ by some ln(S) ulps where they carry mass, and the
-    # sums regroup.  1e-12 of each estimator's scale bounds both; the
+    # Blocks of B states (B from 1 to S) against one block of the states
+    # the row weighs.  The two runs take each weight exp(lw - shift) at
+    # another shift: the subtraction is exact within a factor 2 and else
+    # rounds by under |lw - shift| * 2**-53, so the weights differ by some
+    # ln(S) ulps where they carry mass, and the sums regroup.  1e-12 of each estimator's scale bounds both; the
     # scales are sqrt(E[y_i^2] E[y_j^2]) for moments of y = X - centre, the
     # value for the mgf and each mass, floored at 1e-300 for masses that
     # underflow in one run only.
@@ -408,13 +410,14 @@ def test_blocks_match_one_block(seed, regime, m, boundary, data):
     n = data.draw(st.integers(1, BLOCK_MAX_N[m]), label="n")
     try:
         size = enumerate_states(spec, n).shape[0]
-        whole = blocked_sums(spec, n, size, spec.weights, rng.normal(size=m))
+        whole, support = blocked_sums(spec, n, size, spec.weights,
+                                      rng.normal(size=m))
     except SpecValidationError:  # G(N) < m at small N
         return
     block = data.draw(st.integers(1, size), label="block")
-    got = blocked_sums(spec, n, block, whole.centre, whole.probes[0])
-    if block < size:
-        assert len(got.block_totals) > 1
+    got, _ = blocked_sums(spec, n, block, whole.centre, whole.probes[0])
+    assert len(whole.block_totals) == 1
+    assert len(got.block_totals) == -(-support.weighed // block)
     second = np.diag(whole.covariance()) + whole.mean() ** 2
     scale = np.sqrt(np.multiply.outer(second, second))
     assert np.all(np.abs(got.mean() - whole.mean()) <= 1e-12 * np.sqrt(second))
@@ -428,20 +431,23 @@ def test_blocks_match_one_block(seed, regime, m, boundary, data):
 
 
 def test_blocks_partition_support_in_order():
-    # m=3 at N=40 has up to 41 states per first count: with B = 16 a block
-    # holds one first count that alone exceeds B, or several that fit
-    spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "5/2", "proportional",
-                     c=1.0)
-    first, sizes = ensemble._first_counts(spec, 40, 10**6)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "BLOCK_STATES", 16)
-        blocks = [ensemble._fill(spec, 40, batch)
-                  for batch in ensemble._batches(first, sizes)]
-    assert max(len(b) for b in blocks) > 16
-    assert min(len(b) for b in blocks) < 16
-    assert all(len(b) <= 16 or len(np.unique(b[:, 0])) == 1 for b in blocks)
-    assert np.array_equal(np.concatenate(blocks), enumerate_states(spec, 40))
-    assert sizes.sum() == len(enumerate_states(spec, 40))
+    # m=3 at N=200, cap 5/2: blocks of B = 4096 states, the last one
+    # shorter, concatenate to the whole support when nothing is cut, and
+    # to its states above the threshold, 57% of them, when they are cut.
+    # A block's counts hold until the next block is made.
+    spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "5/2",
+                     "high_degeneracy")
+    states, _, keep = reference_cut(spec, 200)
+    assert 0.5 < keep.mean() < 0.6
+    for widen, want in ((None, states), (0.0, states[keep])):
+        rows = ensemble._support(spec, 200, 10**6, widen)
+        blocks = []
+        for counts, _, _ in ensemble._weighed_blocks(spec, 200, rows, 4096):
+            assert counts.T.flags.c_contiguous
+            blocks.append(counts.copy())
+        assert [len(b) for b in blocks[:-1]] == [4096] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= 4096
+        assert np.array_equal(np.concatenate(blocks), want)
 
 
 WALK_MAX_N = {1: 30, 2: 40, 3: 25, 4: 14, 5: 10, 6: 8}
@@ -451,35 +457,38 @@ WALK_MAX_N = {1: 30, 2: 40, 3: 25, 4: 14, 5: 10, 6: 8}
 @given(spec=edge_specs(), data=st.data())
 def test_walk_counts_fills_and_weighs_the_support(spec, data):
     # The count pass and the fill are one prefix walk; the sweeps' blocks
-    # and build_distribution are one weigher.  The count pass's sizes per
-    # n_1 sum to a brute-force count; blocks of B states concatenate to
-    # enumerate_states, each weighted exp(lw - max lw) with lw from
+    # and build_distribution are one weigher.  The whole support's count
+    # is a brute-force count and its one fill is enumerate_states; the
+    # streamed rows' blocks of B states concatenate to its states above
+    # the threshold, each weighted exp(lw - max lw) with lw from
     # log_multiplicity bit for bit; and build_distribution's pmf is the
-    # streamed path's one block, normalised, bit for bit.
+    # whole support's one block, normalised, bit for bit.
     n = data.draw(st.integers(1, WALK_MAX_N[spec.m]), label="n")
-    first, sizes = ensemble._first_counts(spec, n, 10**6)
+    rows = ensemble._support(spec, n, 10**6)
     states = enumerate_states(spec, n)
-    assert sizes.sum() == brute_force_state_count(spec, n) == len(states)
-    assert np.array_equal(first, np.unique(states[:, 0]))
-    assert np.array_equal(sizes, np.bincount(states[:, 0] - first[0]))
+    assert rows.report == (len(states), len(states), 0.0)
+    assert len(states) == brute_force_state_count(spec, n)
     try:
         degs = degeneracies_for(spec, n).as_array
     except SpecValidationError:  # G(N) < m at small N
         return
-    block = data.draw(st.integers(1, len(states)), label="block")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ensemble, "BLOCK_STATES", block)
-        blocks = list(ensemble._weighed_blocks(spec, n, 10**6))
-        mp.setattr(ensemble, "BLOCK_STATES", len(states))
-        [(counts, w, _)] = ensemble._weighed_blocks(spec, n, 10**6)
-    assert np.array_equal(np.concatenate([b[0] for b in blocks]), states)
-    for rows, weights, shift in blocks:
-        lw = log_multiplicity(rows, degs)
-        assert shift == lw.max()
-        assert np.array_equal(weights, np.exp(lw - shift))
+    [(counts, w, _)] = ensemble._weighed_blocks(spec, n, rows, len(states))
+    assert np.array_equal(counts, states)
     dist = build_distribution(spec, n)
     assert np.array_equal(dist.counts, counts)
     assert np.array_equal(dist.pmf, w / w.sum())
+    _, _, keep = reference_cut(spec, n)
+    rows = ensemble._support(spec, n, 10**6, 0.0)
+    block = data.draw(st.integers(1, len(states)), label="block")
+    blocks = []
+    for counts, weights, shift in ensemble._weighed_blocks(spec, n, rows,
+                                                           block):
+        assert counts.T.flags.c_contiguous
+        lw = log_multiplicity(counts, degs)
+        assert shift == lw.max()
+        assert np.array_equal(weights, np.exp(lw - shift))
+        blocks.append(counts.copy())  # the next block reuses its buffer
+    assert np.array_equal(np.concatenate(blocks), states[keep])
 
 
 def test_block_memory_does_not_grow_with_support(monkeypatch):
@@ -520,9 +529,10 @@ def test_sparse_slacks_hold_no_span_sized_array():
     tracemalloc.stop()
     steps = spec.energy_cap_units(1000) // spec.lattice_step
     assert peak < 2 * steps
+    # one layer per slack of the 27,531 states weighed
+    states, _, keep = reference_cut(spec, 1000)
     assert len(acc.layers().slacks) == len(np.unique(
-        spec.energy_cap_units(1000)
-        - enumerate_states(spec, 1000) @ np.array(spec.energy_units)))
+        states[keep] @ np.array(spec.energy_units))) == 27531
 
 
 def test_cap_past_int64_keeps_layers_exact():
@@ -551,7 +561,7 @@ def test_bound_past_int64_raises_one_error():
     message = re.escape("N*q*(eps_m - eps_1) = 9999000000000000000 "
                         "overflows int64")
     with pytest.raises(OverflowError, match=message):
-        ensemble._first_counts(spec, n, 10**6)
+        ensemble._support(spec, n, 10**6)
     with pytest.raises(OverflowError, match=message):
         iid_draws(spec, n, 1, 0)
     with pytest.raises(OverflowError, match=message):
@@ -675,8 +685,8 @@ M4_SPEC = (["1", "2", "3", "4"], [0.25] * 4, 5, "proportional")
 
 
 @pytest.mark.parametrize("budget, message", [
-    (10**6, "exact state count 1373701 exceeds budget 1000000; "
-            "use the sampler module"),
+    (10**6, "1155317 weighed states of exact state count 1373701 exceed "
+            "budget 1000000; use the sampler module"),
     (10**4, "state count (at least 20301 viable prefixes of 2 levels) "
             "exceeds budget 10000; use the sampler module"),
 ])
@@ -689,3 +699,146 @@ def test_budget_raised_before_any_block(monkeypatch, budget, message):
     with pytest.raises(EnumerationBudgetError, match=re.escape(message)):
         accumulate_support(acc, budget)
     assert acc.block_totals == []
+
+
+CUT_MAX_N = {1: 60, 2: 60, 3: 60, 4: 30, 5: 16, 6: 10}
+
+
+@st.composite
+def cut_specs(draw):
+    """edge_specs, or random_spec's specs with m 2-6; the latter have the
+    wider supports."""
+    if draw(st.booleans(), label="edge"):
+        return draw(edge_specs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    regime = draw(st.sampled_from(["high_degeneracy", "proportional",
+                                   "low_degeneracy"]), label="regime")
+    return random_spec(rng, regime, draw(st.integers(2, 6), label="m"),
+                       draw(st.booleans(), label="boundary"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=cut_specs(), data=st.data())
+def test_cut_rows_hold_their_certificate(spec, data):
+    # A streamed row weighs exactly the whole support's states at or above
+    # its threshold, the cut widened by its probe's range.  The mass it
+    # leaves out, summed over the whole support's pmf, is at most the bound
+    # it reports, in Z and in the probe's sum; its mean, covariance, mgf and
+    # layer masses differ from the whole support's by rounding (1e-12 of
+    # each scale, as in test_blocks_match_one_block) plus what the bound
+    # allows.  Every coordinate X_i - g_i lies in [-1, 1].  At N <= 60 the
+    # cut at a share of 1e-16 seldom drops a state, so the share is also
+    # drawn at 1e-8, 1e-3 and 0.5, which drop more.
+    m = spec.m
+    n = data.draw(st.integers(1, CUT_MAX_N[m]), label="n")
+    try:
+        degeneracies_for(spec, n)
+    except SpecValidationError:  # G(N) < m at small N
+        return
+    xi = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m,
+                                     max_size=m), label="xi"))
+    share = data.draw(st.sampled_from([ensemble.DROPPED_SHARE, 1e-8, 1e-3, 0.5]),
+                      label="share")
+    widen = float(xi.max() - xi.min())
+    sums = dict(centre=spec.weights, basis=np.eye(m), covariance=True,
+                probes=[xi], layers=True)
+    got = Accumulator(spec, n, **sums)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble, "DROPPED_SHARE", share)
+        states, _, keep = reference_cut(spec, n, widen)
+        rows = ensemble._support(spec, n, 10**6, widen)
+        support = accumulate_support(got, 10**6)
+    assert np.array_equal(
+        ensemble._fill(spec, n, rows, 0, rows.report.weighed), states[keep])
+    assert support == rows.report
+    assert support[:2] == (len(states), int(keep.sum()))
+    bound = support.dropped
+    assert bound <= share and (bound == 0.0) == keep.all()
+
+    dist = build_distribution(spec, n)
+    whole = Accumulator(spec, n, **sums)
+    whole.add(dist.counts, dist.pmf)
+    tilt = np.exp(dist.counts / n @ xi - xi.max())
+    assert math.fsum(dist.pmf[~keep]) <= bound
+    assert math.fsum(dist.pmf[~keep] * tilt[~keep]) <= bound * math.fsum(
+        dist.pmf * tilt)
+
+    second = np.diag(whole.covariance()) + whole.mean() ** 2
+    scale = np.sqrt(np.multiply.outer(second, second))
+    assert np.all(np.abs(got.mean() - whole.mean())
+                  <= 1e-12 * np.sqrt(second) + 2 * bound)
+    assert np.all(np.abs(got.covariance() - whole.covariance())
+                  <= 1e-12 * scale + 8 * bound)
+    assert got.mgf(0) == pytest.approx(whole.mgf(0), rel=1e-12 + 2 * bound,
+                                       abs=0)
+    layers, want = got.layers(), whole.layers()
+    mass = dict(zip(want.slacks, want.masses))
+    assert set(layers.slacks) <= set(mass)
+    for slack, value in zip(layers.slacks, layers.masses):
+        assert abs(value - mass.pop(slack)) <= (1e-12 * value + 1e-300
+                                                + 2 * bound)
+    assert math.fsum(mass.values()) <= bound + 1e-300
+
+
+@pytest.mark.parametrize("regime, weighed", [("high_degeneracy", 33493),
+                                             ("proportional", 86083)])
+def test_cut_weighs_a_sliver_of_a_boundary_row(regime, weighed):
+    # m=3, cap 8/5, N = 2e4: 36,012,001 states, of which 0.093% and 0.24%
+    # carry all but 1e-16 of Z
+    spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5", regime,
+                     **({"c": 1.0} if regime == "proportional" else {}))
+    report = ensemble._support(spec, 20_000, 10**6, 0.0).report
+    assert report[:2] == (36_012_001, weighed)
+    assert report.dropped <= 1e-16
+
+
+@pytest.mark.parametrize("regime", ["high_degeneracy", "proportional"])
+def test_cut_row_at_n_1e5_matches_iid_draws(tmp_path, regime):
+    # The m=3 boundary rows at N = 1e5 hold 9.0e8 states, 90 times the
+    # default budget; 81,856 and 211,681 of them are weighed, so the row
+    # is exact.  Its columns agree with 1e6 i.i.d. draws within 4 standard
+    # errors of the draws' means of X_i and of exp(xi.X).
+    from occens.cli import main
+
+    energies, weights, n, xi = ["1", "2", "3"], [0.3, 0.4, 0.3], 100_000, [
+        0.5, 0.0, -0.5]
+    extra = {"c": 1.0} if regime == "proportional" else {}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "energies": energies, "weights": weights, "energy_cap": "8/5",
+        "regime": regime, **extra, "N_list": [n], "xi_list": [xi]}))
+    out = tmp_path / "row.csv"
+    assert main(["lln-sweep", "--config", str(config), "--out", str(out)]) == 0
+    row = [float(v) for v in out.read_text().splitlines()[-1].split(",")]
+    spec = make_spec(energies, weights, "8/5", regime, **extra)
+    x_star = np.array(solve(spec).x_star)
+    x = iid_draws(spec, n, 10**6, 5) / n
+    tilt = np.exp(x @ np.array(xi))
+    se = np.sqrt(x.var(axis=0) / len(x))
+    # |max_i |mu_i - x*_i| - max_i |mean_i - x*_i|| <= max_i |mu_i - mean_i|
+    assert abs(row[1] - np.max(np.abs(x.mean(axis=0) - x_star))) <= 4 * se.max()
+    target = math.exp(math.fsum(np.array(xi) * x_star))
+    assert abs(row[2] - abs(tilt.mean() - target)) <= 4 * tilt.std() / 1e3
+
+
+def test_cut_row_past_the_budget_builds_no_table(monkeypatch):
+    # A row that fails the prefix check builds no log-weight table, as the
+    # m=3 chain-fallback rows of the bench (high_degeneracy, cap 8/5,
+    # N=2500, budget 1000) do.  m=2 has no prefix to check: a support past
+    # the budget is cut only when its table of N + 1 columns fits too.
+    def table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(ensemble, "level_log_weights", table)
+    spec = make_spec(["1", "2", "3"], [0.3, 0.4, 0.3], "8/5",
+                     "high_degeneracy")
+    message = ("state count (at least 1501 viable prefixes of 1 levels) "
+               "exceeds budget 1000; use the sampler module")
+    with pytest.raises(EnumerationBudgetError, match=re.escape(message)):
+        accumulate_support(Accumulator(spec, 2500), 1000)
+    spec = make_spec(["1", "2"], [0.5, 0.5], "3/2", "proportional", c=1.0)
+    message = ("exact state count 500000001, and log-weight table of "
+               "1000000001 columns, exceed budget 1000000; use the sampler "
+               "module")
+    with pytest.raises(EnumerationBudgetError, match=re.escape(message)):
+        accumulate_support(Accumulator(spec, 10**9), 10**6)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from occens import (
     exact_covariance,
     exact_mean,
     layer_decomposition,
+    limit_entropy_hessian_diag,
     make_spec,
     metropolis_chain,
     mgf,
@@ -322,11 +324,20 @@ def test_gaussian_block_matches_lapack_reference(spec, n):
     # precision or of the in-plane axes moves the inverse by that factor);
     # the collapsed layer log-ratio is within 4 ulps of the unit-normal one.
     # Past a condition number of 1e9, x* has a coordinate near 1e-13 and
-    # both paths lose digits, so those specs are left out.
+    # both paths lose digits, so those specs are left out.  The block's
+    # pivot estimate is at most the condition number of its precision, and
+    # that at most kappa, so a block refused as ill-conditioned has kappa
+    # past CONDITION_LIMIT/eps.
     boundary = classify_maximum(spec) is MaximumKind.BOUNDARY
     x = solve(spec).x_star if boundary else spec.weights
     kappa = np.linalg.cond(-reduced_hessian(spec, x))
     assume(kappa < 1e9)
+    if kappa * EPS > fluctuations.CONDITION_LIMIT:
+        try:
+            predict(spec, n)
+        except ArithmeticError as err:
+            assert "ill-conditioned" in str(err)
+            return
     if boundary:
         pred = predict_boundary(spec, n)
         want, log_ratio = lapack_predict_boundary(spec, n)
@@ -370,3 +381,46 @@ class TestNotPositiveDefinite:
         assert err["error"] == "numeric"
         assert "not positive definite" in err["detail"]
         assert not out.exists()
+
+
+def test_ill_conditioned_block_is_refused(tmp_path, capsys):
+    # m=4, high_degeneracy, the cap 1e-6 of the way from eps_1 to the
+    # interior threshold: x* = (1 - 4.5e-6, 4.5e-6, 2.3e-20, 1.6e-75), so
+    # the in-plane precision spans some 16 decades.  The Cholesky inverse
+    # keeps no digit of the 60-digit mpmath inverse of the same precision;
+    # its pivot condition estimate, 8.5e15, refuses it, and fluct-check
+    # exits 1 with that estimate in the message.
+    mpmath = pytest.importorskip("mpmath")
+    energies = ["5", "6", "8", "17"]
+    weights = [0.06864636832368265, 0.5993905757171789, 0.01143997853836582,
+               0.32052307742077274]
+    cap = "2814752289115281/562949953421312"
+    spec = make_spec(energies, weights, cap, "high_degeneracy")
+    x = solve(spec).x_star
+    axes = rotation_basis(spec)[:, 1:].T.tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fluctuations, "CONDITION_LIMIT", math.inf)
+        block = fluctuations._gaussian_block(spec, x, axes)
+    with mpmath.workdps(60):
+        *a, b = (-mpmath.mpf(h) for h in limit_entropy_hessian_diag(spec, x))
+        precision = mpmath.matrix([[b * mpmath.fsum(u) * mpmath.fsum(v)
+                                    + mpmath.fsum(ai * ui * vi for ai, ui, vi
+                                                  in zip(a, u, v))
+                                    for v in axes] for u in axes])
+        want = precision ** -1
+        k = len(axes)
+        scale = max(abs(want[i, j]) for i in range(k) for j in range(k))
+        error = max(abs(block[i, j] - want[i, j]) for i in range(k)
+                    for j in range(k)) / scale
+    assert error > 0.5
+    message = ("covariance block ill-conditioned: pivot condition estimate "
+               "8.472e+15 times eps exceeds 1e-08")
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        predict_boundary(spec, 60)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "energies": energies, "weights": weights, "energy_cap": cap,
+        "regime": "high_degeneracy", "N_list": [60]}), encoding="utf-8")
+    assert main(["fluct-check", "--config", str(config)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "numeric",
+                                                    "detail": message}
